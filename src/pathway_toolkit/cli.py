@@ -290,13 +290,7 @@ def _run_ratecalc(cfg: RunConfig) -> str:
     for g in gammas:
         for a in aa:
             for b in bb:
-                if p["route"] == "mellin":
-                    val = melconv.reaction_rate(g, a, b, route="mellin")
-                    err = abs(val) * 1e-8  # inversion error target
-                else:
-                    if p["route"] == "both":
-                        melconv.reaction_rate(g, a, b, route="both")
-                    val, err = melconv.reaction_rate_with_error(g, a, b)
+                val, err = melconv.reaction_rate_with_error(g, a, b, route=p["route"])
                 rows.append((g, a, b, val, err))
     return format_table(["gamma", "a", "b", "value", "abs_err_estimate"], rows)
 
@@ -320,9 +314,14 @@ def _run_kratzel(cfg: RunConfig) -> str:
 
 def _parse_product_spec(path: str) -> melconv.ProductSpec:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: the spec must be a JSON object")
+
     def factors(side):
         out = []
         for item in doc.get(side, []):
+            if not isinstance(item, dict) or "kind" not in item:
+                raise DomainError(f"{path}: {side} factor {item!r} needs a 'kind'")
             item = dict(item)
             kind = item.pop("kind")
             expo = float(item.pop("exponent", 1.0))
@@ -426,10 +425,10 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a validated config; writes output only on success."""
     try:
         payload = _HANDLERS[cfg.subcommand](cfg)
-    except (DomainError, ConvergenceError) as exc:
+    except (DomainError, ConvergenceError, FileNotFoundError) as exc:
         return _die(str(exc), code=1)
-    except FileNotFoundError as exc:
-        return _die(str(exc), code=1)
+    except json.JSONDecodeError as exc:
+        return _die(f"malformed JSON input: {exc}", code=1)
     data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
     if cfg.output:
         Path(cfg.output).write_bytes(data)

@@ -88,6 +88,24 @@ def _gamma_ratio(num: Sequence, den: Sequence):
     return np.exp(acc)
 
 
+def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
+    """The shape parameters ``keys`` of a builtin kind as floats; a missing,
+    unexpected or non-numeric parameter is a DomainError."""
+    missing = [k for k in keys if k not in shape]
+    unexpected = sorted(set(shape) - set(keys))
+    if missing or unexpected:
+        raise DomainError(
+            f"{kind} takes shape parameters {list(keys)}; "
+            f"missing {missing}, unexpected {unexpected}"
+        )
+    try:
+        return [float(shape[k]) for k in keys]
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"{kind} shape parameters must be numbers, got {shape}"
+        ) from None
+
+
 def builtin_density(kind: str, **shape) -> MomentDensity:
     """Closed-form moment functions for the stock distribution kinds.
 
@@ -95,8 +113,7 @@ def builtin_density(kind: str, **shape) -> MomentDensity:
     ``type1_beta(alpha, beta)``, ``type2_beta(alpha, beta)``, ``uniform01``.
     """
     if kind == "uniform01":
-        if shape:
-            raise DomainError("uniform01 takes no shape parameters")
+        _shape_values(kind, shape)
         return MomentDensity(
             label="uniform01",
             moment_fn=lambda s: 1.0 / np.asarray(s, dtype=complex),
@@ -105,9 +122,7 @@ def builtin_density(kind: str, **shape) -> MomentDensity:
             pdf_oracle=lambda x: 1.0 if 0.0 < x < 1.0 else 0.0,
         )
     if kind == "gamma":
-        g = float(shape.pop("gamma"))
-        if shape:
-            raise DomainError(f"unexpected parameters for gamma: {sorted(shape)}")
+        (g,) = _shape_values(kind, shape, "gamma")
         if g <= -1:
             raise DomainError(f"gamma kind needs shape gamma > -1, got {g}")
         lg1 = gammaln(g + 1)
@@ -121,11 +136,7 @@ def builtin_density(kind: str, **shape) -> MomentDensity:
 
         return MomentDensity("gamma", mom, (-g, math.inf), (0.0, math.inf), pdf)
     if kind == "gen_gamma":
-        g = float(shape.pop("gamma"))
-        a = float(shape.pop("a"))
-        d = float(shape.pop("delta"))
-        if shape:
-            raise DomainError(f"unexpected parameters for gen_gamma: {sorted(shape)}")
+        g, a, d = _shape_values(kind, shape, "gamma", "a", "delta")
         if g <= -1 or a <= 0 or d <= 0:
             raise DomainError(
                 f"gen_gamma needs gamma > -1, a > 0, delta > 0; got {g}, {a}, {d}"
@@ -147,10 +158,7 @@ def builtin_density(kind: str, **shape) -> MomentDensity:
 
         return MomentDensity("gen_gamma", mom, (-g, math.inf), (0.0, math.inf), pdf)
     if kind == "type1_beta":
-        al = float(shape.pop("alpha"))
-        be = float(shape.pop("beta"))
-        if shape:
-            raise DomainError(f"unexpected parameters for type1_beta: {sorted(shape)}")
+        al, be = _shape_values(kind, shape, "alpha", "beta")
         if al <= 0 or be <= 0:
             raise DomainError(f"type1_beta needs alpha, beta > 0; got {al}, {be}")
         log_b = gammaln(al) + gammaln(be) - gammaln(al + be)
@@ -168,10 +176,7 @@ def builtin_density(kind: str, **shape) -> MomentDensity:
 
         return MomentDensity("type1_beta", mom, (1 - al, math.inf), (0.0, 1.0), pdf)
     if kind == "type2_beta":
-        al = float(shape.pop("alpha"))
-        be = float(shape.pop("beta"))
-        if shape:
-            raise DomainError(f"unexpected parameters for type2_beta: {sorted(shape)}")
+        al, be = _shape_values(kind, shape, "alpha", "beta")
         if al <= 0 or be <= 0:
             raise DomainError(f"type2_beta needs alpha, beta > 0; got {al}, {be}")
         log_b = gammaln(al) + gammaln(be) - gammaln(al + be)
@@ -471,22 +476,6 @@ def _validate_reaction(gamma: float, a: float, b: float):
         raise DomainError(f"a = 0 requires gamma < -1, got {gamma}")
 
 
-def _reaction_quadrature(gamma: float, a: float, b: float) -> tuple[float, float]:
-    def log_f(x):
-        if x <= 0:
-            return -math.inf
-        out = gamma * math.log(x) - a * x
-        if b:
-            out -= b / math.sqrt(x)
-        return out
-
-    def f(x):
-        lf = log_f(x)
-        return math.exp(lf) if lf > -745.0 else 0.0
-
-    return integrate_halfline(f, log_f)
-
-
 def _reaction_mellin(gamma: float, a: float, b: float, rel_tol: float = 1e-8) -> float:
     # product structure: x1 ~ gamma(shape gamma+2, rate a), x2 with density
     # e^(-sqrt(x))/2; then g(u) = c1*c2*I(gamma, a, sqrt(u)), so evaluate the
@@ -521,6 +510,15 @@ def reaction_rate(
     (there is no product structure left to convolve); the quadrature route
     always integrates.
     """
+    return reaction_rate_with_error(gamma, a, b, route)[0]
+
+
+def reaction_rate_with_error(
+    gamma: float, a: float, b: float, route: str = "quadrature"
+) -> tuple[float, float]:
+    """reaction_rate plus its absolute-error estimate (for tabulation): the
+    quadrature estimate, or the inversion target 1e-8 |value| on the Mellin
+    route."""
     _validate_reaction(gamma, a, b)
     if route not in ("quadrature", "mellin", "both"):
         raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
@@ -536,8 +534,9 @@ def reaction_rate(
         else:
             mellin_val = _reaction_mellin(gamma, a, b)
         if route == "mellin":
-            return mellin_val
-    q = _reaction_quadrature(gamma, a, b)[0]
+            return mellin_val, abs(mellin_val) * 1e-8
+    # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
+    q, err = integrate_halfline(*_kratzel_integrand(gamma, a, b, 1.0, 0.5))
     if route == "both" and abs(q - mellin_val) > 1e-6 * max(abs(q), abs(mellin_val)):
         raise ConvergenceError(
             f"reaction-rate routes disagree: quadrature {q!r} vs "
@@ -545,13 +544,7 @@ def reaction_rate(
             partial=q,
             bound=abs(q - mellin_val),
         )
-    return q
-
-
-def reaction_rate_with_error(gamma: float, a: float, b: float) -> tuple[float, float]:
-    """Quadrature value plus its absolute-error estimate (for tabulation)."""
-    _validate_reaction(gamma, a, b)
-    return _reaction_quadrature(gamma, a, b)
+    return q, err
 
 
 # ---------------------------------------------------------------------------

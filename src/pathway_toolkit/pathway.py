@@ -2,9 +2,10 @@
 
 One parameter record covers three families: a finite-range power model below
 the transition value, a heavy-tailed power model above it, and a stretched
-gamma model exactly at it.  Normalizing constants come from the beta/gamma
-integrals the power substitution y = a|1-alpha| x^delta produces, and every
-construction cross-checks that constant against adaptive quadrature.
+gamma model exactly at it.  Under y = a|1-alpha| x^delta (a eta x^delta at the
+transition) they are a type-1 beta, a type-2 beta and a gamma law (Mathai,
+Linear Algebra Appl. 396, 2005).  Construction picks that law from one regime
+table and cross-checks its normalizing constant against adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -12,16 +13,69 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc, gammainc, gammaln
+from scipy.special import (betainc, betainccinv, betaincinv, betaln,
+                           gammainc, gammaincinv, gammaln)
 
 from .errors import DomainError
 
 _NORM_CHECK_TOL = 1e-8
-_BISECT_XTOL = 1e-10
+
+
+class _Regime(NamedTuple):
+    """The law of y = scale * x**delta: shape pair (p, q), with q infinite for
+    the gamma law, support [0, y_max], the log of the beta or gamma integral
+    that normalizes the kernel, and the log-kernel, CDF and quantile of y."""
+
+    p: float
+    q: float
+    scale: float
+    y_max: float
+    log_shape_integral: float
+    log_kernel: Callable
+    cdf: Callable
+    quantile: Callable
+
+
+def _type1_beta(p, alpha, a, eta) -> _Regime:
+    k = eta / (1 - alpha)
+    q = k + 1
+    return _Regime(p, q, a * (1 - alpha), 1.0, betaln(p, q),
+                   lambda y: k * np.log1p(-y),
+                   lambda y: betainc(p, q, y), lambda u: betaincinv(p, q, u))
+
+
+def _type2_beta(p, alpha, a, eta) -> _Regime:
+    k = eta / (alpha - 1)
+    q = k - p
+
+    def cdf(y):
+        # I_s(p, q) at s = y/(1+y) in the body and 1 - I_(1-s)(q, p) at
+        # 1 - s = 1/(1+y) in the tail, so neither end rounds s to 0 or 1
+        # (betaincc is exact there too, but 2-10 times slower)
+        out = np.empty_like(y)
+        body = y <= 1
+        out[body] = betainc(p, q, y[body] / (1 + y[body]))
+        out[~body] = 1 - betainc(q, p, 1 / (1 + y[~body]))
+        return out
+
+    # s = y/(1+y) from the lower inverse and 1 - s = 1/(1+y) from the upper
+    # one are each exact where they are small, so their ratio y is too
+    return _Regime(p, q, a * (alpha - 1), math.inf, betaln(p, q),
+                   lambda y: -k * np.log1p(y), cdf,
+                   lambda u: betaincinv(p, q, u) / betainccinv(q, p, u))
+
+
+def _gamma(p, alpha, a, eta) -> _Regime:
+    return _Regime(p, math.inf, a * eta, math.inf, gammaln(p), np.negative,
+                   lambda y: gammainc(p, y), lambda u: gammaincinv(p, u))
+
+
+# keyed by the sign of alpha - 1
+_REGIMES = {-1: _type1_beta, 0: _gamma, 1: _type2_beta}
 
 
 @dataclass(frozen=True)
@@ -30,9 +84,10 @@ class PathwayParams:
 
     ``alpha`` selects the family (below / above / exactly 1), ``gamma`` is the
     power weight at the origin, ``delta`` the power-transform exponent, ``a``
-    the scale, ``eta`` the shape exponent.  Construction computes the
-    normalizing constant in closed form, verifies it against quadrature, and
-    rejects parameter sets whose density cannot integrate to one.
+    the scale, ``eta`` the shape exponent.  Construction looks up the regime
+    of y = a|1-alpha| x^delta, computes the normalizing constant in closed
+    form, verifies it against quadrature, and rejects parameter sets whose
+    density cannot integrate to one.
     """
 
     alpha: float
@@ -48,69 +103,44 @@ class PathwayParams:
             raise DomainError(f"a must be > 0, got {self.a}")
         if not (self.eta > 0):
             raise DomainError(f"eta must be > 0, got {self.eta}")
-        if not ((self.gamma + 1) / self.delta > 0):
+        p = (self.gamma + 1) / self.delta
+        if not (p > 0):
             raise DomainError(
                 f"(gamma+1)/delta must be > 0 for integrability at 0, "
                 f"got gamma={self.gamma}, delta={self.delta}"
             )
-        if self.alpha > 1 and not (self._q2 > 0):
+        row = _REGIMES[(self.alpha > 1) - (self.alpha < 1)]
+        regime = row(p, self.alpha, self.a, self.eta)
+        if not (regime.q > 0):  # only the heavy tail can fail this
             raise DomainError(
                 "density is not normalizable: for alpha > 1 the tail needs "
                 f"eta/(alpha-1) > (gamma+1)/delta, got {self.eta / (self.alpha - 1)} "
-                f"<= {self._p}"
+                f"<= {p}"
             )
+        object.__setattr__(self, "_regime", regime)
         self._normalization_self_check()
 
-    # shape parameters of the beta/gamma integral behind each family
-    @property
-    def _p(self) -> float:
-        return (self.gamma + 1) / self.delta
-
-    @property
-    def _q1(self) -> float:
-        return self.eta / (1 - self.alpha) + 1
-
-    @property
-    def _q2(self) -> float:
-        return self.eta / (self.alpha - 1) - self._p
+    def __reduce__(self):
+        # the regime holds closures, so pickles carry the five scalars only
+        return type(self), (self.alpha, self.gamma, self.delta, self.a, self.eta)
 
     @property
     def support_upper(self) -> float:
-        if self.alpha < 1:
-            return (self.a * (1 - self.alpha)) ** (-1 / self.delta)
-        return math.inf
+        r = self._regime
+        return (r.y_max / r.scale) ** (1 / self.delta)
 
     @property
     def log_norm_const(self) -> float:
-        if self.alpha < 1:
-            scale = self.a * (1 - self.alpha)
-            log_beta = (
-                gammaln(self._p) + gammaln(self._q1) - gammaln(self._p + self._q1)
-            )
-            return math.log(self.delta) + self._p * math.log(scale) - log_beta
-        if self.alpha > 1:
-            scale = self.a * (self.alpha - 1)
-            log_beta = (
-                gammaln(self._p) + gammaln(self._q2) - gammaln(self._p + self._q2)
-            )
-            return math.log(self.delta) + self._p * math.log(scale) - log_beta
-        return (
-            math.log(self.delta)
-            + self._p * math.log(self.a * self.eta)
-            - gammaln(self._p)
-        )
+        r = self._regime
+        return math.log(self.delta) + r.p * math.log(r.scale) - r.log_shape_integral
 
     @property
     def norm_const(self) -> float:
         return math.exp(self.log_norm_const)
 
     def _normalization_self_check(self):
-        hi = self.support_upper
         total, _ = quad(
-            lambda x: pathway_pdf(self, x),
-            0.0,
-            hi if math.isfinite(hi) else math.inf,
-            limit=200,
+            lambda x: pathway_pdf(self, x), 0.0, self.support_upper, limit=200
         )
         if abs(total - 1.0) > _NORM_CHECK_TOL:
             raise DomainError(
@@ -160,30 +190,17 @@ def pathway_pdf(params: PathwayParams, x):
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     out = np.zeros_like(x_arr)
-    inside = x_arr > 0
-    if params.alpha < 1:
-        inside &= x_arr < params.support_upper
+    inside = (x_arr > 0) & (x_arr < params.support_upper)
     xi = x_arr[inside]
-    if xi.size:
-        log_pdf = params.log_norm_const + params.gamma * np.log(xi)
-        if params.alpha < 1:
-            log_pdf += (params.eta / (1 - params.alpha)) * np.log1p(
-                -params.a * (1 - params.alpha) * xi**params.delta
-            )
-        elif params.alpha > 1:
-            log_pdf -= (params.eta / (params.alpha - 1)) * np.log1p(
-                params.a * (params.alpha - 1) * xi**params.delta
-            )
-        else:
-            log_pdf -= params.a * params.eta * xi**params.delta
-        out[inside] = np.exp(log_pdf)
+    r = params._regime
+    out[inside] = np.exp(
+        params.log_norm_const
+        + params.gamma * np.log(xi)
+        + r.log_kernel(r.scale * xi**params.delta)
+    )
     # x == 0 carries the x^gamma prefactor: finite only for gamma >= 0
-    at_zero = x_arr == 0
-    if at_zero.any():
-        if params.gamma == 0:
-            out[at_zero] = params.norm_const
-        elif params.gamma < 0:
-            out[at_zero] = math.inf
+    if params.gamma <= 0:
+        out[x_arr == 0] = params.norm_const if params.gamma == 0 else math.inf
     return float(out[0]) if scalar else out
 
 
@@ -200,45 +217,23 @@ def pathway_cdf(params: PathwayParams, x):
     x_arr = np.atleast_1d(x_arr)
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
-    xi = np.clip(x_arr[pos], 0.0, params.support_upper)
-    if xi.size:
-        if params.alpha < 1:
-            t = np.clip(params.a * (1 - params.alpha) * xi**params.delta, 0.0, 1.0)
-            out[pos] = betainc(params._p, params._q1, t)
-        elif params.alpha > 1:
-            w = params.a * (params.alpha - 1) * xi**params.delta
-            out[pos] = betainc(params._p, params._q2, w / (1.0 + w))
-        else:
-            out[pos] = gammainc(params._p, params.a * params.eta * xi**params.delta)
+    r = params._regime
+    out[pos] = r.cdf(np.minimum(r.scale * x_arr[pos] ** params.delta, r.y_max))
     return float(out[0]) if scalar else out
 
 
 def pathway_sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     """n inverse-CDF draws, reproducible for a given seed.
 
-    Bisection runs on the closed-form CDF down to 1e-10 in x.
+    Each draw is the exact quantile of its seeded uniform: the inverse
+    incomplete beta or gamma function gives y = scale * x**delta, which is
+    mapped back to x.
     """
     if n < 0:
         raise DomainError(f"sample count must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(int(n))
-    if n == 0:
-        return np.empty(0)
-    lo = np.zeros(int(n))
-    if math.isfinite(params.support_upper):
-        hi = np.full(int(n), params.support_upper)
-    else:
-        hi = np.ones(int(n))
-        need = pathway_cdf(params, hi) < u
-        while need.any():
-            hi[need] *= 2.0
-            need = pathway_cdf(params, hi) < u
-    while np.max(hi - lo) > _BISECT_XTOL:
-        mid = 0.5 * (lo + hi)
-        below = pathway_cdf(params, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    u = np.random.default_rng(seed).random(int(n))
+    r = params._regime
+    return (r.quantile(u) / r.scale) ** (1 / params.delta)
 
 
 def tsallis_g(x: float, alpha: float) -> float:

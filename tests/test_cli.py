@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from pathway_toolkit import melconv
 from pathway_toolkit.cli import (
     format_table,
     load_table,
@@ -112,6 +113,16 @@ class TestRun:
         assert lines[0] == "gamma,a,b,value,abs_err_estimate"
         assert len(lines) == 5
 
+    def test_ratecalc_both_integrates_each_point_once(self, monkeypatch, capsys):
+        calls = []
+        integrate = melconv.integrate_halfline
+        monkeypatch.setattr(
+            melconv, "integrate_halfline", lambda *f: calls.append(1) or integrate(*f)
+        )
+        argv = ["ratecalc", "--route", "both", "--gamma", "0,1", "--a", "1", "--b", "1"]
+        assert main(argv) == 0
+        assert len(calls) == 2
+
     def test_kratzel_scalar(self, capsys):
         assert main(["kratzel", "--gamma", "1", "--a", "2", "--y", "0"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.25, rel=1e-10)
@@ -188,6 +199,37 @@ class TestRun:
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = main(["qform", "--matrix", str(tmp_path / "absent.csv")])
         assert code == 1
+
+    @staticmethod
+    def assert_one_line_error(argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathway-toolkit: error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pathway", "--params", "{file}", "--op", "pdf", "--x", "1"],
+            ["melconv", "--spec", "{file}", "--u", "0.5"],
+        ],
+    )
+    @pytest.mark.parametrize("text", ['{"alpha": 1.0,', "[1]"], ids=["syntax", "list"])
+    def test_malformed_json_exits_1(self, argv, text, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        self.assert_one_line_error([a.format(file=f) for a in argv], capsys)
+
+    @pytest.mark.parametrize(
+        "factor",
+        [{"exponent": 1.0}, {"kind": "gamma"}, 1],
+        ids=["no_kind", "no_shape_key", "not_an_object"],
+    )
+    def test_bad_spec_factor_exits_1(self, factor, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"numerator": [factor]}))
+        argv = ["melconv", "--spec", str(spec), "--u", "0.5"]
+        self.assert_one_line_error(argv, capsys)
 
 
 class TestTables:

@@ -59,6 +59,8 @@ class TestBuiltins:
             builtin_density("type1_beta", alpha=0.0, beta=1.0)
         with pytest.raises(DomainError):
             builtin_density("nosuch")
+        with pytest.raises(DomainError):
+            builtin_density("gamma")  # missing shape key
 
     def test_strip_must_contain_one(self):
         with pytest.raises(DomainError):

@@ -1,8 +1,13 @@
 import json
 import math
+import pickle
+import signal
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pathway_toolkit.errors import DomainError
@@ -35,6 +40,26 @@ def quadrature_mass(params, upto=None):
     )[0]
 
 
+def assert_exact_quantiles(params, n, seed):
+    """Draws come back within 1 s, finite, and each one the quantile of its
+    seeded uniform.  A sampler that hangs fails here instead of hanging the
+    suite."""
+
+    def too_slow(signum, frame):
+        raise AssertionError(f"pathway_sample({params}, {n}, {seed}) took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        draws = pathway_sample(params, n, seed)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.all(np.isfinite(draws))
+    u = np.random.default_rng(seed).random(n)
+    assert np.max(np.abs(pathway_cdf(params, draws) - u)) <= 1e-12
+
+
 class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,6 +79,12 @@ class TestParams:
         p = PathwayParams(alpha=0.5, gamma=1.5, delta=2.0, a=0.7, eta=3.0)
         q = PathwayParams.from_json(p.to_json())
         assert p == q
+
+    def test_pickle_round_trip(self):
+        p = PathwayParams(alpha=1.5, gamma=1.0, delta=2.0)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p
+        assert pathway_cdf(q, 0.8) == pathway_cdf(p, 0.8)
 
     def test_json_missing_key(self):
         with pytest.raises(DomainError):
@@ -152,6 +183,19 @@ class TestCdf:
         cdf = pathway_cdf(PathwayParams(alpha=1.5, gamma=0.5), xs)
         assert np.all(np.diff(cdf) >= 0.0)
 
+    def test_heavy_tail_against_mpmath(self):
+        # 1 - y/(1+y) must not round: the tail mass at 1e30 is still 4.7e-4
+        params = PathwayParams(alpha=1.9, gamma=0.0, delta=1.0, a=1.0, eta=1.0)
+        # 50 digits, so that y/(1+y) still resolves 1 - 1e-30
+        with mpmath.workdps(50):
+            alpha, gamma, delta, a, eta = (mpmath.mpf(v) for v in (1.9, 0, 1, 1, 1))
+            p = (gamma + 1) / delta
+            q = eta / (alpha - 1) - p
+            for x in (1e15, 1e17, 1e30):
+                y = a * (alpha - 1) * mpmath.mpf(x) ** delta
+                ref = mpmath.betainc(p, q, 0, y / (1 + y), regularized=True)
+                assert pathway_cdf(params, x) == pytest.approx(float(ref), abs=1e-14)
+
 
 class TestSampling:
     def test_empty(self):
@@ -170,6 +214,27 @@ class TestSampling:
         a = pathway_sample(UNIT_EXP, 50, seed=7)
         b = pathway_sample(UNIT_EXP, 50, seed=7)
         assert np.array_equal(a, b)
+
+    def test_heavy_tail_draws_are_exact_quantiles(self):
+        assert_exact_quantiles(PathwayParams(alpha=1.9, gamma=0.0, delta=1.0), 200, 3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+        gamma=st.floats(-0.5, 2.0),
+        delta=st.floats(0.5, 3.0),
+        q=st.floats(0.05, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_heavy_tail_property(self, alpha, gamma, delta, q, seed):
+        # eta is set by q = eta/(alpha-1) - (gamma+1)/delta, down to the
+        # integrability edge where the tail decays like x^(-1 - q delta)
+        eta = (alpha - 1) * ((gamma + 1) / delta + q)
+        try:
+            params = PathwayParams(alpha=alpha, gamma=gamma, delta=delta, eta=eta)
+        except DomainError:
+            assume(False)  # construction refused the set; the sampler is not reached
+        assert_exact_quantiles(params, 200, seed)
 
     @pytest.mark.parametrize(
         "params",
