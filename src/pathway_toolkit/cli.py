@@ -318,13 +318,21 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
         raise DomainError(f"{path}: the spec must be a JSON object")
 
     def factors(side):
+        items = doc.get(side, [])
+        if not isinstance(items, list):
+            raise DomainError(f"{path}: {side} must be a list, got {items!r}")
         out = []
-        for item in doc.get(side, []):
+        for item in items:
             if not isinstance(item, dict) or "kind" not in item:
                 raise DomainError(f"{path}: {side} factor {item!r} needs a 'kind'")
             item = dict(item)
             kind = item.pop("kind")
-            expo = float(item.pop("exponent", 1.0))
+            try:
+                expo = float(item.pop("exponent", 1.0))
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"{path}: {side} factor exponent must be a number"
+                ) from None
             out.append((melconv.builtin_density(kind, **item), expo))
         return out
     return melconv.ProductSpec(

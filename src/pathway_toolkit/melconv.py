@@ -302,14 +302,15 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 _GL_NODES, _GL_WEIGHTS = _gl_rule(_GL_ORDER)
 
 
-def _vectorize_moment(moment):
-    probe = np.array([1.0 + 0.0j, 1.0 + 0.1j])
+def _vectorize_moment(moment, c: float):
+    probe = c + np.array([0.0j, 0.1j])
     try:
-        out = np.asarray(moment(probe))
-        if out.shape == probe.shape:
+        if np.shape(moment(probe)) == probe.shape:
             return moment
-    except Exception:
-        pass
+    except DomainError:
+        raise
+    except (TypeError, ValueError):
+        pass  # a moment function that takes scalars only
     vec = np.vectorize(lambda z: complex(moment(z)), otypes=[complex])
     return lambda s: vec(s)
 
@@ -354,7 +355,7 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
     """
     if not u > 0:
         raise DomainError(f"mellin_invert needs u > 0, got {u}")
-    mom = _vectorize_moment(moment)
+    mom = _vectorize_moment(moment, c)
     omega = math.log(u)
     density_scale = u**-c / math.pi  # converts contour integral to g units
 

@@ -5,20 +5,23 @@ discretization of the constant-speed construction), rotated by a fixed
 divergence angle.  Under the golden divergence the visible left/right spiral
 families count consecutive Fibonacci numbers; the detector below recovers the
 counts from nearest-neighbor index differences, no contact geometry needed.
+Every neighbor query (parastichy, spacing, coverage) goes through one k-d
+tree per call.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError
 
 _MIN_POINTS = 50
+_FIRST_K = 16  # candidates per point on the first k-d tree query
 
 
 def golden_angle() -> float:
@@ -95,40 +98,43 @@ def parastichy_pair(points, window) -> tuple[int, int]:
             f"window ({lo}, {hi}) out of range for {len(points)} points"
         )
     xy = _cartesian(points)
-    phi = np.asarray([p[1] for p in points])
-    left_diffs: Counter = Counter()
-    right_diffs: Counter = Counter()
-    for i in range(max(lo, 1), hi):
-        d = xy[:i] - xy[i]
-        dist2 = np.einsum("ij,ij->i", d, d)
-        psi = np.mod(phi[:i] - phi[i] + math.pi, 2.0 * math.pi) - math.pi
-        for side, counter in ((psi >= 0, right_diffs), (psi <= 0, left_diffs)):
-            if side.any():
-                j = int(np.flatnonzero(side)[np.argmin(dist2[side])])
-                counter[i - j] += 1
-    if not left_diffs or not right_diffs:
+    phi = np.asarray(points, dtype=float)[:, 1]
+    tree = cKDTree(xy[:hi])
+    rows = np.arange(max(lo, 1), hi)
+    # nearest inward neighbor per row and side (right: psi >= 0, left: psi <= 0);
+    # hi marks a side with no inward point at all
+    nearest = np.full((2, len(rows)), hi)
+    pending, k = rows, min(_FIRST_K, hi)
+    while pending.size:
+        idx = tree.query(xy[pending], k=k)[1]
+        d = xy[idx] - xy[pending, None]
+        dist2 = np.einsum("mkj,mkj->mk", d, d)
+        psi = np.mod(phi[idx] - phi[pending, None] + math.pi, 2.0 * math.pi) - math.pi
+        # an unqueried point lies at least as far as the k-th candidate; the
+        # margin absorbs rounding between the tree's distances and dist2
+        horizon = dist2[:, -1:] * (1.0 - 1e-12)
+        settled = np.full(len(pending), True)
+        for s, side in enumerate((psi >= 0, psi <= 0)):
+            cand = side & (idx < pending[:, None])
+            d2 = np.where(cand, dist2, math.inf)
+            best = d2.min(axis=1, keepdims=True)
+            # the lowest index among equally near candidates, as argmin takes
+            nearest[s, pending - rows[0]] = np.where(cand & (d2 == best), idx, hi).min(1)
+            settled &= (best < horizon).ravel() | (k == hi)
+        pending, k = pending[~settled], min(2 * k, hi)
+    # difference counts; argmax picks the most frequent, the smallest on ties
+    right_diffs, left_diffs = (np.bincount(rows[j < hi] - j[j < hi]) for j in nearest)
+    if not left_diffs.any() or not right_diffs.any():
         raise DomainError("window too small to classify neighbors on both sides")
-
-    def dominant(counter: Counter) -> int:
-        top = max(counter.values())
-        return min(k for k, v in counter.items() if v == top)
-
-    return dominant(left_diffs), dominant(right_diffs)
+    return int(np.argmax(left_diffs)), int(np.argmax(right_diffs))
 
 
 def nearest_neighbor_distances(points) -> np.ndarray:
     """Distance from each point to its nearest other point."""
     xy = _cartesian(points)
-    n = len(xy)
-    if n < 2:
+    if len(xy) < 2:
         raise DomainError("need at least two points")
-    out = np.empty(n)
-    for i in range(n):
-        d = xy - xy[i]
-        dist2 = np.einsum("ij,ij->i", d, d)
-        dist2[i] = math.inf
-        out[i] = math.sqrt(float(dist2.min()))
-    return out
+    return cKDTree(xy).query(xy, k=2)[0][:, 1]
 
 
 def coverage_packing_ratio(points, n_radial: int = 60, n_angular: int = 180) -> float:
@@ -143,9 +149,8 @@ def coverage_packing_ratio(points, n_radial: int = 60, n_angular: int = 180) -> 
     if len(points) < 2:
         raise DomainError("need at least two points")
     xy = _cartesian(points)
-    radii = np.asarray([p[0] for p in points])
-    r_lo, r_hi = float(radii.min()), float(radii.max())
-    rr = np.linspace(r_lo, r_hi, n_radial)
+    radii = np.asarray(points, dtype=float)[:, 0]
+    rr = np.linspace(radii.min(), radii.max(), n_radial)
     aa = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
     probes = np.column_stack(
         (
@@ -153,14 +158,9 @@ def coverage_packing_ratio(points, n_radial: int = 60, n_angular: int = 180) -> 
             np.outer(rr, np.sin(aa)).ravel(),
         )
     )
-    cover = 0.0
-    for chunk in np.array_split(probes, max(1, len(probes) // 512)):
-        d2 = (
-            (chunk[:, None, 0] - xy[None, :, 0]) ** 2
-            + (chunk[:, None, 1] - xy[None, :, 1]) ** 2
-        )
-        cover = max(cover, math.sqrt(float(d2.min(axis=1).max())))
-    packing = float(nearest_neighbor_distances(points).min())
+    tree = cKDTree(xy)
+    cover = float(tree.query(probes)[0].max())
+    packing = float(tree.query(xy, k=2)[0][:, 1].min())
     return cover / packing
 
 

@@ -129,6 +129,8 @@ def mittag_leffler(x: float, params: MLParams, term_cap: int = MAX_TERMS) -> flo
 
     Accuracy degrades for strongly negative arguments when ``alpha < 1``
     (catastrophic cancellation below roughly x = -10); stay above that.
+    A term past the double range raises ConvergenceError with the partial
+    sum and an infinite bound.
     """
     params = params if isinstance(params, MLParams) else MLParams(*params)
     if x == 0.0:
@@ -146,7 +148,15 @@ def mittag_leffler(x: float, params: MLParams, term_cap: int = MAX_TERMS) -> flo
     for k in range(int(term_cap)):
         if sign_c != 0.0:
             log_term = log_c + k * log_ax - gammaln(params.beta + params.alpha * k)
-            term = sign_c * (sign_x**k) * math.exp(log_term)
+            try:
+                term = sign_c * (sign_x**k) * math.exp(log_term)
+            except OverflowError:
+                raise ConvergenceError(
+                    f"Mittag-Leffler series term {k} overflows a double "
+                    f"(log |term| = {log_term:.1f})",
+                    partial=total,
+                    bound=math.inf,
+                ) from None
         else:
             term = 0.0  # a numerator Pochhammer hit zero: series terminated
         total += term

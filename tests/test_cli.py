@@ -69,6 +69,10 @@ class TestRun:
         assert main(["ml", "--alpha", "1", "--x", "1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(math.e, rel=1e-13)
 
+    def test_ml_overflow_exits_1(self, capsys):
+        # E_{1/2}(-40): a series term passes the double range
+        self.assert_one_line_error(["ml", "--alpha", "0.5", "--x=-40"], capsys)
+
     def test_ml_domain_error_exits_1(self, capsys):
         assert main(["ml", "--alpha", "-1", "--x", "1"]) == 1
         assert "alpha" in capsys.readouterr().err
@@ -221,13 +225,19 @@ class TestRun:
         self.assert_one_line_error([a.format(file=f) for a in argv], capsys)
 
     @pytest.mark.parametrize(
-        "factor",
-        [{"exponent": 1.0}, {"kind": "gamma"}, 1],
-        ids=["no_kind", "no_shape_key", "not_an_object"],
+        "numerator",
+        [
+            [{"exponent": 1.0}],
+            [{"kind": "gamma"}],
+            [1],
+            [{"kind": "uniform01", "exponent": "x"}],
+            5,
+        ],
+        ids=["no_kind", "no_shape_key", "not_an_object", "bad_exponent", "not_a_list"],
     )
-    def test_bad_spec_factor_exits_1(self, factor, tmp_path, capsys):
+    def test_bad_spec_factor_exits_1(self, numerator, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"numerator": [factor]}))
+        spec.write_text(json.dumps({"numerator": numerator}))
         argv = ["melconv", "--spec", str(spec), "--u", "0.5"]
         self.assert_one_line_error(argv, capsys)
 

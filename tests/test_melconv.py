@@ -153,6 +153,20 @@ class TestMellinInvert:
         val = mellin_invert(lambda s: 1.0 / s, 0.5, 1.0)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("error", [DomainError, ZeroDivisionError])
+    def test_probe_error_propagates(self, error):
+        # only a scalars-only function's TypeError/ValueError falls back to
+        # per-point calls; any other error on the array probe is raised as is
+        shapes = []
+
+        def moment(s):
+            shapes.append(np.shape(s))
+            raise error("contour outside the strip")
+
+        with pytest.raises(error, match="contour outside the strip"):
+            mellin_invert(moment, 0.5, 1.0)
+        assert shapes == [(2,)]
+
     def test_rejects_nonpositive_u(self):
         with pytest.raises(DomainError):
             mellin_invert(lambda s: 1.0 / s, 0.0, 1.0)

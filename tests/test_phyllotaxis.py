@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +27,96 @@ INNER_WINDOW = (50, 120)
 # largest-hole / smallest-spacing bound separating golden from rational
 # divergence (golden measures ~2.25 on points 50..300, 2 pi / 5 measures ~35)
 UNIFORMITY_BOUND = 5.0
+
+
+def brute_cartesian(points):
+    arr = np.asarray(points, dtype=float)
+    return np.column_stack(
+        (arr[:, 0] * np.cos(arr[:, 1]), arr[:, 0] * np.sin(arr[:, 1]))
+    )
+
+
+def brute_parastichy_pair(points, window):
+    """Reference: one numpy pass per window point over every inward point."""
+    lo, hi = window
+    xy = brute_cartesian(points)
+    phi = np.asarray([p[1] for p in points])
+    left_diffs: Counter = Counter()
+    right_diffs: Counter = Counter()
+    for i in range(max(lo, 1), hi):
+        d = xy[:i] - xy[i]
+        dist2 = np.einsum("ij,ij->i", d, d)
+        psi = np.mod(phi[:i] - phi[i] + math.pi, 2.0 * math.pi) - math.pi
+        for side, counter in ((psi >= 0, right_diffs), (psi <= 0, left_diffs)):
+            if side.any():
+                j = int(np.flatnonzero(side)[np.argmin(dist2[side])])
+                counter[i - j] += 1
+    if not left_diffs or not right_diffs:
+        return None
+
+    def dominant(counter: Counter) -> int:
+        top = max(counter.values())
+        return min(k for k, v in counter.items() if v == top)
+
+    return dominant(left_diffs), dominant(right_diffs)
+
+
+def brute_nearest_neighbor_distances(points):
+    xy = brute_cartesian(points)
+    out = np.empty(len(xy))
+    for i in range(len(xy)):
+        d = xy - xy[i]
+        dist2 = np.einsum("ij,ij->i", d, d)
+        dist2[i] = math.inf
+        out[i] = math.sqrt(float(dist2.min()))
+    return out
+
+
+def brute_coverage_packing_ratio(points, n_radial=60, n_angular=180):
+    xy = brute_cartesian(points)
+    radii = np.asarray([p[0] for p in points])
+    rr = np.linspace(radii.min(), radii.max(), n_radial)
+    aa = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
+    probes = np.column_stack(
+        (np.outer(rr, np.cos(aa)).ravel(), np.outer(rr, np.sin(aa)).ravel())
+    )
+    cover = 0.0
+    for chunk in np.array_split(probes, max(1, len(probes) // 512)):
+        d2 = (
+            (chunk[:, None, 0] - xy[None, :, 0]) ** 2
+            + (chunk[:, None, 1] - xy[None, :, 1]) ** 2
+        )
+        cover = max(cover, math.sqrt(float(d2.min(axis=1).max())))
+    return cover / float(brute_nearest_neighbor_distances(points).min())
+
+
+def exactness_cases(count=100, seed=20261018):
+    """Fixed-seed spirals and windows: golden, 2 pi / 5, 2 pi m / 7, pi and
+    uniform divergences, n in [50, 1500], windows anywhere in the pattern."""
+    rng = np.random.default_rng(seed)
+    families = ("golden", "fifth", "seventh", "half", "uniform")
+    cases = []
+    for c in range(count):
+        family = families[c % len(families)]
+        divergence = {
+            "golden": golden_angle(),
+            "fifth": 2.0 * math.pi / 5.0,
+            "seventh": 2.0 * math.pi * int(rng.integers(1, 7)) / 7.0,
+            "half": math.pi,
+            "uniform": float(rng.uniform(0.05, 6.2)),
+        }[family]
+        n = int(rng.integers(50, 1501))
+        if c % 4 == 3:
+            # a few rows at the centre, where some rows lack an inward
+            # point on one side
+            lo, hi = 0, int(rng.integers(2, 13))
+        else:
+            # windows up to 400 rows keep the reference loop quick
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo + 1, min(n, lo + 400) + 1))
+        k = float(rng.uniform(0.3, 3.0))
+        cases.append(pytest.param(k, n, divergence, (lo, hi), id=f"{family}-{c}"))
+    return cases
 
 
 def is_consecutive_fibonacci(pair):
@@ -131,6 +222,57 @@ class TestParastichy:
         pts = generate_points(SpiralConfig(n_points=100))
         with pytest.raises(DomainError):
             parastichy_pair(pts, (50, 200))
+
+    def test_single_point_window_rejected(self):
+        pts = generate_points(SpiralConfig(n_points=100))
+        with pytest.raises(DomainError):
+            parastichy_pair(pts, (0, 1))
+
+
+class TestNeighborSearchExactness:
+    """The k-d tree answers must equal the brute-force loops they replaced."""
+
+    @pytest.mark.parametrize("k, n, divergence, window", exactness_cases())
+    def test_parastichy_pair_matches_brute_force(self, k, n, divergence, window):
+        pts = generate_points(SpiralConfig(k=k, n_points=n, divergence=divergence))
+        ref = brute_parastichy_pair(pts, window)
+        if ref is None:
+            with pytest.raises(DomainError):
+                parastichy_pair(pts, window)
+        else:
+            assert parastichy_pair(pts, window) == ref
+
+    def test_distance_ties_go_to_lowest_index(self):
+        # every inward neighbor of the window exists twice, at indices m and
+        # 290 + m; the brute force's argmin takes m
+        pts = generate_points(SpiralConfig(n_points=300))
+        doubled = pts[:290] + pts[:290] + pts[290:]
+        pair = parastichy_pair(doubled, (580, 590))
+        assert pair == brute_parastichy_pair(doubled, (580, 590))
+        assert min(pair) > 290
+
+    @pytest.mark.parametrize(
+        "divergence",
+        [golden_angle(), 2.0 * math.pi / 5.0, math.pi, 2.0],
+        ids=["golden", "fifth", "half", "two_radians"],
+    )
+    def test_spacing_and_coverage_match_brute_force(self, divergence):
+        pts = generate_points(SpiralConfig(n_points=700, divergence=divergence))
+        np.testing.assert_allclose(
+            nearest_neighbor_distances(pts),
+            brute_nearest_neighbor_distances(pts),
+            rtol=1e-12,
+            atol=0,
+        )
+        assert coverage_packing_ratio(pts) == pytest.approx(
+            brute_coverage_packing_ratio(pts), rel=1e-12
+        )
+
+    def test_duplicate_points_have_zero_spacing(self):
+        pts = [(1.0, 0.5), (2.0, 1.0), (1.0, 0.5)]
+        np.testing.assert_array_equal(
+            nearest_neighbor_distances(pts), brute_nearest_neighbor_distances(pts)
+        )
 
 
 class TestUniformity:

@@ -175,3 +175,11 @@ class TestMittagLeffler:
             mittag_leffler(40.0, p, term_cap=50)
         assert err.value.partial is not None
         assert err.value.bound is not None
+
+    def test_overflowing_term_raises_convergence_error(self):
+        # E_{1/2}(-40) = exp(1600) erfc(40) ~ 0.014, but the series terms
+        # pass the double range before they cancel
+        with pytest.raises(ConvergenceError) as err:
+            mittag_leffler(-40.0, MLParams(alpha=0.5))
+        assert math.isfinite(err.value.partial)
+        assert err.value.bound == math.inf
