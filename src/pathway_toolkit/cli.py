@@ -9,6 +9,7 @@ Output files are only created after the computation has fully succeeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -281,34 +282,33 @@ def _run_pathway(cfg: RunConfig) -> str:
     return format_table(["index", "value"], [(i, v) for i, v in enumerate(draws)])
 
 
+def _tabulate(axes, header: list[str], evaluate, fixed=()) -> str:
+    """Evaluate over every point of the product of the axes.  A single point
+    (every axis of length 1) prints the first value alone; otherwise one CSV
+    row per point: its coordinates, the fixed columns, then the values."""
+    points = list(itertools.product(*axes))
+    if len(points) == 1:
+        return _fmt(evaluate(*points[0])[0]) + "\n"
+    return format_table(header, [(*pt, *fixed, *evaluate(*pt)) for pt in points])
+
+
 def _run_ratecalc(cfg: RunConfig) -> str:
     p = cfg.params
-    gammas, aa, bb = p["gamma"], p["a"], p["b"]
-    if len(gammas) == len(aa) == len(bb) == 1:
-        return _fmt(melconv.reaction_rate(gammas[0], aa[0], bb[0], route=p["route"])) + "\n"
-    rows = []
-    for g in gammas:
-        for a in aa:
-            for b in bb:
-                val, err = melconv.reaction_rate_with_error(g, a, b, route=p["route"])
-                rows.append((g, a, b, val, err))
-    return format_table(["gamma", "a", "b", "value", "abs_err_estimate"], rows)
+    return _tabulate(
+        [p["gamma"], p["a"], p["b"]],
+        ["gamma", "a", "b", "value", "abs_err_estimate"],
+        lambda g, a, b: melconv.reaction_rate_with_error(g, a, b, route=p["route"]),
+    )
 
 
 def _run_kratzel(cfg: RunConfig) -> str:
     p = cfg.params
-    gammas, aa, yy = p["gamma"], p["a"], p["y"]
     al, be = p["alpha"], p["beta"]
-    if len(gammas) == len(aa) == len(yy) == 1:
-        return _fmt(melconv.kratzel_g2(gammas[0], aa[0], yy[0], al, be)) + "\n"
-    rows = []
-    for g in gammas:
-        for a in aa:
-            for y in yy:
-                val, err = melconv.kratzel_g2_with_error(g, a, y, al, be)
-                rows.append((g, a, y, al, be, val, err))
-    return format_table(
-        ["gamma", "a", "y", "alpha", "beta", "value", "abs_err_estimate"], rows
+    return _tabulate(
+        [p["gamma"], p["a"], p["y"]],
+        ["gamma", "a", "y", "alpha", "beta", "value", "abs_err_estimate"],
+        lambda g, a, y: melconv.kratzel_g2_with_error(g, a, y, al, be),
+        fixed=(al, be),
     )
 
 
@@ -316,6 +316,11 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: the spec must be a JSON object")
+    unknown = sorted(set(doc) - {"numerator", "denominator"})
+    if unknown:
+        raise DomainError(
+            f"{path}: unknown spec keys {unknown}; use numerator and denominator"
+        )
 
     def factors(side):
         items = doc.get(side, [])
@@ -327,8 +332,9 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
                 raise DomainError(f"{path}: {side} factor {item!r} needs a 'kind'")
             item = dict(item)
             kind = item.pop("kind")
-            try:
-                expo = float(item.pop("exponent", 1.0))
+            expo = item.pop("exponent", 1.0)
+            try:  # JSON true/false is not a number
+                expo = float(None if isinstance(expo, bool) else expo)
             except (TypeError, ValueError):
                 raise DomainError(
                     f"{path}: {side} factor exponent must be a number"
@@ -342,13 +348,8 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
 
 def _run_melconv(cfg: RunConfig) -> str:
     p = cfg.params
-    spec = _parse_product_spec(p["spec"])
-    dens = melconv.product_moment_density(spec)
-    us = p["u"]
-    if len(us) == 1:
-        return _fmt(dens.density(us[0])) + "\n"
-    rows = [(u, dens.density(u)) for u in us]
-    return format_table(["u", "density"], rows)
+    dens = melconv.product_moment_density(_parse_product_spec(p["spec"]))
+    return _tabulate([p["u"]], ["u", "density"], lambda u: (dens.density(u),))
 
 
 def _run_anova(cfg: RunConfig) -> str:
@@ -383,11 +384,8 @@ def _run_qform(cfg: RunConfig) -> str:
     p = cfg.params
     _, A = load_table(p["matrix"])
     report = designstats.chisquared_form_check(A, n=p["n"], seed=cfg.resolved_seed())
-    return (
-        "idempotent,rank,ks_stat,consistent\n"
-        f"{int(report['idempotent'])},{report['rank']},"
-        f"{_fmt(report['ks_stat'])},{int(report['consistent'])}\n"
-    )
+    header = ["idempotent", "rank", "ks_stat", "consistent"]
+    return format_table(header, [[report[k] for k in header]])
 
 
 def _run_volume(cfg: RunConfig) -> str:

@@ -189,6 +189,8 @@ def chisquared_form_check(A, n: int = 100_000, seed: int = 0) -> dict:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"A must be square, got shape {A.shape}")
+    if n < 1:
+        raise DomainError(f"need n >= 1 simulated forms, got {n}")
     A = 0.5 * (A + A.T)
     p = A.shape[0]
     eigs = np.linalg.eigvalsh(A)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, loggamma
+from scipy.special import betaln, gammaln, loggamma
 
 from .errors import ConvergenceError, DomainError
 
@@ -78,16 +78,6 @@ class MomentDensity:
         )
 
 
-def _gamma_ratio(num: Sequence, den: Sequence):
-    """exp(sum loggamma(num) - sum loggamma(den)), all in log space."""
-    acc = np.zeros_like(np.asarray(num[0], dtype=complex))
-    for z in num:
-        acc = acc + loggamma(z)
-    for z in den:
-        acc = acc - loggamma(z)
-    return np.exp(acc)
-
-
 def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
     """The shape parameters ``keys`` of a builtin kind as floats; a missing,
     unexpected or non-numeric parameter is a DomainError."""
@@ -106,96 +96,89 @@ def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
         ) from None
 
 
+class _Kind(NamedTuple):
+    """One stock distribution.  ``bounds`` maps each shape key to the value
+    it must exceed; the callables take the shape values after their first
+    argument (a complex array s, or a real x inside the open support)."""
+
+    bounds: dict[str, float]
+    moment: Callable
+    log_pdf: Callable
+    strip: Callable[..., tuple[float, float]]
+    support: tuple[float, float]
+
+
+_BUILTINS = {
+    "uniform01": _Kind(
+        {}, lambda s: 1.0 / s, lambda x: 0.0, lambda: (0.0, math.inf), (0.0, 1.0)
+    ),
+    "gamma": _Kind(
+        {"gamma": -1.0},
+        lambda s, g: np.exp(loggamma(g + s) - gammaln(g + 1)),
+        lambda x, g: g * math.log(x) - x - gammaln(g + 1),
+        lambda g: (-g, math.inf),
+        (0.0, math.inf),
+    ),
+    "gen_gamma": _Kind(
+        {"gamma": -1.0, "a": 0.0, "delta": 0.0},
+        lambda s, g, a, d: np.exp(
+            loggamma((g + s) / d) - gammaln((g + 1) / d) - (s - 1) / d * math.log(a)
+        ),
+        lambda x, g, a, d: (
+            math.log(d) + (g + 1) / d * math.log(a) + g * math.log(x) - a * x**d
+            - gammaln((g + 1) / d)
+        ),
+        lambda g, a, d: (-g, math.inf),
+        (0.0, math.inf),
+    ),
+    "type1_beta": _Kind(
+        {"alpha": 0.0, "beta": 0.0},
+        lambda s, al, be: np.exp(
+            loggamma(al + s - 1) + loggamma(al + be) - loggamma(al)
+            - loggamma(al + be + s - 1)
+        ),
+        lambda x, al, be: (
+            (al - 1) * math.log(x) + (be - 1) * math.log1p(-x) - betaln(al, be)
+        ),
+        lambda al, be: (1 - al, math.inf),
+        (0.0, 1.0),
+    ),
+    "type2_beta": _Kind(
+        {"alpha": 0.0, "beta": 0.0},
+        lambda s, al, be: np.exp(
+            loggamma(al + s - 1) + loggamma(be - s + 1) - loggamma(al) - loggamma(be)
+        ),
+        lambda x, al, be: (
+            (al - 1) * math.log(x) - (al + be) * math.log1p(x) - betaln(al, be)
+        ),
+        lambda al, be: (1 - al, 1 + be),
+        (0.0, math.inf),
+    ),
+}
+
+
 def builtin_density(kind: str, **shape) -> MomentDensity:
     """Closed-form moment functions for the stock distribution kinds.
 
     kinds: ``gamma(gamma)``, ``gen_gamma(gamma, a, delta)``,
     ``type1_beta(alpha, beta)``, ``type2_beta(alpha, beta)``, ``uniform01``.
     """
-    if kind == "uniform01":
-        _shape_values(kind, shape)
-        return MomentDensity(
-            label="uniform01",
-            moment_fn=lambda s: 1.0 / np.asarray(s, dtype=complex),
-            strip=(0.0, math.inf),
-            support=(0.0, 1.0),
-            pdf_oracle=lambda x: 1.0 if 0.0 < x < 1.0 else 0.0,
-        )
-    if kind == "gamma":
-        (g,) = _shape_values(kind, shape, "gamma")
-        if g <= -1:
-            raise DomainError(f"gamma kind needs shape gamma > -1, got {g}")
-        lg1 = gammaln(g + 1)
+    row = _BUILTINS.get(kind)
+    if row is None:
+        raise DomainError(f"unknown builtin density kind: {kind!r}")
+    vals = _shape_values(kind, shape, *row.bounds)
+    if not all(v > bound for v, bound in zip(vals, row.bounds.values())):
+        need = ", ".join(f"{k} > {bound:g}" for k, bound in row.bounds.items())
+        raise DomainError(f"{kind} needs {need}; got {', '.join(map(str, vals))}")
+    lo, hi = row.support
 
-        def mom(s, g=g, lg1=lg1):
-            s = np.asarray(s, dtype=complex)
-            return np.exp(loggamma(g + s) - lg1)
+    def mom(s):
+        return row.moment(np.asarray(s, dtype=complex), *vals)
 
-        def pdf(x, g=g, lg1=lg1):
-            return math.exp(g * math.log(x) - x - lg1) if x > 0 else 0.0
+    def pdf(x):
+        return math.exp(row.log_pdf(x, *vals)) if lo < x < hi else 0.0
 
-        return MomentDensity("gamma", mom, (-g, math.inf), (0.0, math.inf), pdf)
-    if kind == "gen_gamma":
-        g, a, d = _shape_values(kind, shape, "gamma", "a", "delta")
-        if g <= -1 or a <= 0 or d <= 0:
-            raise DomainError(
-                f"gen_gamma needs gamma > -1, a > 0, delta > 0; got {g}, {a}, {d}"
-            )
-        p = (g + 1) / d
-        lgp = gammaln(p)
-        log_a = math.log(a)
-
-        def mom(s, g=g, d=d, lgp=lgp, log_a=log_a):
-            s = np.asarray(s, dtype=complex)
-            return np.exp(loggamma((g + s) / d) - lgp - (s - 1) / d * log_a)
-
-        def pdf(x, g=g, a=a, d=d, p=p, lgp=lgp, log_a=log_a):
-            if x <= 0:
-                return 0.0
-            return math.exp(
-                math.log(d) + p * log_a + g * math.log(x) - a * x**d - lgp
-            )
-
-        return MomentDensity("gen_gamma", mom, (-g, math.inf), (0.0, math.inf), pdf)
-    if kind == "type1_beta":
-        al, be = _shape_values(kind, shape, "alpha", "beta")
-        if al <= 0 or be <= 0:
-            raise DomainError(f"type1_beta needs alpha, beta > 0; got {al}, {be}")
-        log_b = gammaln(al) + gammaln(be) - gammaln(al + be)
-
-        def mom(s, al=al, be=be):
-            s = np.asarray(s, dtype=complex)
-            return _gamma_ratio([al + s - 1, al + be], [al, al + be + s - 1])
-
-        def pdf(x, al=al, be=be, log_b=log_b):
-            if not 0.0 < x < 1.0:
-                return 0.0
-            return math.exp(
-                (al - 1) * math.log(x) + (be - 1) * math.log1p(-x) - log_b
-            )
-
-        return MomentDensity("type1_beta", mom, (1 - al, math.inf), (0.0, 1.0), pdf)
-    if kind == "type2_beta":
-        al, be = _shape_values(kind, shape, "alpha", "beta")
-        if al <= 0 or be <= 0:
-            raise DomainError(f"type2_beta needs alpha, beta > 0; got {al}, {be}")
-        log_b = gammaln(al) + gammaln(be) - gammaln(al + be)
-
-        def mom(s, al=al, be=be):
-            s = np.asarray(s, dtype=complex)
-            return _gamma_ratio([al + s - 1, be - s + 1], [al, be])
-
-        def pdf(x, al=al, be=be, log_b=log_b):
-            if x <= 0:
-                return 0.0
-            return math.exp(
-                (al - 1) * math.log(x) - (al + be) * math.log1p(x) - log_b
-            )
-
-        return MomentDensity(
-            "type2_beta", mom, (1 - al, 1 + be), (0.0, math.inf), pdf
-        )
-    raise DomainError(f"unknown builtin density kind: {kind!r}")
+    return MomentDensity(kind, mom, row.strip(*vals), row.support, pdf)
 
 
 # ---------------------------------------------------------------------------
@@ -220,59 +203,46 @@ class ProductSpec:
                     f"factor exponent must be > 0, got {expo} on {dens.label}"
                 )
 
+    def _signed_factors(self) -> list[tuple[MomentDensity, float]]:
+        """(density, signed exponent) pairs: a denominator factor is x^(-d)."""
+        return [*self.numerator, *((dens, -expo) for dens, expo in self.denominator)]
+
     def common_strip(self) -> tuple[float, float]:
-        """Real s making every transformed argument land in its own strip."""
+        """Real s putting every argument 1 + e (s - 1) in its factor's strip."""
         lo, hi = -math.inf, math.inf
-        for dens, expo in self.numerator:
-            flo, fhi = dens.strip
-            lo = max(lo, 1 + (flo - 1) / expo)
-            hi = min(hi, 1 + (fhi - 1) / expo)
-        for dens, expo in self.denominator:
-            flo, fhi = dens.strip
-            lo = max(lo, 1 + (1 - fhi) / expo)
-            hi = min(hi, 1 + (1 - flo) / expo)
+        for dens, e in self._signed_factors():
+            flo, fhi = sorted(1 + (bound - 1) / e for bound in dens.strip)
+            lo, hi = max(lo, flo), min(hi, fhi)
         return lo, hi
 
     def support(self) -> tuple[float, float]:
+        """(0, upper end); any denominator factor makes the upper end infinite."""
         hi = 1.0
-        for dens, expo in self.numerator:
+        for dens, e in self._signed_factors():
             b = dens.support[1]
-            hi *= b**expo if math.isfinite(b) else math.inf
-        if self.denominator:
-            hi = math.inf
+            hi *= b**e if e > 0 and math.isfinite(b) else math.inf
         return (0.0, hi)
 
 
 def structure_moment(spec: ProductSpec, s):
     """Moment of the product structure: independence turns it into a product
-    of per-factor moments at transformed arguments."""
-    s_is_real = not isinstance(s, complex)
-    if s_is_real:
-        lo, hi = spec.common_strip()
-        if not (lo < s < hi):
-            raise DomainError(
-                f"s = {s} outside the common strip ({lo}, {hi}) of the structure"
-            )
-    z = np.array([complex(s)])
-    out = np.ones(1, dtype=complex)
-    for dens, expo in spec.numerator:
-        out = out * np.asarray(dens.moment_fn(expo * (z - 1) + 1))
-    for dens, expo in spec.denominator:
-        out = out * np.asarray(dens.moment_fn(1 - expo * (z - 1)))
-    val = complex(out[0])
-    return val.real if s_is_real else val
+    of per-factor moments at transformed arguments.  Real s must lie in the
+    common strip; complex s is taken as given."""
+    dens = product_moment_density(spec)
+    if isinstance(s, complex):
+        return complex(dens.moment_fn(np.array([s]))[0])
+    return dens.moment(s)
 
 
 def product_moment_density(spec: ProductSpec, label: str = "product") -> MomentDensity:
     """Wrap a product structure as a MomentDensity (density via inversion)."""
+    factors = spec._signed_factors()
 
     def mom(s):
         s = np.asarray(s, dtype=complex)
         out = np.ones_like(s)
-        for dens, expo in spec.numerator:
-            out = out * np.asarray(dens.moment_fn(expo * (s - 1) + 1))
-        for dens, expo in spec.denominator:
-            out = out * np.asarray(dens.moment_fn(1 - expo * (s - 1)))
+        for dens, e in factors:
+            out = out * np.asarray(dens.moment_fn(1 + e * (s - 1)))
         return out
 
     return MomentDensity(label, mom, spec.common_strip(), spec.support())
@@ -294,12 +264,7 @@ def default_contour(strip: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 # contour inversion
 
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(order)
-    return nodes, weights
-
-
-_GL_NODES, _GL_WEIGHTS = _gl_rule(_GL_ORDER)
+_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
 
 def _vectorize_moment(moment, c: float):
@@ -311,8 +276,7 @@ def _vectorize_moment(moment, c: float):
         raise
     except (TypeError, ValueError):
         pass  # a moment function that takes scalars only
-    vec = np.vectorize(lambda z: complex(moment(z)), otypes=[complex])
-    return lambda s: vec(s)
+    return np.vectorize(lambda z: complex(moment(z)), otypes=[complex])
 
 
 def _contour_panel(
@@ -334,15 +298,13 @@ def _contour_panel(
 
 
 def _averaged_limit(partials: list[complex]) -> tuple[complex, float]:
-    """Iterated averaging of oscillating partial sums; returns the apex and
-    the size of the last averaging step as the error estimate."""
+    """Iterated averaging of at least two oscillating partial sums; returns
+    the apex and the size of the last averaging step as the error estimate."""
     work = np.asarray(partials, dtype=complex)
     last_per_level = [work[-1]]
     while work.size > 1:
         work = 0.5 * (work[:-1] + work[1:])
         last_per_level.append(work[-1])
-    if len(last_per_level) == 1:
-        return last_per_level[0], abs(last_per_level[0])
     return last_per_level[-1], abs(last_per_level[-1] - last_per_level[-2])
 
 
@@ -382,11 +344,9 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
         )
         ratio = contrib / max(prev_contrib, 1e-300)
         prev_contrib = contrib
-        # fast-decay exits: either the envelope can no longer matter, or the
-        # octave contributions are collapsing geometrically below the budget
-        if env * t_cur < 0.05 * target and contrib < 0.1 * target:
-            return density_scale * total.real
-        if contrib < 0.1 * target and ratio < 0.3:
+        # fast-decay exit: the octave is below the budget, and either the
+        # envelope can no longer matter or the octaves collapse geometrically
+        if contrib < 0.1 * target and (env * t_cur < 0.05 * target or ratio < 0.3):
             return density_scale * total.real
 
     # slow decay: lean on the u-oscillation
@@ -570,18 +530,9 @@ def _kratzel_integrand(gamma: float, a: float, y: float, alpha: float, beta: flo
 
 
 def kratzel_g1(gamma: float, a: float, y: float) -> float:
-    """integral of x^gamma exp(-a x - y/x) over (0, inf)."""
-    return kratzel_g1_with_error(gamma, a, y)[0]
-
-
-def kratzel_g1_with_error(gamma: float, a: float, y: float) -> tuple[float, float]:
-    if not a > 0:
-        raise DomainError(f"a must be > 0, got {a}")
-    if y < 0:
-        raise DomainError(f"y must be >= 0, got {y}")
-    if y == 0 and gamma <= -1:
-        raise DomainError(f"y = 0 requires gamma > -1, got {gamma}")
-    return integrate_halfline(*_kratzel_integrand(gamma, a, y, 1.0, 1.0))
+    """integral of x^gamma exp(-a x - y/x) over (0, inf): kratzel_g2 with
+    alpha = beta = 1."""
+    return kratzel_g2(gamma, a, y)
 
 
 def kratzel_g2(
@@ -663,6 +614,8 @@ def normality_trend(
     al, be = shapes
     if al <= 0 or be <= 0:
         raise DomainError(f"beta shapes must be positive, got {shapes}")
+    if n < 2:
+        raise DomainError(f"a skewness needs n >= 2 draws, got {n}")
     rng = np.random.default_rng(seed)
     out = []
     for k in k_list:

@@ -161,17 +161,20 @@ class PathwayParams:
 
     @classmethod
     def from_json(cls, text: str) -> "PathwayParams":
+        keys = ("alpha", "gamma", "delta", "a", "eta")
         doc = json.loads(text)
-        missing = {"alpha", "gamma", "delta", "a", "eta"} - set(doc)
+        if not isinstance(doc, dict):
+            raise DomainError("pathway parameter JSON must be an object")
+        missing = set(keys) - set(doc)
         if missing:
             raise DomainError(f"pathway parameter JSON missing keys: {sorted(missing)}")
-        return cls(
-            alpha=float(doc["alpha"]),
-            gamma=float(doc["gamma"]),
-            delta=float(doc["delta"]),
-            a=float(doc["a"]),
-            eta=float(doc["eta"]),
-        )
+        try:  # JSON true/false is not a number
+            values = {k: float(doc[k]) for k in keys if not isinstance(doc[k], bool)}
+        except (TypeError, ValueError):
+            values = {}
+        if len(values) < len(keys):
+            raise DomainError(f"pathway parameters must be numbers, got {doc}")
+        return cls(**values)
 
 
 def pathway_support(params: PathwayParams) -> tuple[float, float]:
@@ -286,12 +289,12 @@ def pathway_density(params: PathwayParams) -> DensityFn:
     return DensityFn(lambda x: pathway_pdf(params, x), pathway_support(params))
 
 
-def _entropy_integral(f: DensityFn, power: float) -> float:
-    """integral of f^power - f over the support (== integral f^power - 1)."""
+def _entropy_integral(f: DensityFn, h: Callable[[float], float]) -> float:
+    """integral of h(f(x)) over the support, with h(0) taken as 0."""
 
     def integrand(x):
         v = f(x)
-        return (v**power - v) if v > 0 else 0.0
+        return h(v) if v > 0 else 0.0
 
     lo, hi = f.support
     val, _ = quad(integrand, lo, hi, limit=200)
@@ -305,19 +308,12 @@ def havrda_charvat_entropy(f: DensityFn, alpha: float) -> float:
         raise DomainError(
             "alpha = 1 is the Shannon limit; call shannon_entropy instead"
         )
-    return _entropy_integral(f, alpha) / (2.0 ** (1.0 - alpha) - 1.0)
+    return _entropy_integral(f, lambda v: v**alpha - v) / (2.0 ** (1.0 - alpha) - 1.0)
 
 
 def shannon_entropy(f: DensityFn) -> float:
     """-integral f ln f over the support (natural log)."""
-
-    def integrand(x):
-        v = f(x)
-        return -v * math.log(v) if v > 0 else 0.0
-
-    lo, hi = f.support
-    val, _ = quad(integrand, lo, hi, limit=200)
-    return val
+    return _entropy_integral(f, lambda v: -v * math.log(v))
 
 
 def mathai_entropy(f: DensityFn, alpha: float) -> float:
@@ -326,4 +322,4 @@ def mathai_entropy(f: DensityFn, alpha: float) -> float:
         raise DomainError(
             f"mathai_entropy requires alpha != 1 and alpha < 2, got {alpha}"
         )
-    return _entropy_integral(f, 2.0 - alpha) / (alpha - 1.0)
+    return _entropy_integral(f, lambda v: v ** (2.0 - alpha) - v) / (alpha - 1.0)

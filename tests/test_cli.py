@@ -210,6 +210,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("pathway-toolkit: error: ")
         assert err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize(
         "argv",
@@ -225,21 +226,44 @@ class TestRun:
         self.assert_one_line_error([a.format(file=f) for a in argv], capsys)
 
     @pytest.mark.parametrize(
-        "numerator",
+        "doc",
         [
-            [{"exponent": 1.0}],
-            [{"kind": "gamma"}],
-            [1],
-            [{"kind": "uniform01", "exponent": "x"}],
-            5,
+            {"numerator": [{"exponent": 1.0}]},
+            {"numerator": [{"kind": "gamma"}]},
+            {"numerator": [1]},
+            {"numerator": [{"kind": "uniform01", "exponent": "x"}]},
+            {"numerator": 5},
+            {"numerator": [{"kind": "uniform01", "exponent": True}]},
+            # misspelt "denominator": it must not be dropped silently
+            {"numerator": [{"kind": "uniform01"}] * 2,
+             "denominatr": [{"kind": "uniform01"}]},
         ],
-        ids=["no_kind", "no_shape_key", "not_an_object", "bad_exponent", "not_a_list"],
+        ids=["no_kind", "no_shape_key", "not_an_object", "bad_exponent", "not_a_list",
+             "bool_exponent", "unknown_key"],
     )
-    def test_bad_spec_factor_exits_1(self, numerator, tmp_path, capsys):
+    def test_bad_spec_factor_exits_1(self, doc, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"numerator": numerator}))
+        spec.write_text(json.dumps(doc))
         argv = ["melconv", "--spec", str(spec), "--u", "0.5"]
         self.assert_one_line_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "alpha", ["x", None, True], ids=["string", "null", "bool"]
+    )
+    def test_non_numeric_pathway_params_exit_1(self, alpha, tmp_path, capsys):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(dict(alpha=alpha, gamma=0, delta=1, a=1, eta=1)))
+        argv = ["pathway", "--params", str(f), "--x", "0.5"]
+        assert "must be numbers" in self.assert_one_line_error(argv, capsys)
+
+    def test_qform_without_draws_exits_1(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("a,b\n1,0\n0,1\n")
+        argv = ["qform", "--matrix", str(m), "--n", "0"]
+        assert "n >= 1" in self.assert_one_line_error(argv, capsys)
+
+    def test_volume_with_one_draw_exits_1(self, capsys):
+        assert "n >= 2" in self.assert_one_line_error(["volume", "--n", "1"], capsys)
 
 
 class TestTables:

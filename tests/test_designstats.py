@@ -243,6 +243,11 @@ class TestChisquaredness:
         report = chisquared_form_check(A, n=1_000, seed=0)
         assert report["rank"] == 2
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_needs_a_draw(self, n):
+        with pytest.raises(DomainError, match="n >= 1"):
+            chisquared_form_check(np.eye(2), n=n, seed=0)
+
     def test_chi2_cdf_against_scipy(self):
         from scipy.stats import chi2
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln, kv
+from scipy.special import gamma as cgamma, gammaln, kv
 
 from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.melconv import (
@@ -92,6 +92,50 @@ class TestStructureMoment:
     def test_exponents_positive(self):
         with pytest.raises(DomainError):
             ProductSpec(numerator=[(builtin_density("uniform01"), -1.0)])
+
+    @staticmethod
+    def mixed_spec():
+        # u = x1^2 * x2^0.5 / x3^1.5 with Exp, U(0, 1) and type-2 beta factors
+        return ProductSpec(
+            numerator=[
+                (builtin_density("gamma", gamma=0.0), 2.0),
+                (builtin_density("uniform01"), 0.5),
+            ],
+            denominator=[(builtin_density("type2_beta", alpha=2.5, beta=3.5), 1.5)],
+        )
+
+    def test_strip_with_non_unit_exponents(self):
+        # Exp: 1 + 2 (s - 1) > 0; type-2 beta (-1.5, 4.5) at 1 - 1.5 (s - 1)
+        lo, hi = self.mixed_spec().common_strip()
+        assert (lo, hi) == (0.5, 1 + 2.5 / 1.5)
+        assert hi == pytest.approx(8.0 / 3.0, rel=1e-15)
+
+    def test_complex_argument_matches_closed_form(self):
+        s = 1.2 + 0.7j
+        z1, z2, z3 = 1 + 2.0 * (s - 1), 1 + 0.5 * (s - 1), 1 - 1.5 * (s - 1)
+        closed = (
+            cgamma(z1) / z2
+            * cgamma(2.5 + z3 - 1) * cgamma(3.5 - z3 + 1) / (cgamma(2.5) * cgamma(3.5))
+        )
+        got = structure_moment(self.mixed_spec(), s)
+        assert isinstance(got, complex)
+        assert abs(got - closed) <= 1e-14 * abs(closed)
+
+    def test_support(self):
+        u = builtin_density("uniform01")
+        e = builtin_density("gamma", gamma=0.0)
+        assert ProductSpec(numerator=[(u, 2.0), (u, 0.5)]).support() == (0.0, 1.0)
+        assert ProductSpec(numerator=[(u, 1.0), (e, 1.0)]).support() == (0.0, math.inf)
+        ratio = ProductSpec(numerator=[(u, 1.0)], denominator=[(u, 1.0)])
+        assert ratio.support() == (0.0, math.inf)
+
+    def test_exponential_ratio_density(self):
+        # X/Y for independent Exp(1) variables has density 1 / (1 + u)^2
+        e = builtin_density("gamma", gamma=0.0)
+        spec = ProductSpec(numerator=[(e, 1.0)], denominator=[(e, 1.0)])
+        dens = product_moment_density(spec)
+        for u in (0.1, 1.0, 3.0):
+            assert abs(dens.density(u) - 1.0 / (1.0 + u) ** 2) <= 1e-12
 
     def test_matches_monte_carlo(self):
         # u = x1 * x2^0.5 / x3 with gamma, type-1 beta, type-1 beta factors
@@ -334,3 +378,8 @@ class TestNormalityTrend:
     def test_k_validation(self):
         with pytest.raises(DomainError):
             normality_trend([1], (2.0, 2.0), 100, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_draws(self, n):
+        with pytest.raises(DomainError, match="n >= 2"):
+            normality_trend([2, 4], (2.0, 2.0), n, seed=0)

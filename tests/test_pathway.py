@@ -90,6 +90,17 @@ class TestParams:
         with pytest.raises(DomainError):
             PathwayParams.from_json(json.dumps({"alpha": 1.0}))
 
+    @pytest.mark.parametrize("alpha", ["x", None, True, [1.0]])
+    def test_json_non_numeric_value(self, alpha):
+        doc = dict(alpha=alpha, gamma=0, delta=1, a=1, eta=1)
+        with pytest.raises(DomainError, match="must be numbers"):
+            PathwayParams.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc", [[1, 0, 1, 1, 1], "alpha", 1.0, None])
+    def test_json_not_an_object(self, doc):
+        with pytest.raises(DomainError, match="must be an object"):
+            PathwayParams.from_json(json.dumps(doc))
+
 
 class TestSupport:
     def test_finite_branch(self):
