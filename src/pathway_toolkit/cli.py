@@ -94,18 +94,17 @@ def write_table(header: list[str], rows, path) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
+def _list_of(kind, noun: str):
+    """argparse type for a comma-separated list; empty tokens are dropped."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+_float_list, _int_list = _list_of(float, "number"), _list_of(int, "integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,7 +284,11 @@ def _run_pathway(cfg: RunConfig) -> str:
 def _tabulate(axes, header: list[str], evaluate, fixed=()) -> str:
     """Evaluate over every point of the product of the axes.  A single point
     (every axis of length 1) prints the first value alone; otherwise one CSV
-    row per point: its coordinates, the fixed columns, then the values."""
+    row per point: its coordinates, the fixed columns, then the values.
+    An empty axis (such as ``--gamma ,``) is a DomainError."""
+    empty = [name for name, axis in zip(header, axes) if not axis]
+    if empty:
+        raise DomainError(f"empty grid axis: {', '.join(empty)} needs at least one value")
     points = list(itertools.product(*axes))
     if len(points) == 1:
         return _fmt(evaluate(*points[0])[0]) + "\n"

@@ -187,15 +187,14 @@ def chisquared_form_check(A, n: int = 100_000, seed: int = 0) -> dict:
     must pass the 1% KS test and clearly non-idempotent ones must fail it.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"A must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DomainError(f"A must be a non-empty square matrix, got shape {A.shape}")
     if n < 1:
         raise DomainError(f"need n >= 1 simulated forms, got {n}")
     A = 0.5 * (A + A.T)
     p = A.shape[0]
     eigs = np.linalg.eigvalsh(A)
-    eig_scale = float(np.max(np.abs(eigs))) if p else 0.0
-    tol = _EIG_REL_TOL * max(eig_scale, 1.0)
+    tol = _EIG_REL_TOL * max(float(np.max(np.abs(eigs))), 1.0)
     idempotent = float(np.max(np.abs(A @ A - A))) <= tol
     rank = int(np.sum(np.abs(eigs) > tol))
     rng = np.random.default_rng(seed)

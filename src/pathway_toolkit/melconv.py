@@ -15,8 +15,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import betaln, gammaln, loggamma
 
 from .errors import ConvergenceError, DomainError
@@ -29,6 +27,10 @@ _MAX_OCTAVES = 4
 _GL_ORDER = 16
 _MAX_TAIL_PANELS = 240
 _MIN_FREQ = 1e-6
+
+# half-line rule: the lowest s (e^(-s) stays finite); 81 probe offsets, 0 at 40
+_HL_S_MIN = -700.0
+_HL_PROBE = np.concatenate([-(2.0 ** np.arange(39, -1, -1)), [0.0], 2.0 ** np.arange(40)])
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +90,8 @@ def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
             f"{kind} takes shape parameters {list(keys)}; "
             f"missing {missing}, unexpected {unexpected}"
         )
-    try:
-        return [float(shape[k]) for k in keys]
+    try:  # JSON true/false is not a number
+        return [float(None if isinstance(shape[k], bool) else shape[k]) for k in keys]
     except (TypeError, ValueError):
         raise DomainError(
             f"{kind} shape parameters must be numbers, got {shape}"
@@ -389,40 +391,59 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
 # ---------------------------------------------------------------------------
 # improper integrals on the positive half line
 
-def _log_integrand_max(log_f, lo_exp: float = -8.0, hi_exp: float = 8.0) -> float:
-    """Abscissa of the integrand maximum, by log-grid bracketing plus a
-    bounded refinement.
+def integrate_halfline(log_g) -> tuple[float, float]:
+    """integral of f over (0, inf), given ``log_g``: the numpy-vectorised log
+    of x f(x) at x = e^t, so that the integral is of exp(log_g) over all t.
 
-    Monotone integrands put the maximum at a grid edge, where splitting is
-    useless; the weighted median of the grid mass is used as the split point
-    instead."""
-    grid = np.logspace(lo_exp, hi_exp, 161)
-    vals = np.array([log_f(x) for x in grid])
-    k = int(np.nanargmax(vals))
-    if k in (0, len(grid) - 1):
-        weights = np.exp(vals - vals[k]) * grid  # log-spaced trapezoid scale
-        cum = np.cumsum(weights)
-        return float(grid[int(np.searchsorted(cum, 0.5 * cum[-1]))])
-    res = minimize_scalar(
-        lambda x: -log_f(x), bounds=(grid[k - 1], grid[k + 1]), method="bounded"
-    )
-    return float(res.x) if res.success else float(grid[k])
-
-
-def integrate_halfline(f, log_f=None) -> tuple[float, float]:
-    """integral of f over (0, inf), split at the integrand maximum.
-
-    Returns (value, abs_error_estimate).
+    The trapezoid rule runs in s, where t = s - e^(-s), so the x -> 0 side
+    decays double-exponentially even where log_g falls off only linearly
+    (Takahasi & Mori, Publ. RIMS 9, 1974).  A probe of doubling steps is moved
+    onto the peak in s and zoomed in; its points 40 below the peak bracket the
+    sum.  The step is halved until two sums agree to 1e-14 or to their rounding
+    (ulps times the size and curvature of the log at the peak), the larger of
+    which is the error estimate in the returned (value, abs_error_estimate).
+    Raises ConvergenceError when there is no such peak or no agreement.
     """
-    if log_f is None:
-        def log_f(x):
-            v = f(x)
-            return math.log(v) if v > 0 else -math.inf
 
-    m = _log_integrand_max(log_f)
-    left, err_l = quad(f, 0.0, m, limit=200)
-    right, err_r = quad(f, m, math.inf, limit=200)
-    return left + right, err_l + err_r
+    def log_ds(s):  # nan (inf - inf far out in a tail) counts as -inf
+        e = np.exp(-s)
+        return np.nan_to_num(log_g(s - e) + np.log1p(e), nan=-np.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, d = 0.0, 0.5
+        for _ in range(100):  # move the probe onto the peak, then zoom in
+            s = np.maximum(c + d * _HL_PROBE, _HL_S_MIN)
+            v = log_ds(s)
+            k = int(np.argmax(v))
+            if k in (0, 80) or s[k] == _HL_S_MIN:
+                break
+            if k != 40:
+                c, d = s[k], min(s[k] - s[k - 1], s[k + 1] - s[k]) / 2
+            elif v[40] - min(v[39], v[41]) > 1.0:
+                d /= 16
+            else:
+                break
+        peak, low = v[k], v < v[k] - 40.0
+        if not (k == 40 and np.isfinite(peak) and low[:40].any() and low[41:].any()):
+            raise ConvergenceError("half-line integrand has no finite peak "
+                                   "that decays on both sides", bound=math.inf)
+        rounding = 1e-15 * (1.0 + abs(peak) + abs(v[39] - 2.0 * peak + v[41]) / d**2)
+        tol = max(1e-14, rounding)
+        lo, hi = s[39 - np.argmax(low[39::-1])], s[41 + np.argmax(low[41:])]
+        n, h = 16, (hi - lo) / 16  # both ends are negligible: plain sums
+        total = h * np.exp(log_ds(lo + h * np.arange(n + 1)) - peak).sum()
+        for _ in range(12):
+            mids = np.exp(log_ds(lo + h * (np.arange(n) + 0.5)) - peak)
+            prev, total = total, 0.5 * (total + h * mids.sum())
+            diff, h, n = abs(total - prev), 0.5 * h, 2 * n
+            if diff <= tol * total:
+                break
+        scale = np.exp(peak)
+        value, err = float(scale * total), float(scale * max(diff, rounding * total))
+    if diff > tol * total:
+        raise ConvergenceError(f"half-line trapezoid sums still differ by "
+                               f"{err:.1e} at {n} nodes", partial=value, bound=err)
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +488,10 @@ def reaction_rate(
 ) -> float:
     """I(gamma, a, b) = integral of x^gamma exp(-a x - b x^(-1/2)) over (0, inf).
 
-    route selects direct adaptive quadrature or the Mellin product-convolution
-    identity; "both" runs the two and enforces 1e-6 relative agreement.
-    When a or b vanishes the Mellin route reduces to a plain gamma integral
-    (there is no product structure left to convolve); the quadrature route
-    always integrates.
+    route selects the half-line trapezoid rule (``integrate_halfline``) or the
+    Mellin product-convolution identity; "both" runs the two and enforces 1e-6
+    relative agreement.  When a or b vanishes the Mellin route reduces to a
+    plain gamma integral; the quadrature route always integrates.
     """
     return reaction_rate_with_error(gamma, a, b, route)[0]
 
@@ -487,19 +507,16 @@ def reaction_rate_with_error(
         raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
     mellin_val = None
     if route in ("mellin", "both"):
-        if b == 0:
-            mellin_val = math.exp(gammaln(gamma + 1) - (gamma + 1) * math.log(a))
-        elif a == 0:
-            # substitute t = x^(-1/2): 2 * Gamma(-2 gamma - 2) * b^(2 gamma + 2)
-            mellin_val = 2.0 * math.exp(
-                gammaln(-2 * gamma - 2) + (2 * gamma + 2) * math.log(b)
-            )
+        if a == 0 or b == 0:  # Gamma(p) / (alpha s^p), in 1/x when a = 0
+            g, s, alpha = (gamma, a, 1.0) if b == 0 else (-gamma - 2, b, 0.5)
+            p = (g + 1) / alpha
+            mellin_val = math.exp(gammaln(p) - p * math.log(s)) / alpha
         else:
             mellin_val = _reaction_mellin(gamma, a, b)
         if route == "mellin":
             return mellin_val, abs(mellin_val) * 1e-8
     # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
-    q, err = integrate_halfline(*_kratzel_integrand(gamma, a, b, 1.0, 0.5))
+    q, err = integrate_halfline(_kratzel_integrand(gamma, a, b, 1.0, 0.5))
     if route == "both" and abs(q - mellin_val) > 1e-6 * max(abs(q), abs(mellin_val)):
         raise ConvergenceError(
             f"reaction-rate routes disagree: quadrature {q!r} vs "
@@ -514,19 +531,16 @@ def reaction_rate_with_error(
 # Kratzel integrals
 
 def _kratzel_integrand(gamma: float, a: float, y: float, alpha: float, beta: float):
-    def log_f(x):
-        if x <= 0:
-            return -math.inf
-        out = gamma * math.log(x) - a * x**alpha
-        if y:
-            out -= y * x**-beta
-        return out
+    """log of x^(gamma+1) exp(-a x^alpha - y x^(-beta)) at x = e^t.  a = 0 (reaction
+    rate only) is rewritten in 1/x, so the slow power-law side sits at x -> 0."""
+    if a == 0:
+        return _kratzel_integrand(-gamma - 2.0, y, 0.0, beta, 1.0)
 
-    def f(x):
-        lf = log_f(x)
-        return math.exp(lf) if lf > -745.0 else 0.0
+    def log_g(t):
+        out = (gamma + 1.0) * t - a * np.exp(alpha * t)
+        return out - y * np.exp(-beta * t) if y else out
 
-    return f, log_f
+    return log_g
 
 
 def kratzel_g1(gamma: float, a: float, y: float) -> float:
@@ -550,20 +564,16 @@ def kratzel_g2(
 def kratzel_g2_with_error(
     gamma: float, a: float, y: float, alpha: float = 1.0, beta: float = 1.0
 ) -> tuple[float, float]:
-    if not a > 0:
-        raise DomainError(f"a must be > 0, got {a}")
-    if not alpha > 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    if beta == 0:
-        raise DomainError("beta must be nonzero (positive or negative)")
-    if y < 0:
-        raise DomainError(f"y must be >= 0, got {y}")
+    if not (a > 0 and alpha > 0 and beta != 0 and y >= 0):
+        raise DomainError("the Kratzel integral needs a > 0, alpha > 0, beta != 0 "
+                          f"and y >= 0; got a = {a}, alpha = {alpha}, beta = {beta}, "
+                          f"y = {y}")
     if (y == 0 or beta < 0) and gamma <= -1:
         raise DomainError(
             f"integrability at 0 requires gamma > -1 when y = 0 or beta < 0, "
             f"got gamma = {gamma}"
         )
-    return integrate_halfline(*_kratzel_integrand(gamma, a, y, alpha, beta))
+    return integrate_halfline(_kratzel_integrand(gamma, a, y, alpha, beta))
 
 
 # ---------------------------------------------------------------------------

@@ -234,12 +234,13 @@ class TestRun:
             {"numerator": [{"kind": "uniform01", "exponent": "x"}]},
             {"numerator": 5},
             {"numerator": [{"kind": "uniform01", "exponent": True}]},
+            {"numerator": [{"kind": "gamma", "gamma": True}]},
             # misspelt "denominator": it must not be dropped silently
             {"numerator": [{"kind": "uniform01"}] * 2,
              "denominatr": [{"kind": "uniform01"}]},
         ],
         ids=["no_kind", "no_shape_key", "not_an_object", "bad_exponent", "not_a_list",
-             "bool_exponent", "unknown_key"],
+             "bool_exponent", "bool_shape", "unknown_key"],
     )
     def test_bad_spec_factor_exits_1(self, doc, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -255,6 +256,33 @@ class TestRun:
         f.write_text(json.dumps(dict(alpha=alpha, gamma=0, delta=1, a=1, eta=1)))
         argv = ["pathway", "--params", str(f), "--x", "0.5"]
         assert "must be numbers" in self.assert_one_line_error(argv, capsys)
+
+    def test_pathway_params_out_of_double_range_exit_1(self, tmp_path, capsys):
+        # the support end 2^(1e300) overflows; it used to escape as OverflowError
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(dict(alpha=0.5, gamma=0, delta=1e-300, a=1, eta=1)))
+        argv = ["pathway", "--params", str(f), "--op", "pdf", "--x", "0.5"]
+        assert "overflows a double" in self.assert_one_line_error(argv, capsys)
+
+    def test_pathway_pdf_past_double_range_is_inf(self, capsys):
+        argv = ["pathway", "--alpha", "1", "--delta", "0.1", "--a", "1e100", "--x", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "inf\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ratecalc", "--gamma", ",", "--a", "1", "--b", "1"],
+            ["kratzel", "--gamma", "0", "--a", "1", "--y", ","],
+            ["melconv", "--spec", "{spec}", "--u", ","],
+        ],
+        ids=["ratecalc", "kratzel", "melconv"],
+    )
+    def test_empty_grid_axis_exits_1(self, argv, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"numerator": [{"kind": "uniform01"}]}))
+        err = self.assert_one_line_error([a.format(spec=spec) for a in argv], capsys)
+        assert "empty grid axis" in err
 
     def test_qform_without_draws_exits_1(self, tmp_path, capsys):
         m = tmp_path / "m.csv"

@@ -243,6 +243,11 @@ class TestChisquaredness:
         report = chisquared_form_check(A, n=1_000, seed=0)
         assert report["rank"] == 2
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+    def test_needs_a_nonempty_square_matrix(self, shape):
+        with pytest.raises(DomainError, match="non-empty square"):
+            chisquared_form_check(np.zeros(shape), n=10, seed=0)
+
     @pytest.mark.parametrize("n", [0, -5])
     def test_needs_a_draw(self, n):
         with pytest.raises(DomainError, match="n >= 1"):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +12,7 @@ from pathway_toolkit.melconv import (
     ProductSpec,
     builtin_density,
     default_contour,
+    integrate_halfline,
     kratzel_g1,
     kratzel_g2,
     kratzel_g2_with_error,
@@ -61,6 +63,8 @@ class TestBuiltins:
             builtin_density("nosuch")
         with pytest.raises(DomainError):
             builtin_density("gamma")  # missing shape key
+        with pytest.raises(DomainError, match="must be numbers"):
+            builtin_density("gamma", gamma=True)  # JSON true is not 1
 
     def test_strip_must_contain_one(self):
         with pytest.raises(DomainError):
@@ -324,6 +328,154 @@ class TestKratzel:
         v1, e1 = kratzel_g2_with_error(0.7, 1.3, 0.9)
         assert v1 == kratzel_g1(0.7, 1.3, 0.9)
         assert e1 < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the half-line rule against 30-digit references
+
+
+def _mp_quad_in_log(g, a, y, al, be):
+    """30-digit Gauss-Legendre quadrature in t = ln x of
+    exp((g+1) t - a e^(al t) - y e^(-be t)), for y > 0 and be > 0, over the
+    window where the log-integrand lies within 60 of its peak.  Pieces are
+    halved until each one's error estimate is below 1e-20 of the total."""
+    ts = np.linspace(-200.0, 200.0, 40001)
+    with np.errstate(over="ignore"):
+        v = (g + 1) * ts - a * np.exp(al * ts) - y * np.exp(-be * ts)
+    inside = np.flatnonzero(v > v.max() - 60.0)
+    assert 0 < inside[0] and inside[-1] < ts.size - 1  # the window fits
+
+    def f(t):
+        return mpmath.exp((g + 1) * t - a * mpmath.exp(al * t) - y * mpmath.exp(-be * t))
+
+    edges = mpmath.linspace(ts[inside[0] - 1], ts[inside[-1] + 1], 5)
+    total = mpmath.quad(f, edges, method="gauss-legendre")
+    todo, out = list(zip(edges[:-1], edges[1:])), mpmath.mpf(0)
+    while todo:
+        lo, hi = todo.pop()
+        part, err = mpmath.quad(f, [lo, hi], method="gauss-legendre", error=True)
+        if err <= 1e-20 * total:
+            out += part
+        else:
+            todo += [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+    return out
+
+
+def _mp_series(g, a, y, be):
+    """The beta < 0, alpha = 1 integral as its convergent series
+    sum_k (-y)^k Gamma(g+1+k|be|) / (k! a^(g+1+k|be|)), summed with enough
+    digits to absorb the cancellation between its largest terms."""
+    b = -be
+    k = np.arange(5000)
+    p = g + 1 + k * b
+    log_terms = k * math.log(y) + gammaln(p) - gammaln(k + 1) - p * math.log(a)
+    with mpmath.workdps(30 + int(max(log_terms.max(), 0.0) / 2.3)):
+        g, a, y, b = (mpmath.mpf(v) for v in (g, a, y, b))
+        total, k, term = mpmath.mpf(0), 0, mpmath.mpf(1)
+        while k < 20 or abs(term) > 1e-35 * abs(total):
+            p = g + 1 + k * b
+            term = (-y) ** k * mpmath.gamma(p) / (mpmath.factorial(k) * a**p)
+            total += term
+            k += 1
+        return +total
+
+
+def _kratzel_reference(g, a, y, al, be):
+    """30-digit value of the integral of x^g exp(-a x^al - y x^(-be)):
+    closed forms where there is one, the series for beta < 0, else
+    quadrature in ln x (not in x, which misses part of the mass for
+    beta < 0, e.g. by 1.1e-3 at (-0.955, 0.819, 2.138, -0.641))."""
+    with mpmath.workdps(30):
+        if y == 0:
+            p = (mpmath.mpf(g) + 1) / al
+            return mpmath.gamma(p) / (al * mpmath.mpf(a) ** p)
+        if al == 1 and be == 1:
+            nu = mpmath.mpf(g) + 1
+            z = 2 * mpmath.sqrt(mpmath.mpf(a) * y)
+            return 2 * (mpmath.mpf(y) / a) ** (nu / 2) * mpmath.besselk(nu, z)
+        if al == 1 and be < 0:
+            return _mp_series(g, a, y, be)
+        return _mp_quad_in_log(g, a, y, al, be)
+
+
+def _reference_points():
+    """(gamma, a, y, alpha, beta) over the regimes of the half-line rule."""
+    u = np.random.default_rng(6).uniform
+    sets = [
+        (70, lambda: (u(-2.5, 3), u(0.1, 5), u(0.05, 5), 1.0, 1.0)),  # g1
+        (30, lambda: (u(-1.5, 3), u(0.1, 5), u(0.05, 5), 1.0, 0.5)),  # reaction rate
+        (40, lambda: (u(-0.9, 3), u(0.1, 5), u(0.05, 5), u(0.4, 3), u(0.3, 2))),
+        (40, lambda: (u(-0.99, 2), u(0.5, 3), u(0.01, 2.5), 1.0, -u(0.1, 0.7))),
+        (40, lambda: (-1 + 10 ** u(-3, 0.5), u(0.05, 20), 0.0, u(0.4, 3), u(0.3, 2))),
+        (45, lambda: (u(-2, 3), u(20, 200), u(20, 200), 1.0, 1.0)),  # large a, y
+        (35, lambda: (u(-0.5, 3), u(0.1, 5), 10 ** u(-12, -3), 1.0, 1.0)),  # tiny y
+        (5, lambda: (u(-0.5, 3), u(0.1, 5), 10 ** u(-12, -3), u(0.4, 3), u(0.3, 2))),
+    ]
+    return [draw() for n, draw in sets for _ in range(n)]
+
+
+class TestHalflineRule:
+    def test_against_30_digit_references(self):
+        points = _reference_points()
+        assert len(points) >= 300
+        worst, dishonest = 0.0, []
+        for g, a, y, al, be in points:
+            if (al, be) == (1.0, 0.5):
+                val, err = reaction_rate_with_error(g, a, y)
+            else:
+                val, err = kratzel_g2_with_error(g, a, y, al, be)
+            ref = _kratzel_reference(g, a, y, al, be)
+            actual = float(abs(mpmath.mpf(val) - ref))
+            worst = max(worst, actual / float(ref))
+            if err < actual:
+                dishonest.append((g, a, y, al, be, err, actual))
+        assert worst <= 1e-13
+        assert not dishonest  # every error estimate covers the actual error
+
+    def test_negative_beta_series_point(self):
+        # the series and a 30-digit quadrature in ln x agree on this value;
+        # quadrature in x does not reach the slow e^(0.045 t) left tail
+        ref = _mp_series(-0.955, 0.819, 2.138, -0.641)
+        assert float(ref) == pytest.approx(20.052102251102156, rel=1e-15)
+        val, err = kratzel_g2_with_error(-0.955, 0.819, 2.138, 1.0, -0.641)
+        assert abs(val - float(ref)) <= min(err, 1e-13 * float(ref))
+
+    def test_b_zero_closed_form(self):
+        g, a = 0.00014, 2.64
+        closed = math.exp(gammaln(g + 1) - (g + 1) * math.log(a))
+        assert abs(reaction_rate(g, a, 0.0) - closed) <= 1e-10 * closed
+
+    @pytest.mark.parametrize("g", [-1.2, -2.0, -3.7])
+    @pytest.mark.parametrize("b", [0.3, 1.0, 4.0])
+    def test_reaction_rate_without_a(self, g, b):
+        # a = 0 is integrated in 1/x: 2 Gamma(-2 gamma - 2) b^(2 gamma + 2)
+        ref = 2 * mpmath.gamma(-2 * mpmath.mpf(g) - 2) * mpmath.mpf(b) ** (2 * g + 2)
+        val, err = reaction_rate_with_error(g, 0.0, b)
+        assert abs(val - float(ref)) <= min(err, 1e-13 * float(ref))
+
+    def test_gaussian(self):
+        val, err = integrate_halfline(lambda t: -((t - 3.0) ** 2))
+        assert abs(val - math.sqrt(math.pi)) <= min(err, 1e-15)
+
+    def test_integrand_is_evaluated_on_arrays(self):
+        calls = []
+
+        def log_g(t):
+            calls.append(t)
+            return 1.5 * t - np.exp(t) - 0.7 * np.exp(-t)
+
+        integrate_halfline(log_g)
+        assert all(isinstance(t, np.ndarray) and t.size >= 16 for t in calls)
+        assert len(calls) < 40
+
+    @pytest.mark.parametrize(
+        "log_g",
+        [lambda t: 0.5 * t, lambda t: -0.5 * t, lambda t: np.zeros_like(t)],
+        ids=["grows_right", "grows_left", "flat"],
+    )
+    def test_no_decay_raises(self, log_g):
+        with pytest.raises(ConvergenceError):
+            integrate_halfline(log_g)
 
 
 class TestRandomVolume:

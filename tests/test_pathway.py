@@ -6,7 +6,7 @@ import signal
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -40,6 +40,36 @@ def quadrature_mass(params, upto=None):
     )[0]
 
 
+def mp_mass(params):
+    """Total mass at 30 digits: exp(log_norm_const) times an mpmath quadrature
+    of the kernel x^gamma K(s x^delta).  The type-1 beta and gamma rows are
+    integrated in x.  The type-2 beta row, whose tail in x can be as slow as
+    x^(-1.08), is integrated in t = ln x, where both tails are exponential,
+    over the window outside which they fall below e^-90."""
+    with mpmath.workdps(30):
+        al, g, d, a, e = (
+            mpmath.mpf(v) for v in (params.alpha, params.gamma, params.delta, params.a, params.eta)
+        )
+        if al < 1:
+            s, k = a * (1 - al), e / (1 - al)
+            kernel = mpmath.quad(lambda x: x**g * (1 - s * x**d) ** k, [0, s ** (-1 / d)])
+        elif al == 1:
+            s = a * e
+            kernel = mpmath.quad(
+                lambda x: x**g * mpmath.exp(-s * x**d), [0, s ** (-1 / d), mpmath.inf]
+            )
+        else:
+            s, k = a * (al - 1), e / (al - 1)
+            t0, q = -mpmath.log(s) / d, k - (g + 1) / d
+            window = mpmath.linspace(t0 - 90 / (g + 1), t0 + 90 / (q * d), 101)
+            kernel, err = mpmath.quad(
+                lambda t: mpmath.exp((g + 1) * t) * (1 + s * mpmath.exp(d * t)) ** -k,
+                window, method="gauss-legendre", error=True,
+            )
+            assert err < 1e-20 * kernel
+        return mpmath.exp(params.log_norm_const) * kernel
+
+
 def assert_exact_quantiles(params, n, seed):
     """Draws come back within 1 s, finite, and each one the quantile of its
     seeded uniform.  A sampler that hangs fails here instead of hanging the
@@ -69,11 +99,19 @@ class TestParams:
             dict(alpha=1.0, eta=-2.0),
             dict(alpha=1.0, gamma=-1.0),
             dict(alpha=1.5, gamma=2.5, delta=0.5),  # divergent heavy tail
+            dict(alpha=0.5, delta=1e-300),  # support end 2^(1e300) overflows
+            dict(alpha=0.5, a=1e308, eta=1e308),  # constant overflows to inf
+            dict(alpha=1 - 2**-53, a=1e-310),  # a(1 - alpha) underflows to 0
         ],
     )
     def test_construction_rejects(self, kwargs):
         with pytest.raises(DomainError):
             PathwayParams(**kwargs)
+
+    def test_huge_constant_gives_inf_at_origin(self):
+        # C = e^2287: the density at 0 is past the double range, not an error
+        params = PathwayParams(alpha=1.0, delta=0.1, a=1e100)
+        assert pathway_pdf(params, 0.0) == math.inf
 
     def test_json_round_trip(self):
         p = PathwayParams(alpha=0.5, gamma=1.5, delta=2.0, a=0.7, eta=3.0)
@@ -147,6 +185,20 @@ class TestPdf:
                         assert alpha > 1  # only the divergent heavy tails reject
                         continue
                     assert quadrature_mass(params) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.5, 1.5, 2.0, 0.7, 3.0),  # type-1 beta
+            (1.0, 0.5, 1.5, 2.0, 1.3),  # gamma
+            (1.6, 0.3, 1.2, 0.8, 2.5),  # type-2 beta
+            # type-2 beta with q = 0.21, which quadrature in x (0, inf) misses
+            (1.0253, 1.7095, 0.3907, 1.0, 0.180842),
+        ],
+        ids=["type1_beta", "gamma", "type2_beta", "heavy_tail"],
+    )
+    def test_regime_mass_against_mpmath(self, args):
+        assert abs(mp_mass(PathwayParams(*args)) - 1) <= 1e-12
 
     def test_family_limit_is_monotone(self):
         x = 0.7
@@ -241,10 +293,7 @@ class TestSampling:
         # eta is set by q = eta/(alpha-1) - (gamma+1)/delta, down to the
         # integrability edge where the tail decays like x^(-1 - q delta)
         eta = (alpha - 1) * ((gamma + 1) / delta + q)
-        try:
-            params = PathwayParams(alpha=alpha, gamma=gamma, delta=delta, eta=eta)
-        except DomainError:
-            assume(False)  # construction refused the set; the sampler is not reached
+        params = PathwayParams(alpha=alpha, gamma=gamma, delta=delta, eta=eta)
         assert_exact_quantiles(params, 200, seed)
 
     @pytest.mark.parametrize(
