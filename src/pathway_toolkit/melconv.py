@@ -2,9 +2,9 @@
 
 Distributions are carried around as moment functions s -> E(x^(s-1)) on a
 strip of analyticity.  Densities come back through numerical inversion of the
-moment function along a vertical contour; the reaction-rate and Kratzel
-integrals are evaluated both by direct adaptive quadrature and through the
-product-convolution identity, which is the whole point of the technique.
+moment function along a vertical contour; the reaction-rate integral comes from
+both the half-line rule, which also serves the Kratzel and entropy integrals,
+and the product-convolution identity, which is the whole point of the technique.
 """
 
 from __future__ import annotations
@@ -269,16 +269,15 @@ def default_contour(strip: tuple[float, float]) -> float:
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
 
-def _vectorize_moment(moment, c: float):
-    probe = c + np.array([0.0j, 0.1j])
+def _vectorized(fn, probe: np.ndarray):
     try:
-        if np.shape(moment(probe)) == probe.shape:
-            return moment
+        if np.shape(fn(probe)) == probe.shape:
+            return fn
     except DomainError:
         raise
     except (TypeError, ValueError):
-        pass  # a moment function that takes scalars only
-    return np.vectorize(lambda z: complex(moment(z)), otypes=[complex])
+        pass  # a function that takes scalars only
+    return np.vectorize(fn, otypes=[probe.dtype])
 
 
 def _contour_panel(
@@ -325,7 +324,7 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
     """
     if not u > 0:
         raise DomainError(f"mellin_invert needs u > 0, got {u}")
-    mom = _vectorize_moment(moment, c)
+    mom = _vectorized(moment, c + np.array([0.0j, 0.1j]))
     omega = math.log(u)
     density_scale = u**-c / math.pi  # converts contour integral to g units
 
@@ -391,29 +390,30 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
 # ---------------------------------------------------------------------------
 # improper integrals on the positive half line
 
-def integrate_halfline(log_g) -> tuple[float, float]:
-    """integral of f over (0, inf), given ``log_g``: the numpy-vectorised log
-    of x f(x) at x = e^t, so that the integral is of exp(log_g) over all t.
+def integrate_halfline(integrand) -> tuple[float, float]:
+    """integral over all t of exp(log_m) w, where ``integrand(t)`` gives (log_m, w)
+    on an array t: the log of a positive majorant and a weight in [-1, 1].
 
     The trapezoid rule runs in s, where t = s - e^(-s), so the x -> 0 side
-    decays double-exponentially even where log_g falls off only linearly
+    decays double-exponentially even where log_m falls off only linearly
     (Takahasi & Mori, Publ. RIMS 9, 1974).  A probe of doubling steps is moved
     onto the peak in s and zoomed in; its points 40 below the peak bracket the
-    sum.  The step is halved until two sums agree to 1e-14 or to their rounding
-    (ulps times the size and curvature of the log at the peak), the larger of
-    which is the error estimate in the returned (value, abs_error_estimate).
-    Raises ConvergenceError when there is no such peak or no agreement.
+    sum.  The step is halved until the sums of majorant and integrand agree to
+    1e-14 of the former or to their rounding (ulps times the size and curvature of
+    log_m at the peak); the larger is the error in the returned (value, abs_error),
+    and w = 0 gives exactly 0.  No such peak or agreement raises ConvergenceError.
     """
 
     def log_ds(s):  # nan (inf - inf far out in a tail) counts as -inf
         e = np.exp(-s)
-        return np.nan_to_num(log_g(s - e) + np.log1p(e), nan=-np.inf)
+        log_m, w = integrand(s - e)
+        return np.nan_to_num(log_m + np.log1p(e), nan=-np.inf), w
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         c, d = 0.0, 0.5
         for _ in range(100):  # move the probe onto the peak, then zoom in
             s = np.maximum(c + d * _HL_PROBE, _HL_S_MIN)
-            v = log_ds(s)
+            v = log_ds(s)[0]
             k = int(np.argmax(v))
             if k in (0, 80) or s[k] == _HL_S_MIN:
                 break
@@ -430,17 +430,21 @@ def integrate_halfline(log_g) -> tuple[float, float]:
         rounding = 1e-15 * (1.0 + abs(peak) + abs(v[39] - 2.0 * peak + v[41]) / d**2)
         tol = max(1e-14, rounding)
         lo, hi = s[39 - np.argmax(low[39::-1])], s[41 + np.argmax(low[41:])]
-        n, h = 16, (hi - lo) / 16  # both ends are negligible: plain sums
-        total = h * np.exp(log_ds(lo + h * np.arange(n + 1)) - peak).sum()
+        def sums(s):  # the majorant's sum + 1j * the integrand's, relative to the peak
+            log_m, w = log_ds(s)
+            m = np.exp(log_m - peak)
+            return complex(m.sum(), (m * w).sum())
+        n, h = 16, float(hi - lo) / 16  # both ends are negligible: plain sums
+        total = h * sums(lo + h * np.arange(n + 1))
         for _ in range(12):
-            mids = np.exp(log_ds(lo + h * (np.arange(n) + 0.5)) - peak)
-            prev, total = total, 0.5 * (total + h * mids.sum())
-            diff, h, n = abs(total - prev), 0.5 * h, 2 * n
-            if diff <= tol * total:
+            prev, total = total, 0.5 * (total + h * sums(lo + h * (np.arange(n) + 0.5)))
+            step = total - prev
+            diff, h, n = max(abs(step.real), abs(step.imag)), 0.5 * h, 2 * n
+            if diff <= tol * total.real:
                 break
         scale = np.exp(peak)
-        value, err = float(scale * total), float(scale * max(diff, rounding * total))
-    if diff > tol * total:
+        value, err = float(scale * total.imag), float(scale * max(diff, rounding * total.real))
+    if not diff <= tol * total.real:  # nan (an infinite node) fails too
         raise ConvergenceError(f"half-line trapezoid sums still differ by "
                                f"{err:.1e} at {n} nodes", partial=value, bound=err)
     return value, err
@@ -531,16 +535,16 @@ def reaction_rate_with_error(
 # Kratzel integrals
 
 def _kratzel_integrand(gamma: float, a: float, y: float, alpha: float, beta: float):
-    """log of x^(gamma+1) exp(-a x^alpha - y x^(-beta)) at x = e^t.  a = 0 (reaction
-    rate only) is rewritten in 1/x, so the slow power-law side sits at x -> 0."""
+    """log of x^(gamma+1) exp(-a x^alpha - y x^(-beta)) at x = e^t, weight 1; a = 0
+    (reaction rate only) is rewritten in 1/x: the slow power-law side is at x -> 0."""
     if a == 0:
         return _kratzel_integrand(-gamma - 2.0, y, 0.0, beta, 1.0)
 
-    def log_g(t):
+    def integrand(t):
         out = (gamma + 1.0) * t - a * np.exp(alpha * t)
-        return out - y * np.exp(-beta * t) if y else out
+        return (out - y * np.exp(-beta * t) if y else out), 1.0
 
-    return log_g
+    return integrand
 
 
 def kratzel_g1(gamma: float, a: float, y: float) -> float:

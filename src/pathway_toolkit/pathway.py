@@ -16,11 +16,11 @@ from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import (betainc, betainccinv, betaincinv, betaln,
                            gammainc, gammaincinv, gammaln)
 
 from .errors import DomainError
+from .melconv import _vectorized, integrate_halfline
 
 
 class _Regime(NamedTuple):
@@ -183,11 +183,12 @@ def pathway_pdf(params: PathwayParams, x):
     inside = (x_arr > 0) & (x_arr < params.support_upper)
     xi = x_arr[inside]
     r = params._regime
-    out[inside] = np.exp(
-        params.log_norm_const
-        + params.gamma * np.log(xi)
-        + r.log_kernel(r.scale * xi**params.delta)
-    )
+    with np.errstate(over="ignore"):  # y = scale * x**delta is inf past the double range
+        out[inside] = np.exp(
+            params.log_norm_const
+            + params.gamma * np.log(xi)
+            + r.log_kernel(r.scale * xi**params.delta)
+        )
     # x == 0 carries the x^gamma prefactor: finite only for gamma >= 0
     if params.gamma <= 0:
         out[x_arr == 0] = params.norm_const if params.gamma == 0 else math.inf
@@ -208,7 +209,8 @@ def pathway_cdf(params: PathwayParams, x):
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     r = params._regime
-    out[pos] = r.cdf(np.minimum(r.scale * x_arr[pos] ** params.delta, r.y_max))
+    with np.errstate(over="ignore"):  # as in pathway_pdf
+        out[pos] = r.cdf(np.minimum(r.scale * x_arr[pos] ** params.delta, r.y_max))
     return float(out[0]) if scalar else out
 
 
@@ -249,12 +251,12 @@ def tsallis_g(x: float, alpha: float) -> float:
 class DensityFn:
     """A density on a declared support interval with total mass one.
 
-    The mass contract is what lets the entropy integrands be written as
-    f^(..) - f, which both reduces cancellation and makes uniform densities
-    come out exactly zero.
+    ``fn`` maps arrays to densities, 0 off the support (a scalar-only callable still
+    works); the entropies need it smooth inside the support.  Mass one lets their
+    integrands be f^(..) - f: less cancellation, and uniform densities give 0.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
 
     def __call__(self, x: float) -> float:
@@ -265,27 +267,37 @@ def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
     if not hi > lo:
         raise DomainError(f"empty support [{lo}, {hi}]")
     h = 1.0 / (hi - lo)
-    return DensityFn(lambda x: h if lo <= x <= hi else 0.0, (lo, hi))
+    return DensityFn(lambda x: h * ((lo <= x) & (x <= hi)), (lo, hi))
 
 
 def unit_exponential_density() -> DensityFn:
-    return DensityFn(lambda x: math.exp(-x) if x >= 0 else 0.0, (0.0, math.inf))
+    return pathway_density(PathwayParams(alpha=1.0))  # e^(-x), by the gamma row
 
 
 def pathway_density(params: PathwayParams) -> DensityFn:
     return DensityFn(lambda x: pathway_pdf(params, x), pathway_support(params))
 
 
-def _entropy_integral(f: DensityFn, h: Callable[[float], float]) -> float:
-    """integral of h(f(x)) over the support, with h(0) taken as 0."""
-
-    def integrand(x):
-        v = f(x)
-        return h(v) if v > 0 else 0.0
-
+def _entropy_integral(f: DensityFn, h: Callable) -> float:
+    """integral of h(f(x)) over the support, with h(0) taken as 0, as ``integrate_halfline``
+    of the majorant hypot(f, h(f)) dx/dt in t: x = lo + e^t or hi - e^t on a half line,
+    sinh t on the whole line, lo + (hi - lo) / (1 + e^(-t)) with each end from its own side."""
     lo, hi = f.support
-    val, _ = quad(integrand, lo, hi, limit=200)
-    return val
+    fn = _vectorized(f.fn, max(lo, min(hi - 1, 0)) + min(1, hi - lo) * np.array([0.25, 0.5]))
+
+    def integrand(t):  # r: x's distance from the nearer end; dx/dt = r (1 - r / (hi - lo))
+        r = np.exp(t) if math.inf in (-lo, hi) else (hi - lo) / (1.0 + np.exp(np.abs(t)))
+        x = np.where((lo > -math.inf) & ((t < 0) | (hi == math.inf)), lo + r, hi - r)
+        if lo == -math.inf == -hi:  # the whole line: dx/dt = cosh t
+            x, r = np.sinh(t), np.cosh(t)
+        inside, v = (r > 0) & (np.abs(x) < math.inf), np.zeros_like(x)  # else the node counts as 0
+        v[inside] = fn(np.clip(x[inside], np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        hv = h(v)
+        norm = np.hypot(v, hv)  # f sqrt(1 + phi^2), where h(v) = v phi(v)
+        log_m = np.log(norm) + np.log(r) + np.log1p(-r / (hi - lo))
+        return log_m, np.where(v > 0, hv / norm, 0.0)
+
+    return integrate_halfline(integrand)[0]
 
 
 def havrda_charvat_entropy(f: DensityFn, alpha: float) -> float:
@@ -300,7 +312,7 @@ def havrda_charvat_entropy(f: DensityFn, alpha: float) -> float:
 
 def shannon_entropy(f: DensityFn) -> float:
     """-integral f ln f over the support (natural log)."""
-    return _entropy_integral(f, lambda v: -v * math.log(v))
+    return _entropy_integral(f, lambda v: -v * np.log(v))
 
 
 def mathai_entropy(f: DensityFn, alpha: float) -> float:

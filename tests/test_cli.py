@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import pathway_toolkit
 from pathway_toolkit import melconv
 from pathway_toolkit.cli import (
     format_table,
@@ -84,6 +88,12 @@ class TestRun:
         assert float(capsys.readouterr().out) == pytest.approx(
             math.exp(-0.5), rel=1e-12
         )
+
+    def test_pathway_huge_x_prints_zero_without_warning(self, capsys):
+        # y = x^1.5 overflows at x = 1e250; the tier-1 suite turns warnings into errors
+        assert main(["pathway", "--alpha", "1", "--gamma", "0.5", "--delta", "1.5",
+                     "--x", "1e250"]) == 0
+        assert capsys.readouterr() == ("0\n", "")
 
     def test_pathway_sample_deterministic_bytes(self, tmp_path):
         f = tmp_path / "p.json"
@@ -331,3 +341,14 @@ class TestTables:
     def test_format_table_deterministic(self):
         rows = [(0, 0.1), (1, 2.0 / 3.0)]
         assert format_table(["i", "v"], rows) == format_table(["i", "v"], rows)
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    src = os.path.dirname(os.path.dirname(pathway_toolkit.__file__))
+    code = ("import sys, pathway_toolkit.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"

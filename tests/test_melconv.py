@@ -454,7 +454,7 @@ class TestHalflineRule:
         assert abs(val - float(ref)) <= min(err, 1e-13 * float(ref))
 
     def test_gaussian(self):
-        val, err = integrate_halfline(lambda t: -((t - 3.0) ** 2))
+        val, err = integrate_halfline(lambda t: (-((t - 3.0) ** 2), 1.0))
         assert abs(val - math.sqrt(math.pi)) <= min(err, 1e-15)
 
     def test_integrand_is_evaluated_on_arrays(self):
@@ -462,7 +462,7 @@ class TestHalflineRule:
 
         def log_g(t):
             calls.append(t)
-            return 1.5 * t - np.exp(t) - 0.7 * np.exp(-t)
+            return 1.5 * t - np.exp(t) - 0.7 * np.exp(-t), 1.0
 
         integrate_halfline(log_g)
         assert all(isinstance(t, np.ndarray) and t.size >= 16 for t in calls)
@@ -470,7 +470,7 @@ class TestHalflineRule:
 
     @pytest.mark.parametrize(
         "log_g",
-        [lambda t: 0.5 * t, lambda t: -0.5 * t, lambda t: np.zeros_like(t)],
+        [lambda t: (0.5 * t, 1.0), lambda t: (-0.5 * t, 1.0), lambda t: (np.zeros_like(t), 1.0)],
         ids=["grows_right", "grows_left", "flat"],
     )
     def test_no_decay_raises(self, log_g):

@@ -2,6 +2,8 @@ import json
 import math
 import pickle
 import signal
+import warnings
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from pathway_toolkit.errors import DomainError
+from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.pathway import (
     DensityFn,
     PathwayParams,
@@ -68,6 +70,39 @@ def mp_mass(params):
             )
             assert err < 1e-20 * kernel
         return mpmath.exp(params.log_norm_const) * kernel
+
+
+def mp_entropy(params, functional, order=None):
+    """The functional at 30 digits, from the closed-form density in mpmath.
+    The integral of h(f) = -f ln f or f^q - f is taken in t = ln x, where both
+    tails are exponential.  The type-1 beta row stops at its support end, the
+    gamma row where a eta x^delta = 1e4, past which f < e^-9000."""
+    with mpmath.workdps(30):
+        al, g, d, a, e = (mpmath.mpf(v) for v in astuple(params))
+        p, top = (g + 1) / d, mpmath.inf
+        if al < 1:
+            s, k = a * (1 - al), e / (1 - al)
+            c, top = d * s**p / mpmath.beta(p, k + 1), -mpmath.log(s) / d
+            f = lambda x: c * x**g * max(1 - s * x**d, 0) ** k  # noqa: E731
+        elif al == 1:
+            s = a * e
+            c, top = d * s**p / mpmath.gamma(p), mpmath.log(1e4 / s) / d
+            f = lambda x: c * x**g * mpmath.exp(-s * x**d)  # noqa: E731
+        else:
+            s, k = a * (al - 1), e / (al - 1)
+            c = d * s**p / mpmath.beta(p, k - p)
+            f = lambda x: c * x**g * (1 + s * x**d) ** -k  # noqa: E731
+        if functional == "shannon":
+            h = lambda v: -v * mpmath.log(v) if v > 0 else v  # noqa: E731
+        else:
+            q = order if functional == "havrda_charvat" else 2 - mpmath.mpf(order)
+            h = lambda v: v**q - v  # noqa: E731
+        cuts = [t for t in (-200, -40, -10, -3, 0, 3, 10, 40, 200) if t < top]
+        val = mpmath.quad(lambda t: h(f(mpmath.exp(t))) * mpmath.exp(t),
+                          [-mpmath.inf, *cuts, top])
+        if functional == "havrda_charvat":
+            return val / (2 ** (1 - mpmath.mpf(order)) - 1)
+        return val if functional == "shannon" else val / (mpmath.mpf(order) - 1)
 
 
 def assert_exact_quantiles(params, n, seed):
@@ -169,6 +204,14 @@ class TestPdf:
         params = PathwayParams(alpha=2.0, gamma=0.0, delta=1.0, a=1.0, eta=2.0)
         c_oracle = 1.0 / quad(lambda x: (1.0 + x) ** -2.0, 0.0, math.inf)[0]
         assert pathway_pdf(params, 1.0) == pytest.approx(c_oracle / 4.0, rel=1e-10)
+
+    def test_huge_x_without_overflow_warning(self):
+        # y = a eta x^delta passes the double range: the density is 0, the CDF 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params in (PathwayParams(1.0, 0.5, 1.5), PathwayParams(1.5, 0.0, 2.0)):
+                assert pathway_pdf(params, 1e250) == 0.0
+                assert pathway_cdf(params, np.array([1e250, 1e300]))[1] == 1.0
 
     def test_outside_support_is_zero(self):
         params = PathwayParams(alpha=0.5)  # support [0, 2]
@@ -339,6 +382,7 @@ class TestTsallis:
 class TestEntropies:
     def test_uniform_is_exactly_zero(self):
         u = uniform_density()
+        assert type(u(0.5)) is float and u(0.5) == 1.0
         assert havrda_charvat_entropy(u, 2.0) == 0.0
         assert havrda_charvat_entropy(u, 0.5) == 0.0
         assert mathai_entropy(u, 0.5) == 0.0
@@ -388,6 +432,116 @@ class TestEntropies:
             mathai_entropy(u, 1.0)
         with pytest.raises(DomainError):
             mathai_entropy(u, 2.0)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            (1.0253, 1.7095, 0.3907, 1.0, 0.180842),  # tail x^-1.08; quad: 2.96 for 30.58
+            (0.6, 1.0, 1.0, 0.8, 1.0),  # the four benchmark laws, a at its range ends
+            (1.0, 0.5, 1.5, 1.25, 1.0),
+            (1.4, 0.0, 1.0, 0.8, 2.0),
+            (0.8, 2.0, 2.0, 1.25, 1.5),
+            (0.6, -0.5, 1.0, 1.0, 1.0),  # gamma < 0: f(0) is inf, in each regime
+            (1.0, -0.5, 1.0, 1.0, 1.0),
+            (1.5, -0.5, 1.0, 1.0, 1.0),
+        ],
+        ids=["heavy_tail", "bench_type1", "bench_gamma", "bench_type2",
+             "bench_type1_delta2", "neg_gamma_type1", "neg_gamma_gamma", "neg_gamma_type2"],
+    )
+    @pytest.mark.parametrize(
+        "functional, order", [("shannon", None), ("havrda_charvat", 1.5), ("mathai", 0.5)]
+    )
+    def test_against_mpmath(self, law, functional, order):
+        f = pathway_density(PathwayParams(*law))
+        if functional == "shannon":
+            value = shannon_entropy(f)
+        else:
+            value = (havrda_charvat_entropy if functional == "havrda_charvat"
+                     else mathai_entropy)(f, order)
+        ref = mp_entropy(PathwayParams(*law), functional, order)
+        assert abs(value - float(ref)) <= 1e-13 * abs(float(ref))
+
+    def test_near_divergent_shannon(self):
+        # f ~ x^-0.9 at 0: -f ln f is still integrable
+        f = pathway_density(PathwayParams(1.0, -0.9, 0.5, 1.0, 1.0))
+        ref = mp_entropy(PathwayParams(1.0, -0.9, 0.5, 1.0, 1.0), "shannon")
+        assert abs(shannon_entropy(f) - float(ref)) <= 1e-13 * abs(float(ref))
+
+    @pytest.mark.parametrize("entropy", [lambda f: havrda_charvat_entropy(f, 1.5),
+                                         lambda f: mathai_entropy(f, 0.5)],
+                             ids=["havrda_charvat_1.5", "mathai_0.5"])
+    def test_divergent_integral_raises(self, entropy):
+        # f^1.5 ~ x^-1.35 at 0 is not integrable; quad returned 4.77 and 2.80
+        f = pathway_density(PathwayParams(1.0, -0.9, 0.5, 1.0, 1.0))
+        with pytest.raises(ConvergenceError):
+            entropy(f)
+
+    def test_scalar_only_density(self):
+        f = DensityFn(lambda x: math.exp(-x), (0, math.inf))
+        assert abs(shannon_entropy(f) - 1.0) <= 1e-13
+
+    def test_support_far_from_origin(self):
+        # x rounds onto the end 1e6 long before the distance to it underflows
+        assert havrda_charvat_entropy(uniform_density(1e6, 1e6 + 4), 2.0) == pytest.approx(
+            1.5, rel=1e-13)
+        assert shannon_entropy(uniform_density(5.0, 7.0)) == pytest.approx(
+            math.log(2), rel=1e-13)
+
+    def test_slow_tails_of_the_exponential(self):
+        # f^0.05 decays 20 times slower than f = e^-x: (1/0.05 - 1) over the denominators
+        e = unit_exponential_density()
+        assert abs(mathai_entropy(e, 1.95) - 20.0) <= 1e-13 * 20.0
+        ref = (1 / 0.05 - 1) / (2**0.95 - 1)
+        assert abs(havrda_charvat_entropy(e, 0.05) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("entropy", [lambda f: mathai_entropy(f, 1.99),
+                                         lambda f: havrda_charvat_entropy(f, 0.01)],
+                             ids=["mathai_1.99", "havrda_charvat_0.01"])
+    def test_tail_past_underflow_raises(self, entropy):
+        # e^-x underflows at x = 745, where f^0.01 is still e^-7.45: 0.06% of the
+        # integral lies where no double f is left (quad returned 99.94 for 100)
+        with pytest.raises(ConvergenceError):
+            entropy(unit_exponential_density())
+
+    @pytest.mark.parametrize(
+        "fn, support, ref",
+        [
+            (lambda x: np.exp(x - 3.0), (-math.inf, 3.0), 1.0),
+            (lambda x: math.exp(x - 3.0), (-math.inf, 3.0), 1.0),
+            (lambda x: np.exp(-x * x / 2) / math.sqrt(2 * math.pi), (-math.inf, math.inf),
+             0.5 * math.log(2 * math.pi * math.e)),
+            (lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi), (-math.inf, math.inf),
+             0.5 * math.log(2 * math.pi * math.e)),
+            (lambda x: 1 / (math.pi * (1 + x * x)), (-math.inf, math.inf), math.log(4 * math.pi)),
+        ],
+        ids=["reflected_exponential", "reflected_exponential_scalar", "gaussian",
+             "gaussian_scalar", "cauchy"],
+    )
+    def test_infinite_lower_end(self, fn, support, ref):
+        assert abs(shannon_entropy(DensityFn(fn, support)) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize(
+        "f, ref",
+        [
+            # near x = 1e6 doubles are 1.2e-10 apart, so f(x(t)) is a staircase in t
+            # and the sums stop agreeing near 1e-13 (quad returned 1 + 8e-12)
+            (DensityFn(lambda x: np.exp(-(x - 1e6)), (1e6, math.inf)), 1.0),
+            # a kink: the rule needs f smooth inside the support
+            (DensityFn(lambda x: np.maximum(0.0, 1.0 - abs(x - 1.0)), (0.0, 2.0)), 0.5),
+        ],
+        ids=["support_far_from_its_scale", "kink"],
+    )
+    def test_unresolved_density_raises_with_partial(self, f, ref):
+        with pytest.raises(ConvergenceError) as err:
+            shannon_entropy(f)
+        assert abs(err.value.partial - ref) <= err.value.bound
+
+    def test_narrow_peak_far_out_raises(self):
+        # every probe node underflows (quad returned 0 here, for 1.419)
+        f = DensityFn(lambda x: np.exp(-(x - 1e3) ** 2 / 2) / math.sqrt(2 * math.pi),
+                      (-math.inf, math.inf))
+        with pytest.raises(ConvergenceError):
+            shannon_entropy(f)
 
     def test_pathway_density_wrapper(self):
         f = pathway_density(UNIT_EXP)
