@@ -184,11 +184,12 @@ def pathway_pdf(params: PathwayParams, x):
     xi = x_arr[inside]
     r = params._regime
     with np.errstate(over="ignore"):  # y = scale * x**delta is inf past the double range
-        out[inside] = np.exp(
-            params.log_norm_const
-            + params.gamma * np.log(xi)
-            + r.log_kernel(r.scale * xi**params.delta)
-        )
+        y = r.scale * xi**params.delta
+    log_kernel = r.log_kernel(y)
+    # there the kernel is y^-(p+q), with ln y = ln(scale) + delta ln x still finite
+    far = np.isinf(y)
+    log_kernel[far] = -(r.p + r.q) * (math.log(r.scale) + params.delta * np.log(xi[far]))
+    out[inside] = np.exp(params.log_norm_const + params.gamma * np.log(xi) + log_kernel)
     # x == 0 carries the x^gamma prefactor: finite only for gamma >= 0
     if params.gamma <= 0:
         out[x_arr == 0] = params.norm_const if params.gamma == 0 else math.inf

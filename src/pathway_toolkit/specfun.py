@@ -1,4 +1,4 @@
-"""Scalar special functions: log-gamma, Pochhammer symbols, the matrix-variate
+"""Special functions: log-gamma, Pochhammer symbols, the matrix-variate
 gamma product, and the Mittag-Leffler family evaluated by direct summation.
 
 All functions are pure; everything heavy runs through log-gamma so no
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
@@ -20,6 +21,10 @@ from .errors import ConvergenceError, DomainError
 TERM_EPS = 1e-16
 CONSECUTIVE_SMALL = 3
 MAX_TERMS = 10_000
+# Terms go in blocks of BLOCK (even), so temporaries stay (points x BLOCK).
+# A sum whose rounding bound GUARD_SCALE * sum |t_k| (1 + |ln |t_k||), eps
+# times a safety factor of 8, passes GUARD_RTOL * (1 + |E|) raises.
+BLOCK, GUARD_SCALE, GUARD_RTOL = 64, 8.0 * float(np.finfo(float).eps), 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,66 +125,56 @@ def matrix_gamma(p: int, a: float) -> float:
     return math.exp(log_val)
 
 
-def mittag_leffler(x: float, params: MLParams, term_cap: int = MAX_TERMS) -> float:
-    """Sum the Mittag-Leffler series at a real argument.
+def mittag_leffler(x, params: MLParams, term_cap: int = MAX_TERMS):
+    """Sum the Mittag-Leffler series at a real x or at an array of them.
 
-    Term k is ``(gamma)_k prod(a_j)_k x^k / (k! prod(b_j)_k Gamma(beta+alpha k))``,
-    accumulated with log-tracked magnitudes so large arguments cannot overflow
-    before the gamma denominator catches up.
-
-    Accuracy degrades for strongly negative arguments when ``alpha < 1``
-    (catastrophic cancellation below roughly x = -10); stay above that.
-    A term past the double range raises ConvergenceError with the partial
-    sum and an infinite bound.
+    Term k is ``(gamma)_k prod(a_j)_k x^k / (k! prod(b_j)_k Gamma(beta+alpha k))``;
+    its x-free log-magnitude and sign are built once per block of terms and
+    broadcast against every x, with x^k as k ln|x|.  Each x is summed until its
+    last CONSECUTIVE_SMALL terms are negligible, so an array gives the scalar
+    values bit for bit.  A scalar x gives a float, an array an array of its
+    shape; non-finite x raise DomainError.  ConvergenceError holds partial sums
+    and bounds shaped like x: |last term| if term_cap terms do not settle, inf
+    if a term overflows, else a rounding bound past GUARD_RTOL (1 + |E|).
     """
     params = params if isinstance(params, MLParams) else MLParams(*params)
-    if x == 0.0:
-        return math.exp(-gammaln(params.beta))
     if term_cap < 1:
         raise DomainError(f"term cap must be >= 1, got {term_cap}")
-    total = 0.0
-    # log-magnitude and sign of the Pochhammer/factorial prefactor c_k
-    log_c = 0.0
-    sign_c = 1.0
-    log_ax = math.log(abs(x))
-    sign_x = 1.0 if x >= 0 else -1.0
-    small_run = 0
-    term = math.nan
-    for k in range(int(term_cap)):
-        if sign_c != 0.0:
-            log_term = log_c + k * log_ax - gammaln(params.beta + params.alpha * k)
-            try:
-                term = sign_c * (sign_x**k) * math.exp(log_term)
-            except OverflowError:
-                raise ConvergenceError(
-                    f"Mittag-Leffler series term {k} overflows a double "
-                    f"(log |term| = {log_term:.1f})",
-                    partial=total,
-                    bound=math.inf,
-                ) from None
-        else:
-            term = 0.0  # a numerator Pochhammer hit zero: series terminated
-        total += term
-        if abs(term) <= TERM_EPS * (1.0 + abs(total)):
-            small_run += 1
-            if small_run >= CONSECUTIVE_SMALL or sign_c == 0.0:
-                return total
-        else:
-            small_run = 0
-        # advance c_{k} -> c_{k+1}
-        factors = [params.gamma + k, *(a + k for a in params.uppers)]
-        divisors = [k + 1.0, *(b + k for b in params.lowers)]
-        for f in factors:
-            if f == 0.0:
-                sign_c = 0.0
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise DomainError(f"Mittag-Leffler argument must be finite, got {x}")
+    shaped = (lambda a: float(a[0])) if xs.ndim == 0 else (lambda a: a.reshape(xs.shape))
+    ups, downs = np.array([[params.gamma, *params.uppers]]).T, np.array([[1.0, *params.lowers]]).T
+    out, bound, flags = *np.zeros((2, xs.size)), np.zeros((xs.size, CONSECUTIVE_SMALL - 1), bool)
+    rows, log_cs, sign_cs, flat = np.arange(xs.size), np.zeros(1), np.ones(1), xs.reshape(-1, 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # ln 0 as -1e308 keeps the k = 0 term's 0 * ln|x| at 0
+        log_ax, sign_x = np.fmax(np.log(np.abs(flat)), -1e308), np.sign(flat)
+        for k0 in range(0, term_cap, BLOCK):
+            ks = np.arange(k0, min(k0 + BLOCK, term_cap), dtype=float)
+            ratio = np.multiply.reduce(ups + ks) / np.multiply.reduce(downs + ks)  # c_{k+1} / c_k
+            log_cs = np.concatenate((log_cs[-1:], np.log(np.abs(ratio)))).cumsum()
+            sign_cs = np.concatenate((sign_cs[-1:], np.sign(ratio))).cumprod()
+            log_t = ks * log_ax[rows] + (log_cs[:-1] - gammaln(params.beta + params.alpha * ks))
+            t = sign_cs[:-1] * np.exp(log_t)
+            t[:, 1::2] *= sign_x[rows]  # BLOCK is even, so odd k sit in odd columns
+            sums, at = np.concatenate((out[rows, None], t), axis=1).cumsum(1), np.abs(t)
+            bound[rows] += GUARD_SCALE * np.add.reduce(at * (1 + np.abs(log_t)), 1, where=at > 0)
+            small = np.concatenate((flags, at <= TERM_EPS * (1.0 + np.abs(sums[:, 1:]))), 1)
+            hit = small[:, -CONSECUTIVE_SMALL:].all(1)  # zeros past a zero Pochhammer factor too
+            # a sum past the double range stays there; keep the one before it
+            lead = np.isfinite(sums).sum(1)
+            out[rows] = sums[np.arange(rows.size), lead - 1]
+            bound[rows[lead <= ks.size]], hit = math.inf, hit | (lead <= ks.size)
+            if hit.all():
                 break
-            sign_c *= math.copysign(1.0, f)
-            log_c += math.log(abs(f))
-        for d in divisors:
-            log_c -= math.log(abs(d))
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not settle within {term_cap} terms "
-        f"(last |term| ~ {abs(term):.3e})",
-        partial=total,
-        bound=abs(term),
-    )
+            rows, flags = rows[~hit], small[~hit, ks.size:]
+    if not hit.all():
+        bound[rows] = at[~hit, -1]
+    if not hit.all() or (bound > GUARD_RTOL * (1.0 + np.abs(out))).any():
+        why = (f"did not settle within {term_cap} terms" if not hit.all() else
+               "has a term past the double range" if np.isinf(bound).any() else
+               f"cancels: rounding bound {bound.max():.3e} > {GUARD_RTOL:g} (1 + |E|)")
+        raise ConvergenceError(f"Mittag-Leffler series {why}", partial=shaped(out),
+                               bound=shaped(bound))
+    return shaped(out)

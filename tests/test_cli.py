@@ -77,6 +77,10 @@ class TestRun:
         # E_{1/2}(-40): a series term passes the double range
         self.assert_one_line_error(["ml", "--alpha", "0.5", "--x=-40"], capsys)
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_ml_non_finite_x_exits_1(self, x, capsys):
+        assert "finite" in self.assert_one_line_error(["ml", "--alpha", "1", f"--x={x}"], capsys)
+
     def test_ml_domain_error_exits_1(self, capsys):
         assert main(["ml", "--alpha", "-1", "--x", "1"]) == 1
         assert "alpha" in capsys.readouterr().err

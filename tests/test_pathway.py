@@ -213,6 +213,19 @@ class TestPdf:
                 assert pathway_pdf(params, 1e250) == 0.0
                 assert pathway_cdf(params, np.array([1e250, 1e300]))[1] == 1.0
 
+    def test_heavy_tail_past_the_double_range_against_mpmath(self):
+        # y = a (alpha-1) x^delta overflows at these x, but the density
+        # delta s^p / B(p, q) x^gamma (1 + s x^delta)^-(p+q) is still a double
+        law = (1.5, 0.0, 2.0, 1.0, 0.375)
+        with mpmath.workdps(30):
+            alpha, gamma, delta, a, eta = (mpmath.mpf(v) for v in law)
+            s, p = a * (alpha - 1), (gamma + 1) / delta
+            k = eta / (alpha - 1)
+            for x in (1e160, 1e180, 1e200):
+                ref = delta * s**p / mpmath.beta(p, k - p) * (1 + s * mpmath.mpf(x) ** delta) ** -k
+                got = pathway_pdf(PathwayParams(*law), x)
+                assert got == pytest.approx(float(ref), rel=1e-12, abs=0)
+
     def test_outside_support_is_zero(self):
         params = PathwayParams(alpha=0.5)  # support [0, 2]
         assert pathway_pdf(params, -1.0) == 0.0

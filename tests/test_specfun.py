@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.specfun import (
@@ -183,3 +186,111 @@ class TestMittagLeffler:
             mittag_leffler(-40.0, MLParams(alpha=0.5))
         assert math.isfinite(err.value.partial)
         assert err.value.bound == math.inf
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.array([1.0, math.nan])])
+    def test_non_finite_argument_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            mittag_leffler(x, MLParams(alpha=1.0))
+
+
+def series_loop(x, params, term_cap=10_000):
+    """Term-by-term reference: the Pochhammer prefactor c_k updated one
+    factor at a time in log form, and terms summed until three in a row
+    are negligible."""
+    total, log_c, sign_c, small_run = 0.0, 0.0, 1.0, 0
+    for k in range(term_cap):
+        if sign_c == 0.0:
+            return total
+        log_term = log_c + k * math.log(abs(x)) - math.lgamma(params.beta + params.alpha * k)
+        term = sign_c * (-1.0 if x < 0 and k % 2 else 1.0) * math.exp(log_term)
+        total += term
+        small_run = small_run + 1 if abs(term) <= 1e-16 * (1.0 + abs(total)) else 0
+        if small_run == 3:
+            return total
+        for f in (params.gamma + k, *(a + k for a in params.uppers)):
+            sign_c = math.copysign(sign_c, sign_c * f) if f else 0.0
+            log_c += math.log(abs(f)) if f else 0.0
+        log_c -= math.log(k + 1.0) + sum(math.log(abs(b + k)) for b in params.lowers)
+    raise AssertionError("reference series did not settle")
+
+
+def ml_mpmath(x, alpha, beta, gamma):
+    """E^gamma_{alpha,beta}(x) summed with enough digits to absorb the
+    cancellation of terms as large as e^(|x|^(1/alpha))."""
+    dps = 30 + int(abs(x) ** (1.0 / alpha) / 2.3)
+    with mpmath.workdps(dps):
+        x, total, coef, k = mpmath.mpf(x), mpmath.mpf(0), mpmath.mpf(1), 0
+        tiny = mpmath.mpf(10) ** (-dps + 3)
+        while True:
+            term = coef * x**k * mpmath.rgamma(beta + alpha * k)
+            total += term
+            if k > 10 and abs(term) < tiny * (1 + abs(total)):
+                return float(total)
+            coef *= (gamma + k) / mpmath.mpf(k + 1)
+            k += 1
+
+
+class TestMittagLefflerArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(float, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+               elements=st.one_of(st.just(0.0), st.floats(-2.0, 5.0))),
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+    )
+    def test_array_is_bitwise_the_scalar_calls(self, xs, alpha, beta, gamma):
+        p = MLParams(alpha, beta, gamma)
+        got = mittag_leffler(xs, p)
+        want = np.array([mittag_leffler(float(x), p) for x in xs.ravel()]).reshape(xs.shape)
+        if xs.ndim == 0:
+            assert type(got) is float
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_matches_the_term_by_term_loop(self):
+        # summation order changed, so the loop agrees to a tolerance, not bitwise
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = MLParams(rng.uniform(0.5, 2.5), rng.uniform(0.5, 3.0), rng.uniform(-2.5, 3.0),
+                         (rng.uniform(-2.0, 3.0),), (rng.uniform(0.5, 3.0),))
+            x = rng.uniform(-1.5, 6.0)
+            ref = series_loop(x, p)
+            assert abs(mittag_leffler(x, p) - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("alpha, x, exact", [
+        (0.5, -5.0, erfcx(5.0)),
+        (0.5, -10.0, erfcx(10.0)),
+        (1.0, -20.0, math.exp(-20.0)),
+        (1.0, -30.0, math.exp(-30.0)),
+    ])
+    def test_cancellation_raises_with_a_covering_bound(self, alpha, x, exact):
+        with pytest.raises(ConvergenceError) as err:
+            mittag_leffler(x, MLParams(alpha))
+        assert math.isfinite(err.value.bound)
+        assert err.value.bound >= abs(err.value.partial - exact)
+
+    def test_array_error_carries_arrays_of_the_argument_shape(self):
+        xs = np.array([[1.0, -30.0], [0.0, -1.0]])
+        with pytest.raises(ConvergenceError) as err:
+            mittag_leffler(xs, MLParams(1.0))
+        partial, bound = err.value.partial, err.value.bound
+        assert partial.shape == bound.shape == xs.shape
+        assert partial[0, 0] == mittag_leffler(1.0, MLParams(1.0))
+        assert bound[0, 1] >= abs(partial[0, 1] - math.exp(-30.0))
+
+    def test_seeded_three_parameter_values_against_mpmath(self):
+        # each value is either within the guard's tolerance or raises
+        rng = np.random.default_rng(2015)
+        returned = 0
+        for _ in range(300):
+            alpha, beta, gamma = rng.uniform([0.4, 0.3, 0.3], [2.5, 3.0, 3.0])
+            x = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 20.0) ** alpha
+            ref = ml_mpmath(x, alpha, beta, gamma)
+            try:
+                got = mittag_leffler(x, MLParams(alpha, beta, gamma))
+            except ConvergenceError as err:
+                assert err.bound >= abs(err.partial - ref)
+                continue
+            returned += 1
+            assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))
+        assert returned >= 200
