@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import designstats, melconv, pathway, phyllotaxis, specfun
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_number
 
 _ENV_SEED = "PATHWAY_TOOLKIT_SEED"
 _FMT = "%.15g"
@@ -335,13 +335,8 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
                 raise DomainError(f"{path}: {side} factor {item!r} needs a 'kind'")
             item = dict(item)
             kind = item.pop("kind")
-            expo = item.pop("exponent", 1.0)
-            try:  # JSON true/false is not a number
-                expo = float(None if isinstance(expo, bool) else expo)
-            except (TypeError, ValueError):
-                raise DomainError(
-                    f"{path}: {side} factor exponent must be a number"
-                ) from None
+            expo = as_number(item.pop("exponent", 1.0),
+                             f"{path}: {side} factor exponent must be a number")
             out.append((melconv.builtin_density(kind, **item), expo))
         return out
     return melconv.ProductSpec(

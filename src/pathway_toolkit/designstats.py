@@ -25,13 +25,11 @@ class IncidenceSystem:
     """The (A, G) pair of the reduced normal equations (I - A) alpha = G.
 
     A must have strictly positive entries and unit row sums (which pins its
-    infinity norm at exactly 1); the optional provenance table records the
-    cell counts A was built from.
+    infinity norm at exactly 1).
     """
 
     A: np.ndarray
     G: np.ndarray
-    provenance: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -52,10 +50,6 @@ class IncidenceSystem:
             )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "G", G)
-
-    @property
-    def p(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -148,6 +142,8 @@ def sample_correlation(x, y) -> float:
             f"x and y must be equal-length vectors of size >= 2, got "
             f"{x.shape} and {y.shape}"
         )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("correlation needs finite x and y")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -162,16 +158,11 @@ def chi2_cdf(q, dof: int):
     return gammainc(dof / 2.0, np.asarray(q, dtype=float) / 2.0)
 
 
-def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray | None = None, dof: int | None = None) -> float:
-    """One-sample Kolmogorov-Smirnov statistic of samples against either
-    precomputed CDF values or a chi-square law with ``dof`` degrees."""
+def ks_statistic(samples: np.ndarray, dof: int) -> float:
+    """One-sample Kolmogorov-Smirnov statistic of samples against a chi-square
+    law with ``dof`` degrees."""
     q = np.sort(np.asarray(samples, dtype=float))
-    if cdf_values is None:
-        if dof is None:
-            raise DomainError("provide cdf_values or dof")
-        f = chi2_cdf(q, dof)
-    else:
-        f = np.sort(np.asarray(cdf_values, dtype=float))
+    f = chi2_cdf(q, dof)
     n = q.size
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

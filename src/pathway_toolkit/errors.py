@@ -16,3 +16,12 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.bound = bound
+
+
+def as_number(value, message: str) -> float:
+    """A JSON value as a float; anything else, JSON true/false included, is a
+    DomainError(message)."""
+    try:
+        return float(None if isinstance(value, bool) else value)
+    except (TypeError, ValueError):
+        raise DomainError(message) from None

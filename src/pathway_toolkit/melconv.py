@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import betaln, gammaln, loggamma
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_number
 
 _MOMENT_NORM_TOL = 1e-12
 
@@ -27,6 +27,7 @@ _MAX_OCTAVES = 4
 _GL_ORDER = 16
 _MAX_TAIL_PANELS = 240
 _MIN_FREQ = 1e-6
+_INVERT_TOL = 1e-8  # inversion target: absolute error 1e-8 (1 + |g|)
 
 # half-line rule: the lowest s (e^(-s) stays finite); 81 probe offsets, 0 at 40
 _HL_S_MIN = -700.0
@@ -58,7 +59,7 @@ class MomentDensity:
             raise DomainError(
                 f"{self.label}: strip ({lo}, {hi}) must contain s = 1"
             )
-        m1 = complex(np.asarray(self.moment_fn(np.array([1.0 + 0.0j])))[0])
+        m1 = complex(self.moment_fn(np.array([1.0 + 0.0j]))[0])
         if abs(m1 - 1.0) > _MOMENT_NORM_TOL:
             raise DomainError(
                 f"{self.label}: moment at s = 1 is {m1!r}, not total mass 1"
@@ -71,13 +72,11 @@ class MomentDensity:
             raise DomainError(
                 f"{self.label}: s = {s} lies outside the strip ({lo}, {hi})"
             )
-        return float(np.real(np.asarray(self.moment_fn(np.array([s + 0.0j])))[0]))
+        return float(self.moment_fn(np.array([s + 0.0j]))[0].real)
 
-    def density(self, u: float, rel_tol: float = 1e-8) -> float:
+    def density(self, u: float) -> float:
         """Density at u recovered by Mellin inversion of the moment function."""
-        return mellin_invert(
-            self.moment_fn, u, default_contour(self.strip), rel_tol=rel_tol
-        )
+        return mellin_invert(self.moment_fn, u, default_contour(self.strip))
 
 
 def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
@@ -90,12 +89,8 @@ def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
             f"{kind} takes shape parameters {list(keys)}; "
             f"missing {missing}, unexpected {unexpected}"
         )
-    try:  # JSON true/false is not a number
-        return [float(None if isinstance(shape[k], bool) else shape[k]) for k in keys]
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"{kind} shape parameters must be numbers, got {shape}"
-        ) from None
+    message = f"{kind} shape parameters must be numbers, got {shape}"
+    return [as_number(shape[k], message) for k in keys]
 
 
 class _Kind(NamedTuple):
@@ -244,7 +239,7 @@ def product_moment_density(spec: ProductSpec, label: str = "product") -> MomentD
         s = np.asarray(s, dtype=complex)
         out = np.ones_like(s)
         for dens, e in factors:
-            out = out * np.asarray(dens.moment_fn(1 + e * (s - 1)))
+            out = out * dens.moment_fn(1 + e * (s - 1))
         return out
 
     return MomentDensity(label, mom, spec.common_strip(), spec.support())
@@ -269,17 +264,6 @@ def default_contour(strip: tuple[float, float]) -> float:
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
 
-def _vectorized(fn, probe: np.ndarray):
-    try:
-        if np.shape(fn(probe)) == probe.shape:
-            return fn
-    except DomainError:
-        raise
-    except (TypeError, ValueError):
-        pass  # a function that takes scalars only
-    return np.vectorize(fn, otypes=[probe.dtype])
-
-
 def _contour_panel(
     mom, c: float, omega: float, a: float, b: float, max_chunk: float
 ) -> complex:
@@ -294,7 +278,7 @@ def _contour_panel(
     offsets = half * _GL_NODES
     ts = (mids[:, None] + offsets[None, :]).ravel()
     phase = np.outer(np.exp(-1j * omega * mids), np.exp(-1j * omega * offsets)).ravel()
-    vals = (np.asarray(mom(c + 1j * ts)) * phase).reshape(n_chunks, -1)
+    vals = (mom(c + 1j * ts) * phase).reshape(n_chunks, -1)
     return complex(half * np.sum(vals @ _GL_WEIGHTS))
 
 
@@ -309,7 +293,7 @@ def _averaged_limit(partials: list[complex]) -> tuple[complex, float]:
     return last_per_level[-1], abs(last_per_level[-1] - last_per_level[-2])
 
 
-def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float:
+def mellin_invert(mom, u: float, c: float) -> float:
     """Recover g(u) = (1/2 pi) * integral of E(u^(s-1)) u^(-s) along Re s = c.
 
     By conjugate symmetry of real-valued moments the integral collapses to
@@ -319,29 +303,34 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
     half-period panel sum accelerated by iterated averaging against the known
     oscillation frequency ln u.
 
-    Raises ConvergenceError with the achieved bound when the target absolute
-    error rel_tol * (1 + |g|) is out of reach.
+    ``mom`` maps a complex array of s on the contour to the moments there.  u
+    must be finite and > 0 (else DomainError); a u^-c past the double range
+    raises ConvergenceError with bound inf, and so does a missed target: the
+    absolute error 1e-8 (1 + |g|), with the achieved bound.
     """
-    if not u > 0:
-        raise DomainError(f"mellin_invert needs u > 0, got {u}")
-    mom = _vectorized(moment, c + np.array([0.0j, 0.1j]))
+    if not 0 < u < math.inf:
+        raise DomainError(f"mellin_invert needs finite u > 0, got {u}")
     omega = math.log(u)
-    density_scale = u**-c / math.pi  # converts contour integral to g units
+    try:
+        density_scale = u**-c / math.pi  # converts contour integral to g units
+    except OverflowError:
+        raise ConvergenceError(f"u^-c is past the double range at u = {u}, c = {c}",
+                               bound=math.inf) from None
 
     # phase resolution: keep chunks short enough for both oscillation sources
-    chunk = min(2.0, math.pi / max(abs(omega), 1e-12), 1.0)
+    chunk = min(math.pi / max(abs(omega), 1e-12), 1.0)
     total = _contour_panel(mom, c, omega, 0.0, _BASE_HEIGHT, chunk)
 
     t_cur = _BASE_HEIGHT
     prev_contrib = math.inf
     for _ in range(_MAX_OCTAVES):
-        target = rel_tol * (1.0 + abs(density_scale * total.real))
+        target = _INVERT_TOL * (1.0 + abs(density_scale * total.real))
         octave = _contour_panel(mom, c, omega, t_cur, 2 * t_cur, chunk)
         total += octave
         t_cur *= 2
         contrib = abs(density_scale) * abs(octave)
         env = abs(density_scale) * float(
-            np.max(np.abs(np.asarray(mom(c + 1j * np.linspace(0.75 * t_cur, t_cur, 9)))))
+            np.max(np.abs(mom(c + 1j * np.linspace(0.75 * t_cur, t_cur, 9))))
         )
         ratio = contrib / max(prev_contrib, 1e-300)
         prev_contrib = contrib
@@ -373,7 +362,7 @@ def mellin_invert(moment, u: float, c: float, *, rel_tol: float = 1e-8) -> float
             est, err = _averaged_limit(partials)
             err *= abs(density_scale)
             g_try = density_scale * (total + est).real
-            target = rel_tol * (1.0 + abs(g_try))
+            target = _INVERT_TOL * (1.0 + abs(g_try))
             if err < best_err:
                 best, best_err = est, err
             if err < 0.3 * target:
@@ -454,8 +443,9 @@ def integrate_halfline(integrand) -> tuple[float, float]:
 # reaction-rate integral
 
 def _validate_reaction(gamma: float, a: float, b: float):
-    if a < 0 or b < 0:
-        raise DomainError(f"a and b must be >= 0, got a = {a}, b = {b}")
+    if not (a >= 0 and b >= 0) or math.isnan(gamma):
+        raise DomainError(f"need a, b >= 0 and a number gamma; got a = {a}, b = {b}, "
+                          f"gamma = {gamma}")
     if a == 0 and b == 0:
         raise DomainError("need a > 0 or b > 0")
     if b == 0 and gamma <= -1:
@@ -464,7 +454,7 @@ def _validate_reaction(gamma: float, a: float, b: float):
         raise DomainError(f"a = 0 requires gamma < -1, got {gamma}")
 
 
-def _reaction_mellin(gamma: float, a: float, b: float, rel_tol: float = 1e-8) -> float:
+def _reaction_mellin(gamma: float, a: float, b: float) -> float:
     # product structure: x1 ~ gamma(shape gamma+2, rate a), x2 with density
     # e^(-sqrt(x))/2; then g(u) = c1*c2*I(gamma, a, sqrt(u)), so evaluate the
     # inverse at u = b^2 and divide the constants back out.
@@ -483,7 +473,7 @@ def _reaction_mellin(gamma: float, a: float, b: float, rel_tol: float = 1e-8) ->
         )
 
     s_lo = max(0.0, -gamma - 1.0)
-    g = mellin_invert(mom, b * b, s_lo + 1.0, rel_tol=rel_tol)
+    g = mellin_invert(mom, b * b, s_lo + 1.0)
     return g * 2.0 * math.exp(lg2 - (gamma + 2) * log_a)
 
 
@@ -518,7 +508,7 @@ def reaction_rate_with_error(
         else:
             mellin_val = _reaction_mellin(gamma, a, b)
         if route == "mellin":
-            return mellin_val, abs(mellin_val) * 1e-8
+            return mellin_val, abs(mellin_val) * _INVERT_TOL
     # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
     q, err = integrate_halfline(_kratzel_integrand(gamma, a, b, 1.0, 0.5))
     if route == "both" and abs(q - mellin_val) > 1e-6 * max(abs(q), abs(mellin_val)):
@@ -626,8 +616,8 @@ def normality_trend(
         if k < 2:
             raise DomainError(f"factor counts must be >= 2, got {k}")
     al, be = shapes
-    if al <= 0 or be <= 0:
-        raise DomainError(f"beta shapes must be positive, got {shapes}")
+    if not (0 < al < math.inf and 0 < be < math.inf):
+        raise DomainError(f"beta shapes must be positive and finite, got {shapes}")
     if n < 2:
         raise DomainError(f"a skewness needs n >= 2 draws, got {n}")
     rng = np.random.default_rng(seed)

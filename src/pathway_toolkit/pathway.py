@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import (betainc, betainccinv, betaincinv, betaln,
                            gammainc, gammaincinv, gammaln)
 
-from .errors import DomainError
-from .melconv import _vectorized, integrate_halfline
+from .errors import DomainError, as_number
+from .melconv import integrate_halfline
 
 
 class _Regime(NamedTuple):
@@ -95,6 +95,8 @@ class PathwayParams:
     eta: float = 1.0
 
     def __post_init__(self):
+        if math.isnan(self.alpha):
+            raise DomainError(f"alpha must be a number, got {self.alpha}")
         for name in ("delta", "a", "eta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -155,13 +157,8 @@ class PathwayParams:
         missing = set(keys) - set(doc)
         if missing:
             raise DomainError(f"pathway parameter JSON missing keys: {sorted(missing)}")
-        try:  # JSON true/false is not a number
-            values = {k: float(doc[k]) for k in keys if not isinstance(doc[k], bool)}
-        except (TypeError, ValueError):
-            values = {}
-        if len(values) < len(keys):
-            raise DomainError(f"pathway parameters must be numbers, got {doc}")
-        return cls(**values)
+        message = f"pathway parameters must be numbers, got {doc}"
+        return cls(**{k: as_number(doc[k], message) for k in keys})
 
 
 def pathway_support(params: PathwayParams) -> tuple[float, float]:
@@ -170,15 +167,21 @@ def pathway_support(params: PathwayParams) -> tuple[float, float]:
     return (0.0, params.support_upper)
 
 
+def _points(x) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array, and whether it was a scalar; NaN is a DomainError."""
+    x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError("x must be a number, got nan")
+    return np.atleast_1d(x_arr), x_arr.ndim == 0
+
+
 def pathway_pdf(params: PathwayParams, x):
     """Density at x (scalar or array); zero outside the support.
 
     The bracket is evaluated through log1p so the family limit alpha -> 1 is
     smooth to machine precision rather than cancelling catastrophically.
     """
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, scalar = _points(x)
     out = np.zeros_like(x_arr)
     inside = (x_arr > 0) & (x_arr < params.support_upper)
     xi = x_arr[inside]
@@ -204,9 +207,7 @@ def pathway_cdf(params: PathwayParams, x):
     the test suite asserts); the closed form keeps million-point evaluations
     cheap for sampling and goodness-of-fit work.
     """
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, scalar = _points(x)
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     r = params._regime
@@ -277,6 +278,17 @@ def unit_exponential_density() -> DensityFn:
 
 def pathway_density(params: PathwayParams) -> DensityFn:
     return DensityFn(lambda x: pathway_pdf(params, x), pathway_support(params))
+
+
+def _vectorized(fn, probe: np.ndarray):
+    try:
+        if np.shape(fn(probe)) == probe.shape:
+            return fn
+    except DomainError:
+        raise
+    except (TypeError, ValueError):
+        pass  # a function that takes scalars only
+    return np.vectorize(fn, otypes=[probe.dtype])
 
 
 def _entropy_integral(f: DensityFn, h: Callable) -> float:

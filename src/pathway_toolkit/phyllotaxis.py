@@ -44,17 +44,17 @@ class SpiralConfig:
     def __post_init__(self):
         if self.divergence is None:
             object.__setattr__(self, "divergence", golden_angle())
-        if not self.k > 0:
-            raise DomainError(f"spiral constant k must be > 0, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise DomainError(f"spiral constant k must be finite and > 0, got {self.k}")
         if self.n_points < 0:
             raise DomainError(f"n_points must be >= 0, got {self.n_points}")
         if not (0.0 < self.divergence < 2.0 * math.pi):
             raise DomainError(
                 f"divergence must lie in (0, 2 pi), got {self.divergence}"
             )
-        if not self.marker_radius > 0:
+        if not 0 < self.marker_radius < math.inf:
             raise DomainError(
-                f"marker_radius must be > 0, got {self.marker_radius}"
+                f"marker_radius must be finite and > 0, got {self.marker_radius}"
             )
 
 
@@ -137,10 +137,10 @@ def nearest_neighbor_distances(points) -> np.ndarray:
     return cKDTree(xy).query(xy, k=2)[0][:, 1]
 
 
-def coverage_packing_ratio(points, n_radial: int = 60, n_angular: int = 180) -> float:
+def coverage_packing_ratio(points) -> float:
     """Largest hole over smallest spacing: the max distance from a probe grid
     on the pattern's annulus to its nearest point, divided by the minimum
-    nearest-neighbor distance.
+    nearest-neighbor distance.  The grid is 60 radii by 180 angles.
 
     Rational divergence angles collapse points onto rays, which keeps
     neighbor spacing regular but opens wedge-shaped holes; this ratio is what
@@ -150,8 +150,8 @@ def coverage_packing_ratio(points, n_radial: int = 60, n_angular: int = 180) -> 
         raise DomainError("need at least two points")
     xy = _cartesian(points)
     radii = np.asarray(points, dtype=float)[:, 0]
-    rr = np.linspace(radii.min(), radii.max(), n_radial)
-    aa = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
+    rr = np.linspace(radii.min(), radii.max(), 60)
+    aa = np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False)
     probes = np.column_stack(
         (
             np.outer(rr, np.cos(aa)).ravel(),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -306,6 +307,55 @@ class TestRun:
 
     def test_volume_with_one_draw_exits_1(self, capsys):
         assert "n >= 2" in self.assert_one_line_error(["volume", "--n", "1"], capsys)
+
+    @pytest.mark.parametrize(
+        "doc, u, why",
+        [
+            ({"numerator": [{"kind": "uniform01"}] * 2}, "inf", "finite u > 0"),
+            ({"numerator": [{"kind": "uniform01"}] * 2}, "nan", "finite u > 0"),
+            ({"numerator": [{"kind": "uniform01"}] * 2}, "1e-320", "double range"),
+            ({"numerator": [{"kind": "gamma", "gamma": 0.7}],
+              "denominator": [{"kind": "gamma", "gamma": 2.5}]}, "1e-300", "double range"),
+        ],
+        ids=["inf", "nan", "uniform_product_tiny", "gamma_ratio_tiny"],
+    )
+    def test_melconv_u_out_of_range_exits_1(self, doc, u, why, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["melconv", "--spec", str(spec), f"--u={u}"]
+        assert why in self.assert_one_line_error(argv, capsys)
+
+    def test_melconv_reciprocal_uniform(self, tmp_path, capsys):
+        # 1/U has a strip infinite on the left and density 1/u^2 on (1, inf)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"denominator": [{"kind": "uniform01"}]}))
+        assert main(["melconv", "--spec", str(spec), "--u", "2,4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "u,density"
+        for line in out[1:]:
+            u, g = map(float, line.split(","))
+            assert g == pytest.approx(u**-2, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pathway", "--alpha", "nan", "--x", "1"],
+            ["pathway", "--alpha", "0.5", "--op", "pdf", "--x", "nan"],
+            ["pathway", "--alpha", "0.5", "--op", "cdf", "--x", "nan"],
+            ["corr", "--x", "1,2,inf", "--y", "1,2,3"],
+            ["ratecalc", "--gamma", "1", "--a", "nan", "--b", "0", "--route", "mellin"],
+            ["ratecalc", "--gamma", "nan", "--a", "1", "--b", "0", "--route", "mellin"],
+            ["volume", "--alpha", "inf", "--n", "100"],
+            ["phyllo", "--k", "inf"],
+            ["phyllo", "--marker-radius", "inf"],
+        ],
+        ids=["pathway_alpha", "pathway_pdf_x", "pathway_cdf_x", "corr", "ratecalc_a",
+             "ratecalc_gamma", "volume", "phyllo_k", "phyllo_marker_radius"],
+    )
+    def test_non_finite_input_exits_1(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_one_line_error(argv, capsys)
 
 
 class TestTables:

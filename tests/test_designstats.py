@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestSampleCorrelation:
             sample_correlation([1, 1, 1], [1, 2, 3])
         with pytest.raises(DomainError):
             sample_correlation([1, 2, 3], [2, 2, 2])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                sample_correlation([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+            with pytest.raises(DomainError, match="finite"):
+                sample_correlation([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
     @settings(max_examples=50)
     @given(

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as cgamma, gammaln, kv
 
+from pathway_toolkit import melconv
 from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.melconv import (
     MomentDensity,
@@ -172,7 +173,7 @@ class TestMellinInvert:
         dens = product_moment_density(spec)
         # elementary convolution oracle: integral_u^1 dv/v = -ln u; small u
         # puts a fast phase e^(-i t ln u) on every panel, and the result must
-        # still meet the inversion's own target rel_tol (1 + |g|)
+        # still meet the inversion's own target 1e-8 (1 + |g|)
         for x in (0.004, 0.03, 0.1, 0.5, 0.9, 0.97):
             oracle = quad(lambda v: 1.0 / v, x, 1.0)[0]
             assert oracle == pytest.approx(-math.log(x), rel=1e-12)
@@ -205,21 +206,67 @@ class TestMellinInvert:
 
     @pytest.mark.parametrize("error", [DomainError, ZeroDivisionError])
     def test_probe_error_propagates(self, error):
-        # only a scalars-only function's TypeError/ValueError falls back to
-        # per-point calls; any other error on the array probe is raised as is
-        shapes = []
+        # moment functions take arrays: an error from the first contour call
+        # is raised as is, with no retry point by point
+        calls = []
 
         def moment(s):
-            shapes.append(np.shape(s))
+            calls.append(np.shape(s))
             raise error("contour outside the strip")
 
         with pytest.raises(error, match="contour outside the strip"):
             mellin_invert(moment, 0.5, 1.0)
-        assert shapes == [(2,)]
+        assert len(calls) == 1
 
     def test_rejects_nonpositive_u(self):
         with pytest.raises(DomainError):
             mellin_invert(lambda s: 1.0 / s, 0.0, 1.0)
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    def test_rejects_non_finite_u(self, u):
+        with pytest.raises(DomainError):
+            mellin_invert(lambda s: 1.0 / s, u, 1.0)
+
+    @pytest.mark.parametrize(
+        "num, den, u",
+        [
+            ([("uniform01", {})] * 2, [], 1e-320),  # contour at c = 1
+            ([("gamma", {"gamma": 0.7})], [("gamma", {"gamma": 2.5})], 1e-300),  # c = 1.9
+        ],
+        ids=["uniform_product", "gamma_ratio"],
+    )
+    def test_scale_past_double_range_is_convergence_error(self, num, den, u):
+        def factors(side):
+            return [(builtin_density(kind, **shape), 1.0) for kind, shape in side]
+
+        dens = product_moment_density(ProductSpec(factors(num), factors(den)))
+        with pytest.raises(ConvergenceError) as err:  # u^-c overflows
+            dens.density(u)
+        assert err.value.bound == math.inf
+
+    def test_left_infinite_strip(self):
+        # 1/U: strip (-inf, 2), contour at 1; density 1/u^2 on (1, inf)
+        dens = product_moment_density(
+            ProductSpec(denominator=[(builtin_density("uniform01"), 1.0)])
+        )
+        assert default_contour(dens.strip) == 1.0
+        for u in (1.5, 3.0, 10.0):
+            assert dens.density(u) == pytest.approx(u**-2, rel=1e-8)
+        assert abs(dens.density(0.5)) < 1e-8
+
+    def test_whole_line_strip(self):
+        mu, sigma = 0.3, 0.8
+        dens = MomentDensity(
+            "lognormal",
+            lambda s: np.exp(mu * (s - 1) + sigma**2 * (s - 1) ** 2 / 2),
+            (-math.inf, math.inf),
+        )
+        assert default_contour(dens.strip) == 1.0
+        for u in (0.2, 0.7, 1.0, 1.3, 2.5, 6.0):
+            exact = math.exp(-((math.log(u) - mu) ** 2) / (2 * sigma**2)) / (
+                u * sigma * math.sqrt(2 * math.pi)
+            )
+            assert dens.density(u) == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
     def test_slow_decay_without_oscillation_fails_cleanly(self):
         # 1/s decays like 1/t and u = 1 gives no oscillation to lean on
@@ -264,6 +311,29 @@ class TestReactionRate:
             reaction_rate(0.0, 0.0, 1.0)  # a = 0 needs gamma < -1
         with pytest.raises(DomainError):
             reaction_rate(0.0, 1.0, 1.0, route="nosuch")
+
+    @pytest.mark.parametrize(
+        "g, a, b", [(1.0, math.nan, 0.0), (1.0, 1.0, math.nan), (math.nan, 1.0, 0.0)]
+    )
+    def test_nan_arguments_rejected(self, g, a, b):
+        with pytest.raises(DomainError):  # the closed form would return nan
+            reaction_rate(g, a, b, route="mellin")
+
+    @pytest.mark.parametrize(
+        "g, a, b", [(1.5, 2.0, 0.0), (0.0, 0.5, 0.0), (-2.5, 0.0, 1.5), (-3.0, 0.0, 0.5)]
+    )
+    def test_closed_form_when_a_or_b_vanishes(self, g, a, b):
+        q = reaction_rate(g, a, b, route="quadrature")
+        assert reaction_rate(g, a, b, route="mellin") == pytest.approx(q, rel=1e-12)
+        assert reaction_rate(g, a, b, route="both") == q
+
+    def test_routes_that_disagree_raise(self, monkeypatch):
+        q = reaction_rate(1.0, 1.0, 1.0)
+        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b: 1.01 * q)
+        with pytest.raises(ConvergenceError, match="disagree") as err:
+            reaction_rate(1.0, 1.0, 1.0, route="both")
+        assert err.value.partial == q
+        assert err.value.bound == pytest.approx(0.01 * q, rel=1e-12)
 
     def test_error_estimate_is_honest(self):
         val, err = reaction_rate_with_error(1.0, 1.0, 1.0)
@@ -530,6 +600,11 @@ class TestNormalityTrend:
     def test_k_validation(self):
         with pytest.raises(DomainError):
             normality_trend([1], (2.0, 2.0), 100, seed=0)
+
+    @pytest.mark.parametrize("shapes", [(math.inf, 2.0), (2.0, math.nan)])
+    def test_non_finite_shapes_rejected(self, shapes):
+        with pytest.raises(DomainError):
+            normality_trend([2, 4], shapes, 100, seed=0)
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_needs_two_draws(self, n):

@@ -175,6 +175,23 @@ class TestParams:
             PathwayParams.from_json(json.dumps(doc))
 
 
+class TestNanInput:
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(DomainError, match="alpha"):  # else it takes the alpha = 1 row
+            PathwayParams(alpha=math.nan)
+
+    @pytest.mark.parametrize("fn", [pathway_pdf, pathway_cdf])
+    @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+    def test_nan_x_rejected(self, fn, x):
+        with pytest.raises(DomainError, match="nan"):
+            fn(PathwayParams(alpha=0.5), x)
+
+    def test_infinite_x_is_still_a_point(self):
+        params = PathwayParams(alpha=1.5)
+        assert pathway_pdf(params, math.inf) == 0.0
+        assert pathway_cdf(params, math.inf) == 1.0
+
+
 class TestSupport:
     def test_finite_branch(self):
         assert pathway_support(PathwayParams(alpha=0.5)) == (0.0, 2.0)

@@ -183,6 +183,12 @@ class TestGeneratePoints:
         with pytest.raises(DomainError):
             SpiralConfig(marker_radius=0.0)
 
+    @pytest.mark.parametrize("field", ["k", "marker_radius"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            SpiralConfig(**{field: value})
+
 
 class TestParastichy:
     def test_golden_outer_window(self):
