@@ -347,7 +347,8 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
 def _run_melconv(cfg: RunConfig) -> str:
     p = cfg.params
     dens = melconv.product_moment_density(_parse_product_spec(p["spec"]))
-    return _tabulate([p["u"]], ["u", "density"], lambda u: (dens.density(u),))
+    density = iter(dens.density(np.array(p["u"], dtype=float)))  # one batched inversion
+    return _tabulate([p["u"]], ["u", "density"], lambda u: (next(density),))
 
 
 def _run_anova(cfg: RunConfig) -> str:

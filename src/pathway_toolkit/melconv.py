@@ -28,6 +28,7 @@ _GL_ORDER = 16
 _MAX_TAIL_PANELS = 240
 _MIN_FREQ = 1e-6
 _INVERT_TOL = 1e-8  # inversion target: absolute error 1e-8 (1 + |g|)
+_TAIL_GROUP_CHUNKS = 1 << 16  # tail chunks per moment call: 2^20 nodes
 
 # half-line rule: the lowest s (e^(-s) stays finite); 81 probe offsets, 0 at 40
 _HL_S_MIN = -700.0
@@ -74,8 +75,9 @@ class MomentDensity:
             )
         return float(self.moment_fn(np.array([s + 0.0j]))[0].real)
 
-    def density(self, u: float) -> float:
-        """Density at u recovered by Mellin inversion of the moment function."""
+    def density(self, u):
+        """Density at u (a scalar or an array) recovered by Mellin inversion of
+        the moment function; an array of u is one batched inversion."""
         return mellin_invert(self.moment_fn, u, default_contour(self.strip))
 
 
@@ -265,35 +267,114 @@ _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
 
 def _contour_panel(
-    mom, c: float, omega: float, a: float, b: float, max_chunk: float
-) -> complex:
-    """Gauss-Legendre integral of M(c+it) e^(-i omega t) over [a, b], split
-    into equal chunks so the fixed order stays adequate.
+    mom, c: float, rate: np.ndarray, a: float, b: float, max_chunk: float, pieces: int = 1
+) -> tuple[np.ndarray, float]:
+    """Gauss-Legendre integrals of M(c+it) e^(rate t) over each of ``pieces``
+    equal parts of [a, b], one row per part and one column per rate (rate is
+    -i ln u), each part split into equal chunks so the fixed order stays
+    adequate; and the envelope, the largest |M| on the nodes of the last
+    quarter of the last part.
 
-    The phase factors into a per-chunk and a per-node exponential, so the
-    complex exp runs on n_chunks + order values rather than on every node."""
-    n_chunks = max(1, int(math.ceil((b - a) / max_chunk)))
+    The moment runs once on nodes shared by every rate.  The phase factors
+    into a per-chunk and a per-node exponential, so the node phases and
+    weights are one (chunks x order) @ (order x rates) product.  The chunk
+    phases, in turn, are products of a coarse and a fine table of about
+    sqrt(chunks) exponentials each, as the chunk midpoints are equally spaced."""
+    n_chunks = pieces * max(1, int(math.ceil((b - a) / pieces / max_chunk)))
     half = 0.5 * (b - a) / n_chunks
     mids = a + half * (2.0 * np.arange(n_chunks) + 1.0)
     offsets = half * _GL_NODES
-    ts = (mids[:, None] + offsets[None, :]).ravel()
-    phase = np.outer(np.exp(-1j * omega * mids), np.exp(-1j * omega * offsets)).ravel()
-    vals = (mom(c + 1j * ts) * phase).reshape(n_chunks, -1)
-    return complex(half * np.sum(vals @ _GL_WEIGHTS))
+    vals = mom(c + 1j * (mids[:, None] + offsets).ravel()).reshape(n_chunks, -1)
+    node_phase = np.exp(np.multiply.outer(offsets, rate)) * _GL_WEIGHTS[:, None]
+    n_fine = math.isqrt(n_chunks - 1) + 1
+    fine = np.exp(np.multiply.outer(mids[:n_fine] - mids[0], rate))
+    coarse = np.exp(np.multiply.outer(mids[::n_fine], rate))
+    chunk_phase = (coarse[:, None] * fine).reshape(-1, rate.size)[:n_chunks]
+    parts = ((vals @ node_phase) * chunk_phase).reshape(pieces, -1, rate.size).sum(1)
+    return half * parts, np.abs(vals[n_chunks - n_chunks // (4 * pieces):]).max()
 
 
-def _averaged_limit(partials: list[complex]) -> tuple[complex, float]:
-    """Iterated averaging of at least two oscillating partial sums; returns
-    the apex and the size of the last averaging step as the error estimate."""
-    work = np.asarray(partials, dtype=complex)
-    last_per_level = [work[-1]]
-    while work.size > 1:
-        work = 0.5 * (work[:-1] + work[1:])
-        last_per_level.append(work[-1])
-    return last_per_level[-1], abs(last_per_level[-1] - last_per_level[-2])
+def _averaged_limit(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Iterated averaging of each row's oscillating partial sums (at least
+    two); returns the apexes and the sizes of the last averaging steps as the
+    error estimates."""
+    work = prev = partials
+    while work.shape[1] > 1:
+        prev, work = work[:, -1], 0.5 * (work[:, :-1] + work[:, 1:])
+    return work[:, 0], np.abs(work[:, 0] - prev)
 
 
-def mellin_invert(mom, u: float, c: float) -> float:
+def _tail_chunks(rate: np.ndarray) -> np.ndarray:
+    """Chunks per half-period tail panel, ceil(h / 2) with h = pi / |ln u|."""
+    return np.ceil(0.5 * math.pi / np.abs(rate)).astype(int)
+
+
+def _tail_nodes(c: float, rate: np.ndarray, t0: float):
+    """The half-period panels [t0 + k h, t0 + (k+1) h] of every rate at once:
+    each cut into its tail chunks, one row of Gauss-Legendre nodes per chunk,
+    the rows of one rate contiguous from its entry in the returned ``starts``.
+    ``panel(k)`` gives the contour nodes s of panel k, the per-node phased
+    weights and the per-chunk phases with the half width folded in."""
+    h = math.pi / np.abs(rate)
+    n_chunks = _tail_chunks(rate)
+    starts = np.cumsum(n_chunks) - n_chunks
+    owner = np.repeat(np.arange(rate.size), n_chunks)
+    half = (h / (2.0 * n_chunks))[owner]
+    within = np.arange(owner.size) - starts[owner]
+    offsets = half[:, None] * _GL_NODES
+    node_w = np.exp(rate[owner, None] * offsets) * _GL_WEIGHTS
+
+    def panel(k: int):
+        mids = t0 + k * h[owner] + half * (2.0 * within + 1.0)
+        s = c + 1j * (mids[:, None] + offsets).ravel()
+        return s, node_w, half * np.exp(rate[owner] * mids)
+
+    return starts, panel
+
+
+def _oscillatory_tail(mom, c: float, us, rate, scale, total, t0: float) -> np.ndarray:
+    """The values at ``us`` from the sum to t0, ``total``, and the half-period
+    tail panels after it, summed in lockstep and accelerated by iterated
+    averaging against the known oscillation; ``rate`` and ``scale`` are the
+    inversion's per-u phase rate and g units.
+
+    Each panel index is one moment call on the chunks of every u still to
+    settle; np.add.reduceat gives the per-u sums, and a u leaves the nodes once
+    it settles.  A u that does not settle within the panel cap raises
+    ConvergenceError with its partial value and bound."""
+    out, idx = np.empty(us.size), np.arange(us.size)
+    partials = np.empty((us.size, _MAX_TAIL_PANELS), dtype=complex)
+    running, best, best_err = np.zeros_like(total), np.zeros_like(total), np.full(us.size, math.inf)
+    starts, panel = _tail_nodes(c, rate, t0)
+    for k in range(_MAX_TAIL_PANELS):
+        s, node_w, chunk_w = panel(k)
+        chunk_sums = (mom(s).reshape(node_w.shape) * node_w).sum(1) * chunk_w
+        running += np.add.reduceat(chunk_sums, starts)
+        partials[:, k] = running
+        if k < 5 or k % 2 == 0:
+            continue
+        est, err = _averaged_limit(partials[:, : k + 1])
+        err *= scale
+        g_try = scale * (total + est).real
+        better = err < best_err
+        best, best_err = np.where(better, est, best), np.where(better, err, best_err)
+        done = err < 0.3 * _INVERT_TOL * (1.0 + np.abs(g_try))
+        if done.any():
+            out[idx[done]] = g_try[done]
+            if done.all():
+                return out
+            idx, rate, scale, total, running, partials, best, best_err = (
+                a[~done] for a in (idx, rate, scale, total, running, partials, best, best_err))
+            starts, panel = _tail_nodes(c, rate, t0)
+    raise ConvergenceError(
+        f"oscillatory tail failed to settle within {_MAX_TAIL_PANELS} "
+        f"half-period panels at u = {us[idx[0]]} (achieved bound ~ {best_err[0]:.2e})",
+        partial=scale[0] * (total[0] + best[0]).real,
+        bound=best_err[0],
+    )
+
+
+def mellin_invert(mom, u, c: float):
     """Recover g(u) = (1/2 pi) * integral of E(u^(s-1)) u^(-s) along Re s = c.
 
     By conjugate symmetry of real-valued moments the integral collapses to
@@ -303,77 +384,78 @@ def mellin_invert(mom, u: float, c: float) -> float:
     half-period panel sum accelerated by iterated averaging against the known
     oscillation frequency ln u.
 
-    ``mom`` maps a complex array of s on the contour to the moments there.  u
-    must be finite and > 0 (else DomainError); a u^-c past the double range
-    raises ConvergenceError with bound inf, and so does a missed target: the
-    absolute error 1e-8 (1 + |g|), with the achieved bound.
+    u is a scalar (a float comes back) or an array (an array of its shape).
+    The whole batch shares one set of base and octave nodes, with the chunk
+    length set by the largest |ln u|, so the moment runs once per node; each u
+    leaves at its own exit test, and those that reach the tail run it in
+    lockstep, each with its own half period.
+
+    ``mom`` maps a complex array of s on the contour to the moments there.
+    Every u must be finite and > 0 (else DomainError); a u^-c past the double
+    range raises ConvergenceError with bound inf, and so does a missed target:
+    the absolute error 1e-8 (1 + |g|), with the achieved bound.  The error
+    names the first failing u and carries its partial value and bound.
     """
-    if not 0 < u < math.inf:
-        raise DomainError(f"mellin_invert needs finite u > 0, got {u}")
-    omega = math.log(u)
-    try:
-        density_scale = u**-c / math.pi  # converts contour integral to g units
-    except OverflowError:
-        raise ConvergenceError(f"u^-c is past the double range at u = {u}, c = {c}",
-                               bound=math.inf) from None
+    u_arr = np.asarray(u, dtype=float)
+    flat = u_arr.ravel()
+    ok = (flat > 0) & (flat < math.inf)
+    if not ok.all():
+        raise DomainError(f"mellin_invert needs finite u > 0, got {flat[~ok][0]}")
+    with np.errstate(over="ignore"):
+        scale = flat**-c / math.pi  # converts contour integral to g units; > 0
+    if scale.max(initial=0.0) == math.inf:
+        raise ConvergenceError(f"u^-c is past the double range at u = "
+                               f"{flat[scale == math.inf][0]}, c = {c}", bound=math.inf)
+    rate = -1j * np.log(flat)  # the contour phase is e^(rate t)
+    out = np.empty(flat.size)
+    shaped = (lambda a: float(a[0])) if u_arr.ndim == 0 else (lambda a: a.reshape(u_arr.shape))
+    if not flat.size:
+        return shaped(out)
 
     # phase resolution: keep chunks short enough for both oscillation sources
-    chunk = min(math.pi / max(abs(omega), 1e-12), 1.0)
-    total = _contour_panel(mom, c, omega, 0.0, _BASE_HEIGHT, chunk)
+    chunk = min(math.pi / max(np.abs(rate).max(), 1e-12), 1.0)
+    # every point runs the first octave, so it shares the base sweep's call
+    (total, octave), env = _contour_panel(mom, c, rate, 0.0, 2 * _BASE_HEIGHT, chunk, 2)
 
+    # the points still to exit: their index into u, and their own state
+    idx, prev_contrib = np.arange(flat.size), np.full(flat.size, math.inf)
     t_cur = _BASE_HEIGHT
-    prev_contrib = math.inf
-    for _ in range(_MAX_OCTAVES):
-        target = _INVERT_TOL * (1.0 + abs(density_scale * total.real))
-        octave = _contour_panel(mom, c, omega, t_cur, 2 * t_cur, chunk)
-        total += octave
+    for k in range(_MAX_OCTAVES):
+        if k:
+            (octave,), env = _contour_panel(mom, c, rate, t_cur, 2 * t_cur, chunk)
+        budget = 0.1 * _INVERT_TOL * (1.0 + scale * np.abs(total.real))  # 0.1 target
+        total = total + octave
         t_cur *= 2
-        contrib = abs(density_scale) * abs(octave)
-        env = abs(density_scale) * float(
-            np.max(np.abs(mom(c + 1j * np.linspace(0.75 * t_cur, t_cur, 9))))
-        )
-        ratio = contrib / max(prev_contrib, 1e-300)
-        prev_contrib = contrib
+        contrib = scale * np.abs(octave)
         # fast-decay exit: the octave is below the budget, and either the
         # envelope can no longer matter or the octaves collapse geometrically
-        if contrib < 0.1 * target and (env * t_cur < 0.05 * target or ratio < 0.3):
-            return density_scale * total.real
+        done = (contrib < budget) & ((env * t_cur * scale < 0.5 * budget) |
+                                     (contrib < 0.3 * prev_contrib))
+        prev_contrib = contrib
+        if done.any():
+            out[idx[done]] = scale[done] * total[done].real
+            if done.all():
+                return shaped(out)
+            idx, rate, scale, total, prev_contrib = (
+                a[~done] for a in (idx, rate, scale, total, prev_contrib))
 
     # slow decay: lean on the u-oscillation
-    if abs(omega) < _MIN_FREQ:
-        g = density_scale * total.real
+    no_freq = np.abs(rate) < _MIN_FREQ
+    if no_freq.any():
+        i = int(np.argmax(no_freq))
         raise ConvergenceError(
             f"moment function decays too slowly along the contour and "
-            f"|ln u| = {abs(omega):.2e} gives no usable oscillation "
-            f"(achieved bound ~ {prev_contrib:.2e})",
-            partial=g,
-            bound=prev_contrib,
+            f"|ln u| = {abs(rate[i]):.2e} at u = {flat[idx[i]]} gives no usable "
+            f"oscillation (achieved bound ~ {prev_contrib[i]:.2e})",
+            partial=scale[i] * total[i].real,
+            bound=prev_contrib[i],
         )
-    h = math.pi / abs(omega)
-    running = 0.0 + 0.0j
-    partials: list[complex] = []
-    best, best_err = 0.0 + 0.0j, math.inf
-    for k in range(_MAX_TAIL_PANELS):
-        running += _contour_panel(
-            mom, c, omega, t_cur + k * h, t_cur + (k + 1) * h, min(chunk * 2, h)
-        )
-        partials.append(running)
-        if len(partials) >= 6 and k % 2 == 1:
-            est, err = _averaged_limit(partials)
-            err *= abs(density_scale)
-            g_try = density_scale * (total + est).real
-            target = _INVERT_TOL * (1.0 + abs(g_try))
-            if err < best_err:
-                best, best_err = est, err
-            if err < 0.3 * target:
-                return g_try
-    g = density_scale * (total + best).real
-    raise ConvergenceError(
-        f"oscillatory tail failed to settle within {_MAX_TAIL_PANELS} "
-        f"half-period panels (achieved bound ~ {best_err:.2e})",
-        partial=g,
-        bound=best_err,
-    )
+    # the tail runs u by group, so that one panel index holds about
+    # _TAIL_GROUP_CHUNKS chunks however many u lie close to 1
+    group = np.cumsum(_tail_chunks(rate)) // _TAIL_GROUP_CHUNKS
+    for g in np.split(np.arange(idx.size), np.flatnonzero(np.diff(group)) + 1):
+        out[idx[g]] = _oscillatory_tail(mom, c, flat[idx[g]], rate[g], scale[g], total[g], t_cur)
+    return shaped(out)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +525,9 @@ def integrate_halfline(integrand) -> tuple[float, float]:
 # reaction-rate integral
 
 def _validate_reaction(gamma: float, a: float, b: float):
-    if not (a >= 0 and b >= 0) or math.isnan(gamma):
-        raise DomainError(f"need a, b >= 0 and a number gamma; got a = {a}, b = {b}, "
-                          f"gamma = {gamma}")
+    if not (0 <= a < math.inf and 0 <= b < math.inf and math.isfinite(gamma)):
+        raise DomainError(f"need finite a, b >= 0 and a finite gamma; got a = {a}, "
+                          f"b = {b}, gamma = {gamma}")
     if a == 0 and b == 0:
         raise DomainError("need a > 0 or b > 0")
     if b == 0 and gamma <= -1:
@@ -454,10 +536,11 @@ def _validate_reaction(gamma: float, a: float, b: float):
         raise DomainError(f"a = 0 requires gamma < -1, got {gamma}")
 
 
-def _reaction_mellin(gamma: float, a: float, b: float) -> float:
+def _reaction_mellin(gamma: float, a: float, b: float) -> tuple[float, float]:
     # product structure: x1 ~ gamma(shape gamma+2, rate a), x2 with density
     # e^(-sqrt(x))/2; then g(u) = c1*c2*I(gamma, a, sqrt(u)), so evaluate the
-    # inverse at u = b^2 and divide the constants back out.
+    # inverse at u = b^2 and divide the constants back out.  The error is the
+    # inversion's target 1e-8 (1 + |g|) in the same units.
     if gamma <= -2:
         raise DomainError(
             "the product-structure route needs gamma > -2 so the power part "
@@ -474,7 +557,11 @@ def _reaction_mellin(gamma: float, a: float, b: float) -> float:
 
     s_lo = max(0.0, -gamma - 1.0)
     g = mellin_invert(mom, b * b, s_lo + 1.0)
-    return g * 2.0 * math.exp(lg2 - (gamma + 2) * log_a)
+    try:
+        scale = 2.0 * math.exp(lg2 - (gamma + 2) * log_a)
+    except OverflowError:  # the rate is past the double range, as by quadrature
+        scale = math.inf
+    return g * scale, _INVERT_TOL * (1.0 + abs(g)) * scale
 
 
 def reaction_rate(
@@ -494,8 +581,9 @@ def reaction_rate_with_error(
     gamma: float, a: float, b: float, route: str = "quadrature"
 ) -> tuple[float, float]:
     """reaction_rate plus its absolute-error estimate (for tabulation): the
-    quadrature estimate, or the inversion target 1e-8 |value| on the Mellin
-    route."""
+    quadrature estimate, or on the Mellin route the inversion target
+    1e-8 (1 + |g|) in value units, where value = g 2 Gamma(gamma+2) / a^(gamma+2)
+    (1e-8 |value| for the closed forms at a = 0 or b = 0)."""
     _validate_reaction(gamma, a, b)
     if route not in ("quadrature", "mellin", "both"):
         raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
@@ -505,10 +593,11 @@ def reaction_rate_with_error(
             g, s, alpha = (gamma, a, 1.0) if b == 0 else (-gamma - 2, b, 0.5)
             p = (g + 1) / alpha
             mellin_val = math.exp(gammaln(p) - p * math.log(s)) / alpha
+            mellin_err = abs(mellin_val) * _INVERT_TOL
         else:
-            mellin_val = _reaction_mellin(gamma, a, b)
+            mellin_val, mellin_err = _reaction_mellin(gamma, a, b)
         if route == "mellin":
-            return mellin_val, abs(mellin_val) * _INVERT_TOL
+            return mellin_val, mellin_err
     # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
     q, err = integrate_halfline(_kratzel_integrand(gamma, a, b, 1.0, 0.5))
     if route == "both" and abs(q - mellin_val) > 1e-6 * max(abs(q), abs(mellin_val)):
@@ -558,10 +647,11 @@ def kratzel_g2(
 def kratzel_g2_with_error(
     gamma: float, a: float, y: float, alpha: float = 1.0, beta: float = 1.0
 ) -> tuple[float, float]:
-    if not (a > 0 and alpha > 0 and beta != 0 and y >= 0):
-        raise DomainError("the Kratzel integral needs a > 0, alpha > 0, beta != 0 "
-                          f"and y >= 0; got a = {a}, alpha = {alpha}, beta = {beta}, "
-                          f"y = {y}")
+    finite = all(map(math.isfinite, (gamma, a, y, alpha, beta)))
+    if not (finite and a > 0 and alpha > 0 and beta != 0 and y >= 0):
+        raise DomainError("the Kratzel integral needs finite parameters with a > 0, "
+                          f"alpha > 0, beta != 0 and y >= 0; got gamma = {gamma}, "
+                          f"a = {a}, alpha = {alpha}, beta = {beta}, y = {y}")
     if (y == 0 or beta < 0) and gamma <= -1:
         raise DomainError(
             f"integrability at 0 requires gamma > -1 when y = 0 or beta < 0, "

@@ -95,8 +95,9 @@ class PathwayParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if math.isnan(self.alpha):
-            raise DomainError(f"alpha must be a number, got {self.alpha}")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be a finite number, got {getattr(self, f.name)}")
         for name in ("delta", "a", "eta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")

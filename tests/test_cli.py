@@ -159,6 +159,22 @@ class TestRun:
             -math.log(0.5), abs=1e-6
         )
 
+    def test_melconv_grid_is_one_inversion(self, monkeypatch, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"numerator": [{"kind": "uniform01"}] * 2}))
+        calls = []
+        invert = melconv.mellin_invert
+        monkeypatch.setattr(
+            melconv, "mellin_invert", lambda *a: calls.append(np.shape(a[1])) or invert(*a)
+        )
+        assert main(["melconv", "--spec", str(spec), "--u", "0.1,0.5,0.9,0.5"]) == 0
+        assert calls == [(4,)]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "u,density" and len(lines) == 5
+        for line in lines[1:]:
+            u, g = map(float, line.split(","))
+            assert g == pytest.approx(-math.log(u), abs=1e-8 * (1 - math.log(u)))
+
     def test_anova_round_trip(self, tmp_path, capsys):
         a_csv = tmp_path / "a.csv"
         rng = np.random.default_rng(4)
@@ -395,6 +411,28 @@ class TestTables:
     def test_format_table_deterministic(self):
         rows = [(0, 0.1), (1, 2.0 / 3.0)]
         assert format_table(["i", "v"], rows) == format_table(["i", "v"], rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratecalc", "--gamma", "0", "--a", "inf", "--b", "1", "--route", "mellin"],
+        ["pathway", "--alpha", "0.5", "--gamma", "inf", "--x", "1"],
+        ["kratzel", "--gamma", "0", "--a", "1", "--y", "inf"],
+    ],
+    ids=["ratecalc", "pathway", "kratzel"],
+)
+def test_infinite_parameter_is_one_stderr_line(argv):
+    # run as a user does: a RuntimeWarning ahead of the error would show here
+    src = os.path.dirname(os.path.dirname(pathway_toolkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "pathway_toolkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("pathway-toolkit: error: ") and "finite" in proc.stderr
 
 
 def test_import_leaves_out_scipy_integrate_and_optimize():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -195,10 +196,9 @@ class TestMellinInvert:
     )
     def test_round_trip(self, kind, shape, points):
         dens = builtin_density(kind, **shape)
-        c = default_contour(dens.strip)
-        for u in points:
-            val = mellin_invert(dens.moment_fn, u, c)
-            assert abs(val - dens.pdf_oracle(u)) <= 1e-6
+        vals = mellin_invert(dens.moment_fn, points, default_contour(dens.strip))
+        oracle = np.array([dens.pdf_oracle(u) for u in points])
+        assert np.all(np.abs(vals - oracle) <= 1e-6)
 
     def test_scalar_only_moment_callable(self):
         val = mellin_invert(lambda s: 1.0 / s, 0.5, 1.0)
@@ -275,6 +275,111 @@ class TestMellinInvert:
         assert err.value.bound is not None
 
 
+def _two_uniforms():
+    u01 = builtin_density("uniform01")
+    return product_moment_density(ProductSpec(numerator=[(u01, 1.0), (u01, 1.0)]))
+
+
+def _gamma_ratio():
+    return product_moment_density(ProductSpec(
+        numerator=[(builtin_density("gamma", gamma=0.7), 1.0)],
+        denominator=[(builtin_density("gamma", gamma=2.5), 1.0)],
+    ))
+
+
+class TestBatchedInversion:
+    """An array of u is one inversion: shared base and octave nodes, a per-point
+    exit, and a lockstep tail; it must give the per-point values."""
+
+    def test_scalar_gives_float(self):
+        dens = _two_uniforms()
+        assert type(dens.density(0.5)) is float
+        assert type(dens.density(np.float64(0.5))) is float
+        assert type(mellin_invert(lambda s: 1.0 / s, 0.5, 1.0)) is float
+
+    @pytest.mark.parametrize(
+        "dens, us",
+        [
+            (_two_uniforms(), np.linspace(0.02, 0.98, 12)),  # tail for every point
+            (_gamma_ratio(), np.geomspace(0.05, 5.0, 12)),  # exit in the octaves
+            (random_volume_dist(3, [(2.0, 2.7)]), np.linspace(0.01, 0.95, 12)),
+            (builtin_density("type2_beta", alpha=2.5, beta=0.7), np.geomspace(1e-3, 30, 12)),
+        ],
+        ids=["two_uniforms", "gamma_ratio", "beta_volume", "type2_beta_heavy_tail"],
+    )
+    def test_vector_matches_scalar_calls(self, dens, us):
+        one_by_one = np.array([dens.density(float(u)) for u in us])
+        batch = dens.density(us)
+        assert batch.shape == us.shape
+        assert np.all(np.abs(batch - one_by_one) <= 1e-8 * (1.0 + np.abs(one_by_one)))
+        grid = dens.density(us.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid.ravel(), batch)
+        assert dens.density(us[:1]).shape == (1,)
+
+    def test_empty_array(self):
+        assert _two_uniforms().density(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_mixed_batch_rejects_a_bad_u(self, bad):
+        with pytest.raises(DomainError, match="finite u > 0"):
+            _two_uniforms().density(np.array([0.5, bad, 0.25]))
+
+    @pytest.mark.parametrize(
+        "dens, tiny", [(_two_uniforms(), 1e-320), (_gamma_ratio(), 1e-300)],
+        ids=["uniform_product", "gamma_ratio"],
+    )
+    def test_mixed_batch_scale_past_double_range(self, dens, tiny):
+        with pytest.raises(ConvergenceError, match="double range") as err:
+            dens.density(np.array([0.5, tiny]))
+        assert err.value.bound == math.inf
+
+    def test_mixed_batch_without_oscillation_names_its_u(self):
+        with pytest.raises(ConvergenceError, match=r"at u = 1\.0 ") as err:
+            mellin_invert(lambda s: 1.0 / s, np.array([0.5, 1.0, 0.25]), 1.0)
+        with pytest.raises(ConvergenceError) as alone:
+            mellin_invert(lambda s: 1.0 / s, 1.0, 1.0)
+        assert err.value.bound == pytest.approx(alone.value.bound, rel=1e-12)
+
+    def test_tail_failure_names_its_u(self):
+        def moment(s):  # a term that never decays: no tail settles
+            return 1.0 / s + 1e-2 * np.cos(s.imag) ** 2
+
+        with pytest.raises(ConvergenceError, match="half-period panels at u = 0.5 ") as err:
+            mellin_invert(moment, np.array([0.5, 2.0]), 1.0)
+        with pytest.raises(ConvergenceError) as alone:
+            mellin_invert(moment, 0.5, 1.0)
+        assert err.value.partial == pytest.approx(alone.value.partial, rel=1e-12)
+        assert err.value.bound == pytest.approx(alone.value.bound, rel=1e-6)
+
+    def test_tail_groups_give_the_same_values(self, monkeypatch):
+        # u near 1 have long half periods; the tail then runs group by group
+        dens = _two_uniforms()
+        us = np.concatenate((np.linspace(0.99, 0.999, 5), np.linspace(0.3, 0.7, 5)))
+        whole = dens.density(us)
+        monkeypatch.setattr(melconv, "_TAIL_GROUP_CHUNKS", 500)
+        assert np.array_equal(dens.density(us), whole)
+        assert np.all(np.abs(whole + np.log(us)) <= 1e-8 * (1.0 - np.log(us)))
+
+    @pytest.mark.parametrize("dens", [_gamma_ratio(), _two_uniforms()], ids=["octaves", "tail"])
+    def test_moment_calls_do_not_grow_with_points(self, dens):
+        # one call per base-and-octave sweep and per tail panel, shared by the
+        # batch: as many calls as its slowest point makes alone (|ln u| <= pi
+        # keeps the chunk length 1 for every batch below)
+        def calls(us):
+            count = []
+
+            def moment(s):
+                count.append(1)
+                return dens.moment_fn(s)
+
+            mellin_invert(moment, us, default_contour(dens.strip))
+            return len(count)
+
+        us = np.linspace(0.1, 3.0, 40)
+        assert calls(us) == max(calls(u) for u in us)
+
+
 class TestReactionRate:
     def test_gamma_integral_row(self):
         assert reaction_rate(2.0, 3.0, 0.0) == pytest.approx(2.0 / 27.0, rel=1e-10)
@@ -319,6 +424,37 @@ class TestReactionRate:
         with pytest.raises(DomainError):  # the closed form would return nan
             reaction_rate(g, a, b, route="mellin")
 
+    @pytest.mark.parametrize("route", ["mellin", "quadrature"])
+    @pytest.mark.parametrize(
+        "g, a, b", [(0.0, math.inf, 1.0), (0.0, 1.0, math.inf), (math.inf, 1.0, 1.0),
+                    (-math.inf, 1.0, 1.0)],
+    )
+    def test_infinite_arguments_rejected(self, g, a, b, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            with pytest.raises(DomainError, match="finite"):
+                reaction_rate(g, a, b, route=route)
+
+    @pytest.mark.parametrize(
+        "g, a, b", [(0.0, 10.0, 20.0), (-0.5, 0.5, 0.5), (1.0, 2.0, 2.0), (2.0, 0.5, 20.0),
+                    (0.0, 2.0, 0.5), (1.5, 10.0, 0.5)],
+    )
+    def test_mellin_error_estimate_covers_the_error(self, g, a, b):
+        # the estimate is the inversion target 1e-8 (1 + |g|) in value units;
+        # 1e-8 |value| missed the actual error at (0, 10, 20) by a factor 1.85
+        with mpmath.workdps(30):
+            ref = mpmath.quad(
+                lambda x: x**g * mpmath.exp(-a * x - b / mpmath.sqrt(x)),
+                [0, *(mpmath.mpf(10) ** k for k in range(-4, 3)), mpmath.inf],
+            )
+        val, err = reaction_rate_with_error(g, a, b, route="mellin")
+        assert abs(val - float(ref)) <= err
+
+    def test_rate_past_double_range_is_inf(self):
+        # Gamma(202) / a^202 at a = 1e-5 overflows: inf on both routes
+        for route in ("mellin", "quadrature", "both"):
+            assert reaction_rate(200.0, 1e-5, 1.0, route=route) == math.inf
+
     @pytest.mark.parametrize(
         "g, a, b", [(1.5, 2.0, 0.0), (0.0, 0.5, 0.0), (-2.5, 0.0, 1.5), (-3.0, 0.0, 0.5)]
     )
@@ -329,7 +465,7 @@ class TestReactionRate:
 
     def test_routes_that_disagree_raise(self, monkeypatch):
         q = reaction_rate(1.0, 1.0, 1.0)
-        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b: 1.01 * q)
+        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b: (1.01 * q, 0.0))
         with pytest.raises(ConvergenceError, match="disagree") as err:
             reaction_rate(1.0, 1.0, 1.0, route="both")
         assert err.value.partial == q
@@ -393,6 +529,17 @@ class TestKratzel:
             kratzel_g2(0.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             kratzel_g2(-1.5, 1.0, 1.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "args", [(math.inf, 1.0, 1.0, 1.0, 1.0), (0.0, math.inf, 1.0, 1.0, 1.0),
+                 (0.0, 1.0, math.inf, 1.0, 1.0), (0.0, 1.0, 1.0, math.inf, 1.0),
+                 (0.0, 1.0, 1.0, 1.0, -math.inf), (math.nan, 1.0, 1.0, 1.0, 1.0)],
+    )
+    def test_non_finite_arguments_rejected(self, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                kratzel_g2(*args)
 
     def test_with_error_variant(self):
         v1, e1 = kratzel_g2_with_error(0.7, 1.3, 0.9)

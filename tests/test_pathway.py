@@ -137,6 +137,12 @@ class TestParams:
             dict(alpha=0.5, delta=1e-300),  # support end 2^(1e300) overflows
             dict(alpha=0.5, a=1e308, eta=1e308),  # constant overflows to inf
             dict(alpha=1 - 2**-53, a=1e-310),  # a(1 - alpha) underflows to 0
+            dict(alpha=0.5, gamma=math.inf),  # inf - inf in the constant
+            dict(alpha=math.inf),
+            dict(alpha=-math.inf),
+            dict(alpha=1.5, delta=math.inf),
+            dict(alpha=1.0, a=math.inf),
+            dict(alpha=0.5, eta=math.inf),
         ],
     )
     def test_construction_rejects(self, kwargs):
