@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betaln, gammaln, loggamma
+from scipy.special import (betainc, betainccinv, betaincinv, betaln, gammainc,
+                           gammaincinv, gammaln, loggamma)
 
 from .errors import ConvergenceError, DomainError, as_number
 
@@ -52,7 +53,7 @@ class MomentDensity:
     moment_fn: Callable[[np.ndarray], np.ndarray]
     strip: tuple[float, float]
     support: tuple[float, float] = (0.0, math.inf)
-    pdf_oracle: Callable[[float], float] | None = None
+    pdf_oracle: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         lo, hi = self.strip
@@ -95,64 +96,141 @@ def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
     return [as_number(shape[k], message) for k in keys]
 
 
-class _Kind(NamedTuple):
-    """One stock distribution.  ``bounds`` maps each shape key to the value
-    it must exceed; the callables take the shape values after their first
-    argument (a complex array s, or a real x inside the open support)."""
-
-    bounds: dict[str, float]
-    moment: Callable
-    log_pdf: Callable
-    strip: Callable[..., tuple[float, float]]
-    support: tuple[float, float]
+def _points(x) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array, and whether it was a scalar; NaN is a DomainError."""
+    x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError("x must be a number, got nan")
+    return np.atleast_1d(x_arr), x_arr.ndim == 0
 
 
+# ---------------------------------------------------------------------------
+# the three laws of the pathway model, and the stock kinds built on them
+
+class _Law(NamedTuple):
+    """A law of y on (0, y_max), density y^(p-1) k(y) over its integral, with kernel
+    k = (1-y)^e (type-1 beta), e^-y (gamma) or (1+y)^-e (type-2 beta).  The exponent e
+    (q - 1, unused, p + q) is carried beside the shape q, so that neither is rounded
+    through the other."""
+
+    y_max: float
+    q: Callable  # (p, e) -> q
+    log_integral: Callable  # (p, q) -> ln of the integral of y^(p-1) k(y)
+    log_kernel: Callable  # (e, y) -> ln k(y)
+    cdf: Callable  # (p, q, y)
+    quantile: Callable  # (p, q, u)
+    moment: Callable  # (p, q, z, log_w) -> e^log_w E(y^(z-p)), z a complex array
+
+
+def _beta1_moment(p, q, z, log_w):
+    if q == 1:  # B(z, 1) / B(p, 1) = p / z, with no log-gamma pair per node
+        return np.exp(log_w) * p / z
+    return np.exp(loggamma(z) - loggamma(z + q) + (log_w + gammaln(p + q) - gammaln(p)))
+
+
+def _beta2_cdf(p, q, y):
+    # I_s(p, q) at s = y/(1+y) in the body and 1 - I_(1-s)(q, p) at 1 - s = 1/(1+y) in the
+    # tail, so neither end rounds s to 0 or 1 (betaincc is exact too, but 2-10 times slower)
+    out = np.empty_like(y)
+    body = y <= 1
+    out[body] = betainc(p, q, y[body] / (1 + y[body]))
+    out[~body] = 1 - betainc(q, p, 1 / (1 + y[~body]))
+    return out
+
+
+# y = scale * x**delta may round past 1 just inside the support end
+_BETA1 = _Law(1.0, lambda p, e: e + 1, betaln, lambda e, y: e * np.log1p(-np.minimum(y, 1.0)),
+              betainc, betaincinv, _beta1_moment)
+_GAMMA = _Law(math.inf, lambda p, e: math.inf, lambda p, q: gammaln(p),
+              lambda e, y: -y, lambda p, q, y: gammainc(p, y),
+              lambda p, q, u: gammaincinv(p, u),
+              lambda p, q, z, log_w: np.exp(loggamma(z) + (log_w - gammaln(p))))
+# s = y/(1+y) from the lower inverse and 1 - s = 1/(1+y) from the upper one are
+# each exact where they are small, so their ratio y is too
+_BETA2 = _Law(math.inf, lambda p, e: e - p, betaln, lambda e, y: -e * np.log1p(y),
+              _beta2_cdf, lambda p, q, u: betaincinv(p, q, u) / betainccinv(q, p, u),
+              lambda p, q, z, log_w: np.exp(
+                  loggamma(z) + loggamma((p + q) - z) + (log_w - gammaln(p) - gammaln(q))))
+
+
+class _PowerLaw(NamedTuple):
+    """x = (y / scale)^(1/delta) for y from ``row`` with kernel exponent e (see ``_power_law``):
+    its density is C x^gamma k(scale x^delta) on (0, x_max), with p = (gamma + 1) / delta."""
+
+    row: _Law
+    e: float
+    scale: float
+    delta: float
+    gamma: float
+    p: float
+    q: float
+    x_max: float
+    log_c: float
+
+    @property
+    def norm_const(self) -> float:
+        try:
+            return math.exp(self.log_c)
+        except OverflowError:  # the density at 0 is above the double range
+            return math.inf
+
+    @property
+    def strip(self) -> tuple[float, float]:
+        """Real s where E(x^(s-1)) exists: p + (s-1)/delta > 0, and below q for y unbounded."""
+        r_max = self.q if self.row.y_max == math.inf else math.inf
+        return 0.0 - self.gamma, 1 + self.delta * r_max
+
+    def moment(self, s):
+        """E(x^(s-1)) = scale^(-r) E(y^r) at r = z - p, z = (gamma + s) / delta, on a
+        complex array s.  Unit steps are skipped, so the uniform law's moment is 1/s."""
+        s = np.asarray(s, dtype=complex)
+        z = s + self.gamma if self.gamma else s
+        z = z / self.delta if self.delta != 1 else z
+        log_w = (1 - s) * (math.log(self.scale) / self.delta) if self.scale != 1 else 0.0
+        return self.row.moment(self.p, self.q, z, log_w)
+
+    def pdf(self, x):
+        """The density at x (scalar or array), 0 outside (0, x_max); at x = 0, x^gamma
+        decides: 0 for gamma > 0, C k(0) = C for gamma = 0, inf for gamma < 0."""
+        x_arr, scalar = _points(x)
+        out = np.zeros_like(x_arr)
+        inside = (x_arr > 0) & (x_arr < self.x_max)
+        xi = x_arr[inside]
+        # y = scale * x**delta is inf past the double range, and may round to
+        # y_max = 1 just inside the support end, where the kernel is 0
+        with np.errstate(over="ignore", divide="ignore"):
+            y = self.scale * xi**self.delta
+            log_kernel = self.row.log_kernel(self.e, y)
+        # there the kernel is y^-(p+q), with ln y = ln(scale) + delta ln x still finite
+        far = np.isinf(y)
+        log_kernel[far] = -(self.p + self.q) * (math.log(self.scale) + self.delta * np.log(xi[far]))
+        out[inside] = np.exp(self.log_c + self.gamma * np.log(xi) + log_kernel)
+        if self.gamma <= 0:
+            out[x_arr == 0] = self.norm_const if self.gamma == 0 else math.inf
+        return float(out[0]) if scalar else out
+
+
+def _power_law(row: _Law, e: float, scale: float, delta: float, gamma: float) -> _PowerLaw:
+    """The ``_PowerLaw`` of these five; a support end or constant past a double is inf."""
+    p = (gamma + 1) / delta
+    q = row.q(p, e)
+    try:  # float ** overflows; a scale that underflowed to 0 fails too
+        x_max = (row.y_max / scale) ** (1 / delta)
+        log_c = math.log(delta) + p * math.log(scale) - row.log_integral(p, q)
+    except (ArithmeticError, ValueError):
+        x_max = log_c = math.inf
+    return _PowerLaw(row, e, scale, delta, gamma, p, q, x_max, log_c)
+
+
+# each stock kind: the value each shape key must exceed, and its law as
+# (law row, kernel exponent, scale, delta, gamma)
 _BUILTINS = {
-    "uniform01": _Kind(
-        {}, lambda s: 1.0 / s, lambda x: 0.0, lambda: (0.0, math.inf), (0.0, 1.0)
-    ),
-    "gamma": _Kind(
-        {"gamma": -1.0},
-        lambda s, g: np.exp(loggamma(g + s) - gammaln(g + 1)),
-        lambda x, g: g * math.log(x) - x - gammaln(g + 1),
-        lambda g: (-g, math.inf),
-        (0.0, math.inf),
-    ),
-    "gen_gamma": _Kind(
-        {"gamma": -1.0, "a": 0.0, "delta": 0.0},
-        lambda s, g, a, d: np.exp(
-            loggamma((g + s) / d) - gammaln((g + 1) / d) - (s - 1) / d * math.log(a)
-        ),
-        lambda x, g, a, d: (
-            math.log(d) + (g + 1) / d * math.log(a) + g * math.log(x) - a * x**d
-            - gammaln((g + 1) / d)
-        ),
-        lambda g, a, d: (-g, math.inf),
-        (0.0, math.inf),
-    ),
-    "type1_beta": _Kind(
-        {"alpha": 0.0, "beta": 0.0},
-        lambda s, al, be: np.exp(
-            loggamma(al + s - 1) + loggamma(al + be) - loggamma(al)
-            - loggamma(al + be + s - 1)
-        ),
-        lambda x, al, be: (
-            (al - 1) * math.log(x) + (be - 1) * math.log1p(-x) - betaln(al, be)
-        ),
-        lambda al, be: (1 - al, math.inf),
-        (0.0, 1.0),
-    ),
-    "type2_beta": _Kind(
-        {"alpha": 0.0, "beta": 0.0},
-        lambda s, al, be: np.exp(
-            loggamma(al + s - 1) + loggamma(be - s + 1) - loggamma(al) - loggamma(be)
-        ),
-        lambda x, al, be: (
-            (al - 1) * math.log(x) - (al + be) * math.log1p(x) - betaln(al, be)
-        ),
-        lambda al, be: (1 - al, 1 + be),
-        (0.0, math.inf),
-    ),
+    "uniform01": ({}, lambda: (_BETA1, 0.0, 1.0, 1.0, 0.0)),
+    "gamma": ({"gamma": -1.0}, lambda g: (_GAMMA, math.inf, 1.0, 1.0, g)),
+    "gen_gamma": ({"gamma": -1.0, "a": 0.0, "delta": 0.0},
+                  lambda g, a, d: (_GAMMA, math.inf, a, d, g)),
+    "type1_beta": ({"alpha": 0.0, "beta": 0.0}, lambda al, be: (_BETA1, be - 1, 1.0, 1.0, al - 1)),
+    "type2_beta": ({"alpha": 0.0, "beta": 0.0}, lambda al, be: (_BETA2, al + be, 1.0, 1.0, al - 1)),
 }
 
 
@@ -161,23 +239,19 @@ def builtin_density(kind: str, **shape) -> MomentDensity:
 
     kinds: ``gamma(gamma)``, ``gen_gamma(gamma, a, delta)``,
     ``type1_beta(alpha, beta)``, ``type2_beta(alpha, beta)``, ``uniform01``.
+    Each is one of the pathway model's three laws under a power transform, and
+    its ``pdf_oracle`` is that law's array pdf.
     """
     row = _BUILTINS.get(kind)
     if row is None:
         raise DomainError(f"unknown builtin density kind: {kind!r}")
-    vals = _shape_values(kind, shape, *row.bounds)
-    if not all(v > bound for v, bound in zip(vals, row.bounds.values())):
-        need = ", ".join(f"{k} > {bound:g}" for k, bound in row.bounds.items())
+    bounds, to_law = row
+    vals = _shape_values(kind, shape, *bounds)
+    if not all(v > bound for v, bound in zip(vals, bounds.values())):
+        need = ", ".join(f"{k} > {bound:g}" for k, bound in bounds.items())
         raise DomainError(f"{kind} needs {need}; got {', '.join(map(str, vals))}")
-    lo, hi = row.support
-
-    def mom(s):
-        return row.moment(np.asarray(s, dtype=complex), *vals)
-
-    def pdf(x):
-        return math.exp(row.log_pdf(x, *vals)) if lo < x < hi else 0.0
-
-    return MomentDensity(kind, mom, row.strip(*vals), row.support, pdf)
+    law = _power_law(*to_law(*vals))
+    return MomentDensity(kind, law.moment, law.strip, (0.0, law.x_max), law.pdf)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +630,8 @@ def _reaction_mellin(gamma: float, a: float, b: float) -> tuple[float, float]:
         )
 
     s_lo = max(0.0, -gamma - 1.0)
-    g = mellin_invert(mom, b * b, s_lo + 1.0)
+    # a density is >= 0, and a negative g lies within its own bound
+    g = max(0.0, mellin_invert(mom, b * b, s_lo + 1.0))
     try:
         scale = 2.0 * math.exp(lg2 - (gamma + 2) * log_a)
     except OverflowError:  # the rate is past the double range, as by quadrature

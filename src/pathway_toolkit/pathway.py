@@ -4,8 +4,9 @@ One parameter record covers three families: a finite-range power model below
 the transition value, a heavy-tailed power model above it, and a stretched
 gamma model exactly at it.  Under y = a|1-alpha| x^delta (a eta x^delta at the
 transition) they are a type-1 beta, a type-2 beta and a gamma law (Mathai,
-Linear Algebra Appl. 396, 2005).  Construction picks that law from one regime
-table and checks only that its closed-form constant and support fit a double.
+Linear Algebra Appl. 396, 2005).  Construction picks that law from melconv's
+table, shared with the stock Mellin kinds, and checks only that its closed-form
+constant and support fit a double.
 """
 
 from __future__ import annotations
@@ -13,67 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-from scipy.special import (betainc, betainccinv, betaincinv, betaln,
-                           gammainc, gammaincinv, gammaln)
 
 from .errors import DomainError, as_number
-from .melconv import integrate_halfline
-
-
-class _Regime(NamedTuple):
-    """The law of y = scale * x**delta: shape pair (p, q), with q infinite for
-    the gamma law, support [0, y_max], the log of the beta or gamma integral
-    that normalizes the kernel, and the log-kernel, CDF and quantile of y."""
-
-    p: float
-    q: float
-    scale: float
-    y_max: float
-    log_shape_integral: float
-    log_kernel: Callable
-    cdf: Callable
-    quantile: Callable
-
-
-def _type1_beta(p, alpha, a, eta) -> _Regime:
-    k = eta / (1 - alpha)
-    q = k + 1
-    return _Regime(p, q, a * (1 - alpha), 1.0, betaln(p, q),
-                   lambda y: k * np.log1p(-y),
-                   lambda y: betainc(p, q, y), lambda u: betaincinv(p, q, u))
-
-
-def _type2_beta(p, alpha, a, eta) -> _Regime:
-    k = eta / (alpha - 1)
-    q = k - p
-
-    def cdf(y):
-        # I_s(p, q) at s = y/(1+y) in the body and 1 - I_(1-s)(q, p) at
-        # 1 - s = 1/(1+y) in the tail, so neither end rounds s to 0 or 1
-        # (betaincc is exact there too, but 2-10 times slower)
-        out = np.empty_like(y)
-        body = y <= 1
-        out[body] = betainc(p, q, y[body] / (1 + y[body]))
-        out[~body] = 1 - betainc(q, p, 1 / (1 + y[~body]))
-        return out
-
-    # s = y/(1+y) from the lower inverse and 1 - s = 1/(1+y) from the upper
-    # one are each exact where they are small, so their ratio y is too
-    return _Regime(p, q, a * (alpha - 1), math.inf, betaln(p, q),
-                   lambda y: -k * np.log1p(y), cdf,
-                   lambda u: betaincinv(p, q, u) / betainccinv(q, p, u))
-
-
-def _gamma(p, alpha, a, eta) -> _Regime:
-    return _Regime(p, math.inf, a * eta, math.inf, gammaln(p), np.negative,
-                   lambda y: gammainc(p, y), lambda u: gammaincinv(p, u))
-
-
-# keyed by the sign of alpha - 1
-_REGIMES = {-1: _type1_beta, 0: _gamma, 1: _type2_beta}
+from .melconv import _BETA1, _BETA2, _GAMMA, _points, _power_law, integrate_halfline
 
 
 @dataclass(frozen=True)
@@ -101,50 +47,43 @@ class PathwayParams:
         for name in ("delta", "a", "eta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        p = (self.gamma + 1) / self.delta
-        if not (p > 0):
+        if self.alpha == 1:
+            law = _power_law(_GAMMA, math.inf, self.a * self.eta, self.delta, self.gamma)
+        else:  # the kernel exponent is eta / |1 - alpha|
+            d = abs(1 - self.alpha)
+            law = _power_law(_BETA1 if self.alpha < 1 else _BETA2, self.eta / d, self.a * d,
+                             self.delta, self.gamma)
+        if not (law.p > 0):
             raise DomainError(
                 f"(gamma+1)/delta must be > 0 for integrability at 0, "
                 f"got gamma={self.gamma}, delta={self.delta}"
             )
-        row = _REGIMES[(self.alpha > 1) - (self.alpha < 1)]
-        regime = row(p, self.alpha, self.a, self.eta)
-        if not (regime.q > 0):  # only the heavy tail can fail this
+        if not (law.q > 0):  # only the heavy tail can fail this
             raise DomainError(
                 "density is not normalizable: for alpha > 1 the tail needs "
-                f"eta/(alpha-1) > (gamma+1)/delta, got {self.eta / (self.alpha - 1)} "
-                f"<= {p}"
+                f"eta/(alpha-1) > (gamma+1)/delta, got {law.e} <= {law.p}"
             )
-        object.__setattr__(self, "_regime", regime)
-        try:  # float ** overflows; a scale that underflowed to 0 fails too
-            upper, log_c = self.support_upper, self.log_norm_const
-        except (ArithmeticError, ValueError):
-            upper = log_c = math.inf
-        if not math.isfinite(log_c) or (self.alpha < 1 and upper == math.inf):
+        object.__setattr__(self, "_law", law)
+        if not math.isfinite(law.log_c) or (self.alpha < 1 and law.x_max == math.inf):
             raise DomainError(
                 f"{self}: the normalizing constant or the support end overflows a double"
             )
 
     def __reduce__(self):
-        # the regime holds closures, so pickles carry the five scalars only
+        # the law row holds closures, so pickles carry the five scalars only
         return type(self), astuple(self)
 
     @property
     def support_upper(self) -> float:
-        r = self._regime
-        return (r.y_max / r.scale) ** (1 / self.delta)
+        return self._law.x_max
 
     @property
     def log_norm_const(self) -> float:
-        r = self._regime
-        return math.log(self.delta) + r.p * math.log(r.scale) - r.log_shape_integral
+        return self._law.log_c
 
     @property
     def norm_const(self) -> float:
-        try:
-            return math.exp(self.log_norm_const)
-        except OverflowError:  # the density at 0 is above the double range
-            return math.inf
+        return self._law.norm_const
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -168,36 +107,14 @@ def pathway_support(params: PathwayParams) -> tuple[float, float]:
     return (0.0, params.support_upper)
 
 
-def _points(x) -> tuple[np.ndarray, bool]:
-    """x as a 1-d float array, and whether it was a scalar; NaN is a DomainError."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.isnan(x_arr).any():
-        raise DomainError("x must be a number, got nan")
-    return np.atleast_1d(x_arr), x_arr.ndim == 0
-
-
 def pathway_pdf(params: PathwayParams, x):
     """Density at x (scalar or array); zero outside the support.
 
     The bracket is evaluated through log1p so the family limit alpha -> 1 is
-    smooth to machine precision rather than cancelling catastrophically.
+    smooth to machine precision rather than cancelling catastrophically.  At x = 0
+    it is 0 for gamma > 0, the normalizing constant for gamma = 0, inf for gamma < 0.
     """
-    x_arr, scalar = _points(x)
-    out = np.zeros_like(x_arr)
-    inside = (x_arr > 0) & (x_arr < params.support_upper)
-    xi = x_arr[inside]
-    r = params._regime
-    with np.errstate(over="ignore"):  # y = scale * x**delta is inf past the double range
-        y = r.scale * xi**params.delta
-    log_kernel = r.log_kernel(y)
-    # there the kernel is y^-(p+q), with ln y = ln(scale) + delta ln x still finite
-    far = np.isinf(y)
-    log_kernel[far] = -(r.p + r.q) * (math.log(r.scale) + params.delta * np.log(xi[far]))
-    out[inside] = np.exp(params.log_norm_const + params.gamma * np.log(xi) + log_kernel)
-    # x == 0 carries the x^gamma prefactor: finite only for gamma >= 0
-    if params.gamma <= 0:
-        out[x_arr == 0] = params.norm_const if params.gamma == 0 else math.inf
-    return float(out[0]) if scalar else out
+    return params._law.pdf(x)
 
 
 def pathway_cdf(params: PathwayParams, x):
@@ -211,9 +128,10 @@ def pathway_cdf(params: PathwayParams, x):
     x_arr, scalar = _points(x)
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
-    r = params._regime
-    with np.errstate(over="ignore"):  # as in pathway_pdf
-        out[pos] = r.cdf(np.minimum(r.scale * x_arr[pos] ** params.delta, r.y_max))
+    r = params._law
+    with np.errstate(over="ignore"):  # y = scale * x**delta is inf past the double range
+        y = np.minimum(r.scale * x_arr[pos] ** params.delta, r.row.y_max)
+    out[pos] = r.row.cdf(r.p, r.q, y)
     return float(out[0]) if scalar else out
 
 
@@ -227,8 +145,8 @@ def pathway_sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise DomainError(f"sample count must be >= 0, got {n}")
     u = np.random.default_rng(seed).random(int(n))
-    r = params._regime
-    return (r.quantile(u) / r.scale) ** (1 / params.delta)
+    r = params._law
+    return (r.row.quantile(r.p, r.q, u) / r.scale) ** (1 / params.delta)
 
 
 def tsallis_g(x: float, alpha: float) -> float:

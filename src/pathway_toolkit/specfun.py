@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, multigammaln
 
 from .errors import ConvergenceError, DomainError
 
@@ -93,10 +93,12 @@ def pochhammer(b: float, k: int) -> float:
     """Rising factorial (b)_k = b (b+1) ... (b+k-1), with (b)_0 = 1.
 
     Returns 0 when b is a non-positive integer that the product steps over;
-    that is a legitimate value, not an error.
+    that is a legitimate value, not an error.  A NaN b is a DomainError.
     """
-    if k < 0 or k != int(k):
+    if not 0 <= k < math.inf or k != int(k):
         raise DomainError(f"pochhammer order must be a non-negative integer, got {k}")
+    if math.isnan(b):
+        raise DomainError("pochhammer needs a number b, got nan")
     out = 1.0
     for j in range(int(k)):
         out *= b + j
@@ -104,7 +106,9 @@ def pochhammer(b: float, k: int) -> float:
 
 
 def gen_pochhammer(a: float, partition: Partition) -> float:
-    """Partition-indexed Pochhammer: prod_j (a - (j-1)/2)_{k_j}."""
+    """Partition-indexed Pochhammer: prod_j (a - (j-1)/2)_{k_j}; a NaN a is a DomainError."""
+    if math.isnan(a):
+        raise DomainError("gen_pochhammer needs a number a, got nan")
     out = 1.0
     for j, kj in enumerate(partition.parts):
         out *= pochhammer(a - 0.5 * j, kj)
@@ -112,17 +116,18 @@ def gen_pochhammer(a: float, partition: Partition) -> float:
 
 
 def matrix_gamma(p: int, a: float) -> float:
-    """Real matrix-variate gamma: pi^(p(p-1)/4) * prod_{j=0}^{p-1} Gamma(a - j/2)."""
+    """Real matrix-variate gamma: pi^(p(p-1)/4) * prod_{j=0}^{p-1} Gamma(a - j/2), or inf
+    where it is past the double range."""
     if p < 1 or p != int(p):
         raise DomainError(f"matrix dimension p must be a positive integer, got {p}")
     if not (a > (p - 1) / 2):
         raise DomainError(
             f"matrix_gamma requires a > (p-1)/2 = {(p - 1) / 2}, got a = {a}"
         )
-    log_val = 0.25 * p * (p - 1) * math.log(math.pi)
-    for j in range(int(p)):
-        log_val += log_gamma(a - 0.5 * j)
-    return math.exp(log_val)
+    try:
+        return math.exp(multigammaln(a, int(p)))
+    except OverflowError:
+        return math.inf
 
 
 def mittag_leffler(x, params: MLParams, term_cap: int = MAX_TERMS):

@@ -132,6 +132,13 @@ class TestRun:
         assert lines[0] == "gamma,a,b,value,abs_err_estimate"
         assert len(lines) == 5
 
+    def test_ratecalc_mellin_underflow_prints_zero(self, capsys):
+        # the rate, about e^(-1e100), underflows to 0; the inversion's rounding
+        # noise must not come through the scale as -0
+        argv = ["ratecalc", "--gamma", "0", "--a", "1e300", "--b", "1", "--route", "mellin"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_ratecalc_both_integrates_each_point_once(self, monkeypatch, capsys):
         calls = []
         integrate = melconv.integrate_halfline

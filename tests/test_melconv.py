@@ -26,6 +26,7 @@ from pathway_toolkit.melconv import (
     reaction_rate_with_error,
     structure_moment,
 )
+from pathway_toolkit.pathway import PathwayParams, pathway_pdf
 
 
 class TestBuiltins:
@@ -55,6 +56,42 @@ class TestBuiltins:
             lo, hi = k.support
             mass = quad(k.pdf_oracle, lo, hi if math.isfinite(hi) else math.inf)[0]
             assert mass == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind,shape,params",
+        [
+            ("gen_gamma", dict(gamma=1.5, a=2.0, delta=1.5), (1.0, 1.5, 1.5, 2.0, 1.0)),
+            ("gen_gamma", dict(gamma=-0.3, a=0.2, delta=0.7), (1.0, -0.3, 0.7, 0.2, 1.0)),
+            ("gen_gamma", dict(gamma=0.0, a=1.0, delta=1.0), (1.0, 0.0, 1.0, 1.0, 1.0)),
+            ("type2_beta", dict(alpha=2.5, beta=3.5), (2.0, 1.5, 1.0, 1.0, 6.0)),
+        ],
+    )
+    def test_oracle_is_the_pathway_pdf(self, kind, shape, params):
+        # a stock kind that is a pathway law has that law's pdf, bit for bit,
+        # at x = 0, past where y = a x^delta overflows, and off the support
+        x = np.concatenate([[-1.0, 0.0, 1e-300, 1e160, 1e250, np.inf],
+                            np.linspace(0.01, 6.0, 200)])
+        oracle = builtin_density(kind, **shape).pdf_oracle(x)
+        assert oracle.tobytes() == pathway_pdf(PathwayParams(*params), x).tobytes()
+
+    def test_oracle_past_the_double_range_is_zero(self):
+        gg = builtin_density("gen_gamma", gamma=1.5, a=2.0, delta=1.5)
+        assert gg.pdf_oracle(1e250) == 0.0
+
+    @pytest.mark.parametrize(
+        "kind,shape,at_zero",
+        [
+            ("uniform01", {}, 1.0),
+            ("gamma", dict(gamma=0.0), 1.0),  # e^-x
+            ("gamma", dict(gamma=-0.5), math.inf),
+            ("gamma", dict(gamma=2.0), 0.0),
+            ("type1_beta", dict(alpha=0.3, beta=1.0), math.inf),
+            ("type1_beta", dict(alpha=1.0, beta=3.0), 3.0),
+        ],
+    )
+    def test_oracle_at_zero_follows_the_x_power(self, kind, shape, at_zero):
+        # x^gamma decides at x = 0: C for gamma = 0, inf below, 0 above
+        assert builtin_density(kind, **shape).pdf_oracle(0.0) == pytest.approx(at_zero, rel=1e-15)
 
     def test_invalid_shapes(self):
         with pytest.raises(DomainError):
@@ -197,8 +234,7 @@ class TestMellinInvert:
     def test_round_trip(self, kind, shape, points):
         dens = builtin_density(kind, **shape)
         vals = mellin_invert(dens.moment_fn, points, default_contour(dens.strip))
-        oracle = np.array([dens.pdf_oracle(u) for u in points])
-        assert np.all(np.abs(vals - oracle) <= 1e-6)
+        assert np.all(np.abs(vals - dens.pdf_oracle(points)) <= 1e-6)
 
     def test_scalar_only_moment_callable(self):
         val = mellin_invert(lambda s: 1.0 / s, 0.5, 1.0)
@@ -698,8 +734,8 @@ class TestHalflineRule:
 class TestRandomVolume:
     def test_single_factor_is_beta(self):
         vol = random_volume_dist(1, [(2.0, 2.0)])
-        for u in (0.2, 0.5, 0.8):
-            assert vol.density(u) == pytest.approx(vol.pdf_oracle(u), abs=1e-7)
+        us = np.array([0.2, 0.5, 0.8])
+        assert vol.density(us) == pytest.approx(vol.pdf_oracle(us), abs=1e-7)
 
     def test_moment_normalized(self):
         vol = random_volume_dist(2, [(2.0, 2.0)])

@@ -55,6 +55,16 @@ class TestPochhammer:
             pochhammer(b, k) * (b + k), rel=1e-12, abs=1e-12
         )
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_nan_b_rejected(self, k):
+        with pytest.raises(DomainError, match="nan"):
+            pochhammer(math.nan, k)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 1.5, -1])
+    def test_bad_order_rejected(self, k):
+        with pytest.raises(DomainError, match="order"):
+            pochhammer(1.0, k)
+
 
 class TestGenPochhammer:
     def test_zero_partition(self):
@@ -70,6 +80,11 @@ class TestGenPochhammer:
     def test_hand_expansion(self):
         # (2)_1 * (1.5)_1 = 2 * 1.5
         assert gen_pochhammer(2.0, Partition((1, 1))) == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("parts", [(), (0, 0), (2, 1)])
+    def test_nan_a_rejected(self, parts):
+        with pytest.raises(DomainError, match="nan"):
+            gen_pochhammer(math.nan, Partition(parts))
 
     def test_negative_parts_rejected(self):
         with pytest.raises(DomainError):
@@ -98,6 +113,24 @@ class TestMatrixGamma:
             assert math.log(matrix_gamma(p, a)) == pytest.approx(
                 multigammaln(a, p), rel=1e-13
             )
+
+    @given(st.integers(1, 8), st.floats(1e-3, 20.0))
+    def test_against_the_product_of_gammas(self, p, excess):
+        # the definition term by term, in logs, as the reference
+        a = (p - 1) / 2 + excess
+        log_ref = 0.25 * p * (p - 1) * math.log(math.pi) + sum(
+            log_gamma(a - 0.5 * j) for j in range(p))
+        assert math.log(matrix_gamma(p, a)) == pytest.approx(log_ref, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("p,a", [(2, 200.0), (1, 172.0), (5, 1e300)])
+    def test_past_double_range_is_inf(self, p, a):
+        # the suite turns a RuntimeWarning into an error
+        assert matrix_gamma(p, a) == math.inf
+
+    def test_largest_finite_value(self):
+        # Gamma(171) = 170!, just inside the double range; exp(706) carries the
+        # log's rounding 706 eps
+        assert matrix_gamma(1, 171.0) == pytest.approx(math.factorial(170), rel=1e-12)
 
 
 class TestMittagLeffler:
