@@ -248,13 +248,7 @@ def _validate(cfg: RunConfig):
 
 def _run_ml(cfg: RunConfig) -> str:
     p = cfg.params
-    params = specfun.MLParams(
-        alpha=p["alpha"],
-        beta=p["beta"],
-        gamma=p["gamma"],
-        uppers=tuple(p["uppers"]),
-        lowers=tuple(p["lowers"]),
-    )
+    params = specfun.MLParams(p["alpha"], p["beta"], p["gamma"], p["uppers"], p["lowers"])
     return _fmt(specfun.mittag_leffler(p["x"], params)) + "\n"
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its two number rules."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -25,3 +27,11 @@ def as_number(value, message: str) -> float:
         return float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError):
         raise DomainError(message) from None
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, or inf where that is past the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

@@ -18,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import (betainc, betainccinv, betaincinv, betaln, gammainc,
                            gammaincinv, gammaln, loggamma)
 
-from .errors import ConvergenceError, DomainError, as_number
+from .errors import ConvergenceError, DomainError, as_number, exp_or_inf
 
 _MOMENT_NORM_TOL = 1e-12
 
@@ -118,7 +118,7 @@ class _Law(NamedTuple):
     log_integral: Callable  # (p, q) -> ln of the integral of y^(p-1) k(y)
     log_kernel: Callable  # (e, y) -> ln k(y)
     cdf: Callable  # (p, q, y)
-    quantile: Callable  # (p, q, u)
+    quantile: Callable  # (p, q, u, scale, delta) -> (y / scale)^(1/delta), y of CDF u
     moment: Callable  # (p, q, z, log_w) -> e^log_w E(y^(z-p)), z a complex array
 
 
@@ -126,6 +126,26 @@ def _beta1_moment(p, q, z, log_w):
     if q == 1:  # B(z, 1) / B(p, 1) = p / z, with no log-gamma pair per node
         return np.exp(log_w) * p / z
     return np.exp(loggamma(z) - loggamma(z + q) + (log_w + gammaln(p + q) - gammaln(p)))
+
+
+def _to_x(y, scale, delta):
+    return (y / scale) ** (1 / delta)
+
+
+def _beta2_quantile(p, q, u, scale, delta):
+    # y = s / z, with s = y/(1+y) from the lower inverse and z = 1/(1+y) from the upper
+    # one, each exact where it is small.  Where z saturates at the least normal double,
+    # ln z comes from I_z(q, p) ~ z^q / (q B(q, p)) = 1 - u; there, and where y / scale
+    # overflows, x comes through logs
+    s, z = betaincinv(p, q, u), betainccinv(q, p, u)
+    with np.errstate(over="ignore"):
+        x = _to_x(s / z, scale, delta)
+        saturated = z <= np.finfo(float).tiny
+        far = saturated | np.isinf(x)
+        log_z = np.log(z[far])
+        log_z[saturated[far]] = (np.log1p(-u[saturated]) + math.log(q) + betaln(q, p)) / q
+        x[far] = np.exp((np.log(s[far]) - log_z - math.log(scale)) / delta)
+    return x
 
 
 def _beta2_cdf(p, q, y):
@@ -140,15 +160,14 @@ def _beta2_cdf(p, q, y):
 
 # y = scale * x**delta may round past 1 just inside the support end
 _BETA1 = _Law(1.0, lambda p, e: e + 1, betaln, lambda e, y: e * np.log1p(-np.minimum(y, 1.0)),
-              betainc, betaincinv, _beta1_moment)
+              betainc, lambda p, q, u, *to_x: _to_x(betaincinv(p, q, u), *to_x),
+              _beta1_moment)
 _GAMMA = _Law(math.inf, lambda p, e: math.inf, lambda p, q: gammaln(p),
               lambda e, y: -y, lambda p, q, y: gammainc(p, y),
-              lambda p, q, u: gammaincinv(p, u),
+              lambda p, q, u, *to_x: _to_x(gammaincinv(p, u), *to_x),
               lambda p, q, z, log_w: np.exp(loggamma(z) + (log_w - gammaln(p))))
-# s = y/(1+y) from the lower inverse and 1 - s = 1/(1+y) from the upper one are
-# each exact where they are small, so their ratio y is too
 _BETA2 = _Law(math.inf, lambda p, e: e - p, betaln, lambda e, y: -e * np.log1p(y),
-              _beta2_cdf, lambda p, q, u: betaincinv(p, q, u) / betainccinv(q, p, u),
+              _beta2_cdf, _beta2_quantile,
               lambda p, q, z, log_w: np.exp(
                   loggamma(z) + loggamma((p + q) - z) + (log_w - gammaln(p) - gammaln(q))))
 
@@ -169,10 +188,7 @@ class _PowerLaw(NamedTuple):
 
     @property
     def norm_const(self) -> float:
-        try:
-            return math.exp(self.log_c)
-        except OverflowError:  # the density at 0 is above the double range
-            return math.inf
+        return exp_or_inf(self.log_c)
 
     @property
     def strip(self) -> tuple[float, float]:
@@ -611,32 +627,25 @@ def _validate_reaction(gamma: float, a: float, b: float):
 
 
 def _reaction_mellin(gamma: float, a: float, b: float) -> tuple[float, float]:
-    # product structure: x1 ~ gamma(shape gamma+2, rate a), x2 with density
-    # e^(-sqrt(x))/2; then g(u) = c1*c2*I(gamma, a, sqrt(u)), so evaluate the
-    # inverse at u = b^2 and divide the constants back out.  The error is the
-    # inversion's target 1e-8 (1 + |g|) in the same units.
+    # u = x1 x2, x1 of density c1 x^(gamma+1) e^(-a x) and x2 of c2 e^(-sqrt(x)), has density
+    # g(u) = c1 c2 I(gamma, a, sqrt(u)), so I = g(b^2) / (c1 c2), formed in logs, with the error
+    # 1e-8 (1 + |g|) in the same units.  At a = 0 or b = 0, I is 1 / c of one gamma law in x or 1/x.
+    if a == 0 or b == 0:
+        law = _power_law(_GAMMA, math.inf, *((a, 1.0, gamma) if b == 0 else (b, 0.5, -gamma - 2)))
+        value = exp_or_inf(-law.log_c)
+        return value, _INVERT_TOL * value
     if gamma <= -2:
-        raise DomainError(
-            "the product-structure route needs gamma > -2 so the power part "
-            f"is a probability density; got gamma = {gamma}"
-        )
-    log_a = math.log(a)
-    lg2 = gammaln(gamma + 2)
-
-    def mom(s):
-        s = np.asarray(s, dtype=complex)
-        return np.exp(
-            loggamma(gamma + 1 + s) - lg2 + loggamma(2 * s) - (s - 1) * log_a
-        )
-
-    s_lo = max(0.0, -gamma - 1.0)
+        raise DomainError("the product-structure route needs gamma > -2 so the power part "
+                          f"is a probability density; got gamma = {gamma}")
+    x1 = _power_law(_GAMMA, math.inf, a, 1.0, gamma + 1)
+    x2 = _power_law(_GAMMA, math.inf, 1.0, 0.5, 0.0)
+    strip = max(x1.strip[0], x2.strip[0]), min(x1.strip[1], x2.strip[1])
     # a density is >= 0, and a negative g lies within its own bound
-    g = max(0.0, mellin_invert(mom, b * b, s_lo + 1.0))
-    try:
-        scale = 2.0 * math.exp(lg2 - (gamma + 2) * log_a)
-    except OverflowError:  # the rate is past the double range, as by quadrature
-        scale = math.inf
-    return g * scale, _INVERT_TOL * (1.0 + abs(g)) * scale
+    g = max(0.0, mellin_invert(lambda s: x1.moment(s) * x2.moment(s), b * b,
+                               default_contour(strip)))
+    log_c = x1.log_c + x2.log_c
+    value = exp_or_inf(math.log(g) - log_c) if g else 0.0
+    return value, exp_or_inf(math.log(_INVERT_TOL * (1.0 + g)) - log_c)
 
 
 def reaction_rate(
@@ -662,17 +671,9 @@ def reaction_rate_with_error(
     _validate_reaction(gamma, a, b)
     if route not in ("quadrature", "mellin", "both"):
         raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
-    mellin_val = None
-    if route in ("mellin", "both"):
-        if a == 0 or b == 0:  # Gamma(p) / (alpha s^p), in 1/x when a = 0
-            g, s, alpha = (gamma, a, 1.0) if b == 0 else (-gamma - 2, b, 0.5)
-            p = (g + 1) / alpha
-            mellin_val = math.exp(gammaln(p) - p * math.log(s)) / alpha
-            mellin_err = abs(mellin_val) * _INVERT_TOL
-        else:
-            mellin_val, mellin_err = _reaction_mellin(gamma, a, b)
-        if route == "mellin":
-            return mellin_val, mellin_err
+    if route == "mellin":
+        return _reaction_mellin(gamma, a, b)
+    mellin_val = _reaction_mellin(gamma, a, b)[0] if route == "both" else None
     # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
     q, err = integrate_halfline(_kratzel_integrand(gamma, a, b, 1.0, 0.5))
     if route == "both" and abs(q - mellin_val) > 1e-6 * max(abs(q), abs(mellin_val)):

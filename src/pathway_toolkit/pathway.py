@@ -140,13 +140,13 @@ def pathway_sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
 
     Each draw is the exact quantile of its seeded uniform: the inverse
     incomplete beta or gamma function gives y = scale * x**delta, which is
-    mapped back to x.
+    mapped back to x, through logs where y leaves the double range.
     """
     if n < 0:
         raise DomainError(f"sample count must be >= 0, got {n}")
     u = np.random.default_rng(seed).random(int(n))
     r = params._law
-    return (r.row.quantile(r.p, r.q, u) / r.scale) ** (1 / params.delta)
+    return r.row.quantile(r.p, r.q, u, r.scale, params.delta)
 
 
 def tsallis_g(x: float, alpha: float) -> float:

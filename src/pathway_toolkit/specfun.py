@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, multigammaln
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, exp_or_inf
 
 # Stopping rule for the Mittag-Leffler series: a term is negligible when
 # |term| <= TERM_EPS * (1 + |partial sum|); three negligible terms in a row
@@ -124,13 +124,10 @@ def matrix_gamma(p: int, a: float) -> float:
         raise DomainError(
             f"matrix_gamma requires a > (p-1)/2 = {(p - 1) / 2}, got a = {a}"
         )
-    try:
-        return math.exp(multigammaln(a, int(p)))
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(multigammaln(a, int(p)))
 
 
-def mittag_leffler(x, params: MLParams, term_cap: int = MAX_TERMS):
+def mittag_leffler(x, params: MLParams):
     """Sum the Mittag-Leffler series at a real x or at an array of them.
 
     Term k is ``(gamma)_k prod(a_j)_k x^k / (k! prod(b_j)_k Gamma(beta+alpha k))``;
@@ -139,12 +136,9 @@ def mittag_leffler(x, params: MLParams, term_cap: int = MAX_TERMS):
     last CONSECUTIVE_SMALL terms are negligible, so an array gives the scalar
     values bit for bit.  A scalar x gives a float, an array an array of its
     shape; non-finite x raise DomainError.  ConvergenceError holds partial sums
-    and bounds shaped like x: |last term| if term_cap terms do not settle, inf
+    and bounds shaped like x: |last term| if MAX_TERMS terms do not settle, inf
     if a term overflows, else a rounding bound past GUARD_RTOL (1 + |E|).
     """
-    params = params if isinstance(params, MLParams) else MLParams(*params)
-    if term_cap < 1:
-        raise DomainError(f"term cap must be >= 1, got {term_cap}")
     xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
         raise DomainError(f"Mittag-Leffler argument must be finite, got {x}")
@@ -155,8 +149,8 @@ def mittag_leffler(x, params: MLParams, term_cap: int = MAX_TERMS):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ln 0 as -1e308 keeps the k = 0 term's 0 * ln|x| at 0
         log_ax, sign_x = np.fmax(np.log(np.abs(flat)), -1e308), np.sign(flat)
-        for k0 in range(0, term_cap, BLOCK):
-            ks = np.arange(k0, min(k0 + BLOCK, term_cap), dtype=float)
+        for k0 in range(0, MAX_TERMS, BLOCK):
+            ks = np.arange(k0, min(k0 + BLOCK, MAX_TERMS), dtype=float)
             ratio = np.multiply.reduce(ups + ks) / np.multiply.reduce(downs + ks)  # c_{k+1} / c_k
             log_cs = np.concatenate((log_cs[-1:], np.log(np.abs(ratio)))).cumsum()
             sign_cs = np.concatenate((sign_cs[-1:], np.sign(ratio))).cumprod()
@@ -177,7 +171,7 @@ def mittag_leffler(x, params: MLParams, term_cap: int = MAX_TERMS):
     if not hit.all():
         bound[rows] = at[~hit, -1]
     if not hit.all() or (bound > GUARD_RTOL * (1.0 + np.abs(out))).any():
-        why = (f"did not settle within {term_cap} terms" if not hit.all() else
+        why = (f"did not settle within {MAX_TERMS} terms" if not hit.all() else
                "has a term past the double range" if np.isinf(bound).any() else
                f"cancels: rounding bound {bound.max():.3e} > {GUARD_RTOL:g} (1 + |E|)")
         raise ConvergenceError(f"Mittag-Leffler series {why}", partial=shaped(out),

@@ -307,6 +307,15 @@ class TestRun:
         assert main(argv) == 0
         assert capsys.readouterr().out == "inf\n"
 
+    @pytest.mark.parametrize("route", ["mellin", "both"])
+    @pytest.mark.parametrize("point", [["200", "1e-5", "0"], ["-300", "0", "1e-5"]])
+    def test_ratecalc_closed_form_past_double_range_is_inf(self, point, route, capsys):
+        # the closed forms Gamma(201) / a^201 and 2 Gamma(598) / b^598 are past the double range
+        argv = ["ratecalc", f"--gamma={point[0]}", "--a", point[1], "--b", point[2],
+                "--route", route]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("inf\n", "")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -486,10 +486,34 @@ class TestReactionRate:
         val, err = reaction_rate_with_error(g, a, b, route="mellin")
         assert abs(val - float(ref)) <= err
 
-    def test_rate_past_double_range_is_inf(self):
-        # Gamma(202) / a^202 at a = 1e-5 overflows: inf on both routes
+    @pytest.mark.parametrize(
+        "g, a, b", [(200.0, 1e-5, 1.0), (200.0, 1e-5, 0.0), (-300.0, 0.0, 1e-5)]
+    )
+    def test_rate_past_double_range_is_inf(self, g, a, b):
+        # Gamma(202) / a^202 at a = 1e-5 overflows, and so do the closed forms
+        # Gamma(201) / a^201 and 2 Gamma(598) / b^598: inf on every route
         for route in ("mellin", "quadrature", "both"):
-            assert reaction_rate(200.0, 1e-5, 1.0, route=route) == math.inf
+            assert reaction_rate(g, a, b, route=route) == math.inf
+
+    def test_mellin_route_is_a_product_of_two_stock_laws(self):
+        # u = x1 x2 with x1 ~ gen_gamma(gamma+1, a, 1) and x2 ~ gen_gamma(0, 1, 1/2)
+        # has density c1 c2 I(gamma, a, sqrt(u)), 1 / (c1 c2) = 2 Gamma(gamma+2) / a^(gamma+2)
+        half = builtin_density("gen_gamma", gamma=0.0, a=1.0, delta=0.5)
+        for g in (-0.5, 0.0, 1.0, 2.0):
+            for a in (0.5, 1.0, 2.0):
+                x1 = builtin_density("gen_gamma", gamma=g + 1, a=a, delta=1.0)
+                dens = product_moment_density(ProductSpec(numerator=[(x1, 1.0), (half, 1.0)]))
+                scale = 2.0 * math.exp(gammaln(g + 2) - (g + 2) * math.log(a))
+                for b in (0.5, 1.0, 2.0):
+                    assert reaction_rate(g, a, b, route="mellin") == pytest.approx(
+                        dens.density(b * b) * scale, rel=1e-12)
+
+    def test_mellin_scale_past_double_range_is_not_nan(self):
+        # 1 / (c1 c2) = 2 / a^2 = 2e600 is past the double range, and g = 5e-301 is
+        # below the inversion's noise: the value is formed in logs, never as 0 * inf
+        val, err = reaction_rate_with_error(0.0, 1e-300, 1.0, route="mellin")
+        assert not math.isnan(val)
+        assert abs(val - reaction_rate(0.0, 1e-300, 1.0)) <= err
 
     @pytest.mark.parametrize(
         "g, a, b", [(1.5, 2.0, 0.0), (0.0, 0.5, 0.0), (-2.5, 0.0, 1.5), (-3.0, 0.0, 0.5)]

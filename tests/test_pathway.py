@@ -360,6 +360,23 @@ class TestSampling:
     def test_heavy_tail_draws_are_exact_quantiles(self):
         assert_exact_quantiles(PathwayParams(alpha=1.9, gamma=0.0, delta=1.0), 200, 3)
 
+    def test_heavy_tail_draws_past_the_saturated_inverse(self):
+        # q = 0.0077: at u = 0.99677 and 0.99906, z = 1/(1+y) lies below the least
+        # normal double, where the upper inverse incomplete beta saturates
+        params = PathwayParams(2.949725445129931, -0.6044689220222419, 2.0608361069671406,
+                               0.05146842667025705, 0.3891387471336174)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = pathway_sample(params, 500, 7)
+        assert np.all(np.isfinite(draws))
+        u = np.random.default_rng(7).random(500)
+        law = params._law
+        with mpmath.workdps(50):
+            for i in np.argsort(draws)[-2:]:
+                y = law.scale * mpmath.mpf(draws[i]) ** params.delta
+                tail = mpmath.betainc(law.q, law.p, 0, 1 / (1 + y), regularized=True)
+                assert abs(tail / (1 - mpmath.mpf(u[i])) - 1) <= 1e-12
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         alpha=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),

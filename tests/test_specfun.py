@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 from scipy.special import erfcx
 
+from pathway_toolkit import specfun
 from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.specfun import (
     MLParams,
@@ -173,17 +174,18 @@ class TestMittagLeffler:
             ref, rel=1e-12
         )
 
-    def test_truncation_soundness(self):
+    def test_truncation_soundness(self, monkeypatch):
         cases = [
             (1.0, MLParams(alpha=1.0)),
             (12.5, MLParams(alpha=0.7, beta=1.3)),
             (-3.0, MLParams(alpha=1.5, beta=0.5, gamma=2.0)),
             (0.8, MLParams(alpha=0.4, beta=2.0, gamma=0.5, uppers=(1.5,), lowers=(2.5,))),
         ]
-        for x, params in cases:
-            v1 = mittag_leffler(x, params)
-            v2 = mittag_leffler(x, params, term_cap=20_000)
-            assert abs(v1 - v2) <= 1e-13 * (1.0 + abs(v1))
+        v1 = [mittag_leffler(x, params) for x, params in cases]
+        monkeypatch.setattr(specfun, "MAX_TERMS", 20_000)
+        for v, (x, params) in zip(v1, cases):
+            v2 = mittag_leffler(x, params)
+            assert abs(v - v2) <= 1e-13 * (1.0 + abs(v))
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -205,10 +207,11 @@ class TestMittagLeffler:
         )
         assert mittag_leffler(x, p) == pytest.approx(ref, rel=1e-14)
 
-    def test_convergence_error_reports_partial(self):
+    def test_convergence_error_reports_partial(self, monkeypatch):
         p = MLParams(alpha=0.05, beta=1.0)
+        monkeypatch.setattr(specfun, "MAX_TERMS", 50)
         with pytest.raises(ConvergenceError) as err:
-            mittag_leffler(40.0, p, term_cap=50)
+            mittag_leffler(40.0, p)
         assert err.value.partial is not None
         assert err.value.bound is not None
 
