@@ -325,8 +325,8 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
             raise DomainError(f"{path}: {side} must be a list, got {items!r}")
         out = []
         for item in items:
-            if not isinstance(item, dict) or "kind" not in item:
-                raise DomainError(f"{path}: {side} factor {item!r} needs a 'kind'")
+            if not isinstance(item, dict) or not isinstance(item.get("kind"), str):
+                raise DomainError(f"{path}: {side} factor {item!r} needs a 'kind' string")
             item = dict(item)
             kind = item.pop("kind")
             expo = as_number(item.pop("exponent", 1.0),
@@ -424,15 +424,14 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a validated config; writes output only on success."""
     try:
         payload = _HANDLERS[cfg.subcommand](cfg)
-    except (DomainError, ConvergenceError, FileNotFoundError) as exc:
-        return _die(str(exc), code=1)
-    except json.JSONDecodeError as exc:
-        return _die(f"malformed JSON input: {exc}", code=1)
-    data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
-    if cfg.output:
-        Path(cfg.output).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+        data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
+        if cfg.output:
+            Path(cfg.output).write_bytes(data)
+        else:
+            sys.stdout.write(data.decode("utf-8"))
+    except (DomainError, ConvergenceError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        malformed = "malformed JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+        return _die(malformed + str(exc), code=1)
     return 0
 
 

@@ -146,11 +146,11 @@ def sample_correlation(x, y) -> float:
         raise DomainError("correlation needs finite x and y")
     dx = x - x.mean()
     dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
+    sx, sy = np.abs(dx).max(), np.abs(dy).max()
+    if sx == 0.0 or sy == 0.0:
         raise DomainError("correlation undefined for a constant vector")
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+    dx, dy = dx / sx, dy / sy  # so the dot products stay in the double range
+    return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
 def chi2_cdf(q, dof: int):
@@ -180,6 +180,8 @@ def chisquared_form_check(A, n: int = 100_000, seed: int = 0) -> dict:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DomainError(f"A must be a non-empty square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("A must have finite entries")
     if n < 1:
         raise DomainError(f"need n >= 1 simulated forms, got {n}")
     A = 0.5 * (A + A.T)

@@ -118,7 +118,7 @@ class _Law(NamedTuple):
     log_integral: Callable  # (p, q) -> ln of the integral of y^(p-1) k(y)
     log_kernel: Callable  # (e, y) -> ln k(y)
     cdf: Callable  # (p, q, y)
-    quantile: Callable  # (p, q, u, scale, delta) -> (y / scale)^(1/delta), y of CDF u
+    quantile: Callable  # (p, q, u) -> y of CDF u, inf past the double range
     moment: Callable  # (p, q, z, log_w) -> e^log_w E(y^(z-p)), z a complex array
 
 
@@ -128,24 +128,11 @@ def _beta1_moment(p, q, z, log_w):
     return np.exp(loggamma(z) - loggamma(z + q) + (log_w + gammaln(p + q) - gammaln(p)))
 
 
-def _to_x(y, scale, delta):
-    return (y / scale) ** (1 / delta)
-
-
-def _beta2_quantile(p, q, u, scale, delta):
+def _beta2_quantile(p, q, u):
     # y = s / z, with s = y/(1+y) from the lower inverse and z = 1/(1+y) from the upper
-    # one, each exact where it is small.  Where z saturates at the least normal double,
-    # ln z comes from I_z(q, p) ~ z^q / (q B(q, p)) = 1 - u; there, and where y / scale
-    # overflows, x comes through logs
+    # one, each exact where it is small; z saturates at the least normal double
     s, z = betaincinv(p, q, u), betainccinv(q, p, u)
-    with np.errstate(over="ignore"):
-        x = _to_x(s / z, scale, delta)
-        saturated = z <= np.finfo(float).tiny
-        far = saturated | np.isinf(x)
-        log_z = np.log(z[far])
-        log_z[saturated[far]] = (np.log1p(-u[saturated]) + math.log(q) + betaln(q, p)) / q
-        x[far] = np.exp((np.log(s[far]) - log_z - math.log(scale)) / delta)
-    return x
+    return np.where(z > np.finfo(float).tiny, s / z, math.inf)
 
 
 def _beta2_cdf(p, q, y):
@@ -158,13 +145,11 @@ def _beta2_cdf(p, q, y):
     return out
 
 
-# y = scale * x**delta may round past 1 just inside the support end
-_BETA1 = _Law(1.0, lambda p, e: e + 1, betaln, lambda e, y: e * np.log1p(-np.minimum(y, 1.0)),
-              betainc, lambda p, q, u, *to_x: _to_x(betaincinv(p, q, u), *to_x),
-              _beta1_moment)
+_BETA1 = _Law(1.0, lambda p, e: e + 1, betaln, lambda e, y: e * np.log1p(-y),
+              betainc, betaincinv, _beta1_moment)
 _GAMMA = _Law(math.inf, lambda p, e: math.inf, lambda p, q: gammaln(p),
               lambda e, y: -y, lambda p, q, y: gammainc(p, y),
-              lambda p, q, u, *to_x: _to_x(gammaincinv(p, u), *to_x),
+              lambda p, q, u: gammaincinv(p, u),
               lambda p, q, z, log_w: np.exp(loggamma(z) + (log_w - gammaln(p))))
 _BETA2 = _Law(math.inf, lambda p, e: e - p, betaln, lambda e, y: -e * np.log1p(y),
               _beta2_cdf, _beta2_quantile,
@@ -205,6 +190,19 @@ class _PowerLaw(NamedTuple):
         log_w = (1 - s) * (math.log(self.scale) / self.delta) if self.scale != 1 else 0.0
         return self.row.moment(self.p, self.q, z, log_w)
 
+    def _y(self, x):
+        """y = scale * x**delta at x > 0, clipped to the y_max it may round past; the mask
+        where y passes the double range, and ln y = ln(scale) + delta ln x there."""
+        with np.errstate(over="ignore"):
+            y = self.scale * x**self.delta
+        far = np.isinf(np.minimum(y, self.row.y_max, out=y))
+        return y, far, math.log(self.scale) + self.delta * np.log(x[far])
+
+    def _log_tail(self):
+        """t of P(Y > y) = e^t y^-q, the type-2 beta tail, exact where y is past the double
+        range: t = -ln q - ln B(p, q), and -inf for the gamma row's q = inf."""
+        return -math.log(self.q) - self.row.log_integral(self.p, self.q)
+
     def pdf(self, x):
         """The density at x (scalar or array), 0 outside (0, x_max); at x = 0, x^gamma
         decides: 0 for gamma > 0, C k(0) = C for gamma = 0, inf for gamma < 0."""
@@ -212,18 +210,40 @@ class _PowerLaw(NamedTuple):
         out = np.zeros_like(x_arr)
         inside = (x_arr > 0) & (x_arr < self.x_max)
         xi = x_arr[inside]
-        # y = scale * x**delta is inf past the double range, and may round to
-        # y_max = 1 just inside the support end, where the kernel is 0
-        with np.errstate(over="ignore", divide="ignore"):
-            y = self.scale * xi**self.delta
+        y, far, log_y = self._y(xi)
+        with np.errstate(divide="ignore"):  # the kernel is 0 at y = y_max = 1
             log_kernel = self.row.log_kernel(self.e, y)
-        # there the kernel is y^-(p+q), with ln y = ln(scale) + delta ln x still finite
-        far = np.isinf(y)
-        log_kernel[far] = -(self.p + self.q) * (math.log(self.scale) + self.delta * np.log(xi[far]))
+        log_kernel[far] = -(self.p + self.q) * log_y  # there the kernel is y^-(p+q)
         out[inside] = np.exp(self.log_c + self.gamma * np.log(xi) + log_kernel)
         if self.gamma <= 0:
             out[x_arr == 0] = self.norm_const if self.gamma == 0 else math.inf
         return float(out[0]) if scalar else out
+
+    def cdf(self, x):
+        """P(X <= x) at x (scalar or array); the power tail where y passes the double range."""
+        x_arr, scalar = _points(x)
+        out = np.zeros_like(x_arr)
+        pos = x_arr > 0
+        y, far, log_y = self._y(x_arr[pos])
+        cdf = self.row.cdf(self.p, self.q, y)
+        if far.any():
+            cdf[far] = -np.expm1(self._log_tail() - self.q * log_y)
+        out[pos] = cdf
+        return float(out[0]) if scalar else out
+
+    def quantile(self, u):
+        """x of CDF u at an array u in [0, 1), through logs where x passes the double
+        range, and with ln y from the power tail where y does."""
+        y = self.row.quantile(self.p, self.q, u)
+        with np.errstate(over="ignore"):
+            x = (y / self.scale) ** (1 / self.delta)
+            far = np.isinf(x)
+            if far.any():
+                log_y = np.log(y[far])
+                tail = np.isinf(log_y)
+                log_y[tail] = (self._log_tail() - np.log1p(-u[far][tail])) / self.q
+                x[far] = np.exp((log_y - math.log(self.scale)) / self.delta)
+        return x
 
 
 def _power_law(row: _Law, e: float, scale: float, delta: float, gamma: float) -> _PowerLaw:
@@ -790,6 +810,9 @@ def normality_trend(
     out = []
     for k in k_list:
         draws = rng.beta(al, be, size=(int(n), int(k)))
+        if (draws == 0).any():  # its log is -inf, and the skewness not a number
+            raise DomainError(f"beta({al}, {be}) gave {np.count_nonzero(draws == 0)} draws "
+                              f"of exactly 0 at k = {k}; their log-product is -inf")
         log_v = np.sum(np.log(draws), axis=1)
         out.append((int(k), _sample_skewness(log_v)))
     return out

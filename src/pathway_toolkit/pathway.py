@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, as_number
-from .melconv import _BETA1, _BETA2, _GAMMA, _points, _power_law, integrate_halfline
+from .melconv import _BETA1, _BETA2, _GAMMA, _power_law, integrate_halfline
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,7 @@ def pathway_cdf(params: PathwayParams, x):
     the test suite asserts); the closed form keeps million-point evaluations
     cheap for sampling and goodness-of-fit work.
     """
-    x_arr, scalar = _points(x)
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0
-    r = params._law
-    with np.errstate(over="ignore"):  # y = scale * x**delta is inf past the double range
-        y = np.minimum(r.scale * x_arr[pos] ** params.delta, r.row.y_max)
-    out[pos] = r.row.cdf(r.p, r.q, y)
-    return float(out[0]) if scalar else out
+    return params._law.cdf(x)
 
 
 def pathway_sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
@@ -144,9 +137,7 @@ def pathway_sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise DomainError(f"sample count must be >= 0, got {n}")
-    u = np.random.default_rng(seed).random(int(n))
-    r = params._law
-    return r.row.quantile(r.p, r.q, u, r.scale, params.delta)
+    return params._law.quantile(np.random.default_rng(seed).random(int(n)))
 
 
 def tsallis_g(x: float, alpha: float) -> float:

@@ -56,6 +56,13 @@ class SpiralConfig:
             raise DomainError(
                 f"marker_radius must be finite and > 0, got {self.marker_radius}"
             )
+        try:  # the view box side; an int n_points past the double range raises
+            side = 2 * (self.k * self.n_points * self.divergence + self.marker_radius)
+        except OverflowError:
+            side = math.inf
+        if side == math.inf:
+            raise DomainError("the largest radius k * n_points * divergence is past the "
+                              f"double range: k = {self.k}, n_points = {self.n_points}")
 
 
 def generate_points(config: SpiralConfig) -> list[tuple[float, float]]:

@@ -287,6 +287,27 @@ class TestRun:
         self.assert_one_line_error(argv, capsys)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["melconv", "--spec", "{spec}", "--u", "0.5", "--out", "{out}"],
+            ["anova", "--a-matrix", "{dir}", "--g", "{csv}", "--out", "{out}"],
+            ["pathway", "--params", "{dir}", "--x", "1", "--out", "{out}"],
+            ["corr", "--data", "{latin1}", "--out", "{out}"],
+            ["qform", "--matrix", "{csv}", "--n", "10", "--out", "{dir}/absent/x.txt"],
+        ],
+        ids=["kind_not_a_string", "a_matrix_is_a_directory", "params_is_a_directory",
+             "csv_not_utf8", "out_in_a_missing_directory"],
+    )
+    def test_unreadable_input_or_output_is_one_line(self, argv, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps({"numerator": [{"kind": [1]}]}))
+        (tmp_path / "m.csv").write_text("a,b\n1,0\n0,1\n")
+        (tmp_path / "latin1.csv").write_bytes("x,y\n1,2\n2,3\n3,5 \u00b5\n".encode("latin-1"))
+        names = dict(spec="spec.json", csv="m.csv", latin1="latin1.csv", out="out.txt", dir="")
+        self.assert_one_line_error([a.format(**{k: str(tmp_path / v) for k, v in names.items()})
+                                    for a in argv], capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.csv", "m.csv", "spec.json"]
+
+    @pytest.mark.parametrize(
         "alpha", ["x", None, True], ids=["string", "null", "bool"]
     )
     def test_non_numeric_pathway_params_exit_1(self, alpha, tmp_path, capsys):

@@ -195,6 +195,14 @@ class TestSampleCorrelation:
             sample_correlation([1, 1, 1], [1, 2, 3])
         with pytest.raises(DomainError):
             sample_correlation([1, 2, 3], [2, 2, 2])
+        with pytest.raises(DomainError, match="constant"):
+            sample_correlation([1e-200, 1e-200, 1e-200], [1, 2, 3])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes(self, scale):
+        # the sums of squares would overflow to inf or underflow to 0
+        x = scale * np.array([1.0, 2.0, 3.0])
+        assert abs(sample_correlation(x, [1, 2, 3]) - 1) <= 1e-15
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected_without_warning(self, bad):
@@ -257,6 +265,11 @@ class TestChisquaredness:
     def test_needs_a_nonempty_square_matrix(self, shape):
         with pytest.raises(DomainError, match="non-empty square"):
             chisquared_form_check(np.zeros(shape), n=10, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            chisquared_form_check(np.array([[bad, 0.0], [0.0, 1.0]]), n=10, seed=0)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_needs_a_draw(self, n):

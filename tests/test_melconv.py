@@ -817,3 +817,8 @@ class TestNormalityTrend:
     def test_needs_two_draws(self, n):
         with pytest.raises(DomainError, match="n >= 2"):
             normality_trend([2, 4], (2.0, 2.0), n, seed=0)
+
+    def test_zero_draws_raise(self):
+        # at shapes (0.01, 0.01) two of these draws are exactly 0, whose log is -inf
+        with pytest.raises(DomainError, match=r"beta\(0\.01, 0\.01\) gave 2 draws of exactly 0"):
+            normality_trend([2, 4], (0.01, 0.01), 5000, seed=0)

@@ -325,6 +325,21 @@ class TestCdf:
         cdf = pathway_cdf(PathwayParams(alpha=1.5, gamma=0.5), xs)
         assert np.all(np.diff(cdf) >= 0.0)
 
+    def test_heavy_tail_past_the_double_range_against_mpmath(self):
+        # y = scale x^delta overflows at every x here, where the tail still holds 0.4% of
+        # the mass; the CDF is 1 - y^-q / (q B(p, q)) to rounding
+        law = (2.949725445129931, -0.6044689220222419, 2.0608361069671406,
+               0.05146842667025705, 0.3891387471336174)
+        params = PathwayParams(*law)
+        with mpmath.workdps(50):
+            alpha, gamma, delta, a, eta = (mpmath.mpf(v) for v in law)
+            p = (gamma + 1) / delta
+            q = eta / (alpha - 1) - p
+            for x in (1e150, 1e160, 1e250, 1e300, 1.7e308):
+                y = a * (alpha - 1) * mpmath.mpf(x) ** delta
+                ref = 1 - mpmath.betainc(q, p, 0, 1 / (1 + y), regularized=True)
+                assert abs(pathway_cdf(params, x) - float(ref)) <= 1e-15
+
     def test_heavy_tail_against_mpmath(self):
         # 1 - y/(1+y) must not round: the tail mass at 1e30 is still 4.7e-4
         params = PathwayParams(alpha=1.9, gamma=0.0, delta=1.0, a=1.0, eta=1.0)
@@ -368,14 +383,14 @@ class TestSampling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = pathway_sample(params, 500, 7)
-        assert np.all(np.isfinite(draws))
+        assert_exact_quantiles(params, 500, 7)  # the CDF of each draw holds its u
         u = np.random.default_rng(7).random(500)
         law = params._law
         with mpmath.workdps(50):
             for i in np.argsort(draws)[-2:]:
                 y = law.scale * mpmath.mpf(draws[i]) ** params.delta
                 tail = mpmath.betainc(law.q, law.p, 0, 1 / (1 + y), regularized=True)
-                assert abs(tail / (1 - mpmath.mpf(u[i])) - 1) <= 1e-12
+                assert abs(tail / (1 - mpmath.mpf(u[i])) - 1) <= 1e-14
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

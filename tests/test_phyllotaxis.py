@@ -189,6 +189,11 @@ class TestGeneratePoints:
         with pytest.raises(DomainError, match="finite"):
             SpiralConfig(**{field: value})
 
+    @pytest.mark.parametrize("k, n", [(1e308, 3), (1.0, 10**400)], ids=["huge_k", "huge_n"])
+    def test_view_box_past_the_double_range_rejected(self, k, n):
+        with pytest.raises(DomainError, match="double range"):
+            SpiralConfig(k=k, n_points=n)
+
 
 class TestParastichy:
     def test_golden_outer_window(self):
