@@ -9,12 +9,12 @@ Output files are only created after the computation has fully succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,30 +30,25 @@ def _fmt(x) -> str:
     return _FMT % float(x)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
-    output: str | None = None
-
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        env = os.environ.get(_ENV_SEED)
-        return int(env) if env else 0
-
-
 # ---------------------------------------------------------------------------
-# CSV tables
+# input files and CSV tables
+
+def _read(path, parse=str):
+    """An input file read as UTF-8 and passed through ``parse``.  A file that
+    is not UTF-8, not valid JSON where ``parse`` reads JSON, or that ``parse``
+    rejects, is a DomainError that names it."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
 
 def load_table(path) -> tuple[list[str], np.ndarray]:
     """Read a CSV with a header row into (header, float matrix).
 
     Ragged or non-numeric rows raise with the offending row/column named.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _read(path).splitlines() if ln.strip()]
     if not lines:
         raise DomainError(f"{path}: empty table (missing header row)")
     header = [h.strip() for h in lines[0].split(",")]
@@ -92,225 +87,68 @@ def write_table(header: list[str], rows, path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# subcommand handlers (each takes the parsed namespace and returns the output text)
 
-def _list_of(kind, noun: str):
-    """argparse type for a comma-separated list; empty tokens are dropped."""
-    def parse(text: str) -> list:
-        try:
-            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
-    return parse
+def _run_ml(ns) -> str:
+    params = specfun.MLParams(ns.alpha, ns.beta, ns.gamma, ns.uppers, ns.lowers)
+    return _fmt(specfun.mittag_leffler(ns.x, params)) + "\n"
 
 
-_float_list, _int_list = _list_of(float, "number"), _list_of(int, "integer")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pathway-toolkit",
-        description="Pathway densities, Mittag-Leffler functions, "
-        "Mellin-convolution integrals, and related batch computations.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", help="output file (default: standard output)")
-        p.add_argument("--seed", type=int, help=f"seed (fallback: ${_ENV_SEED}, then 0)")
-
-    p = sub.add_parser("ml", help="Mittag-Leffler function value")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--uppers", type=_float_list, default=[])
-    p.add_argument("--lowers", type=_float_list, default=[])
-    p.add_argument("--x", type=float, required=True)
-    add_common(p)
-
-    p = sub.add_parser("pathway", help="pathway model pdf/cdf/support/sampling")
-    p.add_argument("--params", help="JSON file with alpha, gamma, delta, a, eta")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--op", choices=["pdf", "cdf", "support", "sample"], default="pdf")
-    p.add_argument("--x", type=float)
-    p.add_argument("--n", type=int, default=1)
-    add_common(p)
-
-    p = sub.add_parser("ratecalc", help="reaction-rate integral I(gamma, a, b)")
-    p.add_argument("--gamma", type=_float_list, required=True)
-    p.add_argument("--a", type=_float_list, required=True)
-    p.add_argument("--b", type=_float_list, required=True)
-    p.add_argument(
-        "--route", choices=["quadrature", "mellin", "both"], default="quadrature"
-    )
-    add_common(p)
-
-    p = sub.add_parser("kratzel", help="Kratzel integrals g1/g2")
-    p.add_argument("--gamma", type=_float_list, required=True)
-    p.add_argument("--a", type=_float_list, required=True)
-    p.add_argument("--y", type=_float_list, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    add_common(p)
-
-    p = sub.add_parser("melconv", help="density of a product/ratio structure")
-    p.add_argument("--spec", required=True, help="JSON product/ratio description")
-    p.add_argument("--u", type=_float_list, required=True)
-    add_common(p)
-
-    p = sub.add_parser("anova", help="missing-value design solver")
-    p.add_argument("--a-matrix", help="CSV of the incidence matrix A")
-    p.add_argument("--counts", help="CSV of cell counts to build A from")
-    p.add_argument("--g", required=True, help="CSV with the right-hand side G")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-terms", type=int, default=1000)
-    add_common(p)
-
-    p = sub.add_parser("corr", help="sample correlation coefficient")
-    p.add_argument("--data", help="CSV with two columns x, y")
-    p.add_argument("--x", type=_float_list)
-    p.add_argument("--y", type=_float_list)
-    add_common(p)
-
-    p = sub.add_parser("qform", help="chi-squaredness Monte Carlo check")
-    p.add_argument("--matrix", required=True, help="CSV of the symmetric matrix")
-    p.add_argument("--n", type=int, default=100_000)
-    add_common(p)
-
-    p = sub.add_parser("volume", help="random-volume log-product skewness trend")
-    p.add_argument("--k-list", type=_int_list, default=[2, 4, 8])
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=100_000)
-    add_common(p)
-
-    p = sub.add_parser("phyllo", help="golden-angle spiral pattern as SVG")
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument(
-        "--divergence-deg",
-        type=float,
-        help="divergence angle in degrees (default: golden angle)",
-    )
-    p.add_argument("--marker-radius", type=float, default=1.0)
-    add_common(p)
-
-    return parser
-
-
-def parse_args(argv) -> RunConfig:
-    """Validate the argument vector into a RunConfig (usage errors exit 2)."""
-    ns = _build_parser().parse_args(argv)
-    params = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "out", "seed")}
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        params=params,
-        seed=getattr(ns, "seed", None),
-        output=getattr(ns, "out", None),
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _usage_error(message: str):
-    raise SystemExit(_die(message, code=2))
-
-
-def _die(message: str, code: int) -> int:
-    print(f"pathway-toolkit: error: {message}", file=sys.stderr)
-    return code
-
-
-def _validate(cfg: RunConfig):
-    p = cfg.params
-    if cfg.subcommand == "pathway":
-        if p["params"] is None and p["alpha"] is None:
-            _usage_error("pathway: provide --params FILE or --alpha (with the "
-                         "other inline parameters)")
-        if p["op"] in ("pdf", "cdf") and p["x"] is None:
-            _usage_error(f"pathway --op {p['op']}: --x is required")
-        if p["op"] == "sample" and p["n"] < 0:
-            _usage_error("pathway --op sample: --n must be >= 0")
-    elif cfg.subcommand == "anova":
-        if not p["a_matrix"] and not p["counts"]:
-            _usage_error("anova: provide --a-matrix or --counts")
-    elif cfg.subcommand == "corr":
-        if p["data"] is None and (p["x"] is None or p["y"] is None):
-            _usage_error("corr: provide --data FILE or both --x and --y")
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers (each returns the full output text/bytes)
-
-def _run_ml(cfg: RunConfig) -> str:
-    p = cfg.params
-    params = specfun.MLParams(p["alpha"], p["beta"], p["gamma"], p["uppers"], p["lowers"])
-    return _fmt(specfun.mittag_leffler(p["x"], params)) + "\n"
-
-
-def _pathway_params(p: dict) -> pathway.PathwayParams:
-    if p["params"]:
-        return pathway.PathwayParams.from_json(Path(p["params"]).read_text())
-    return pathway.PathwayParams(
-        alpha=p["alpha"], gamma=p["gamma"], delta=p["delta"], a=p["a"], eta=p["eta"]
-    )
-
-
-def _run_pathway(cfg: RunConfig) -> str:
-    p = cfg.params
-    params = _pathway_params(p)
-    op = p["op"]
-    if op == "pdf":
-        return _fmt(pathway.pathway_pdf(params, p["x"])) + "\n"
-    if op == "cdf":
-        return _fmt(pathway.pathway_cdf(params, p["x"])) + "\n"
-    if op == "support":
+def _run_pathway(ns) -> str:
+    if ns.params is not None:
+        params = _read(ns.params, pathway.PathwayParams.from_json)
+    else:
+        params = pathway.PathwayParams(
+            alpha=ns.alpha, gamma=ns.gamma, delta=ns.delta, a=ns.a, eta=ns.eta
+        )
+    if ns.op == "pdf":
+        return _fmt(pathway.pathway_pdf(params, ns.x)) + "\n"
+    if ns.op == "cdf":
+        return _fmt(pathway.pathway_cdf(params, ns.x)) + "\n"
+    if ns.op == "support":
         lo, hi = pathway.pathway_support(params)
         return f"{_fmt(lo)},{_fmt(hi)}\n"
-    draws = pathway.pathway_sample(params, p["n"], cfg.resolved_seed())
+    draws = pathway.pathway_sample(params, ns.n, ns.seed)
     return format_table(["index", "value"], [(i, v) for i, v in enumerate(draws)])
 
 
 def _tabulate(axes, header: list[str], evaluate, fixed=()) -> str:
-    """Evaluate over every point of the product of the axes.  A single point
-    (every axis of length 1) prints the first value alone; otherwise one CSV
+    """Evaluate every point of the product of the axes in one call:
+    ``evaluate(points)`` gives one row of values per point.  A single point
+    (every axis of length 1) prints its first value alone; otherwise one CSV
     row per point: its coordinates, the fixed columns, then the values.
     An empty axis (such as ``--gamma ,``) is a DomainError."""
     empty = [name for name, axis in zip(header, axes) if not axis]
     if empty:
         raise DomainError(f"empty grid axis: {', '.join(empty)} needs at least one value")
     points = list(itertools.product(*axes))
+    values = list(evaluate(points))
     if len(points) == 1:
-        return _fmt(evaluate(*points[0])[0]) + "\n"
-    return format_table(header, [(*pt, *fixed, *evaluate(*pt)) for pt in points])
+        return _fmt(values[0][0]) + "\n"
+    return format_table(header, [(*pt, *fixed, *v) for pt, v in zip(points, values)])
 
 
-def _run_ratecalc(cfg: RunConfig) -> str:
-    p = cfg.params
+def _run_ratecalc(ns) -> str:
     return _tabulate(
-        [p["gamma"], p["a"], p["b"]],
+        [ns.gamma, ns.a, ns.b],
         ["gamma", "a", "b", "value", "abs_err_estimate"],
-        lambda g, a, b: melconv.reaction_rate_with_error(g, a, b, route=p["route"]),
+        lambda points: [melconv.reaction_rate_with_error(g, a, b, route=ns.route)
+                        for g, a, b in points],
     )
 
 
-def _run_kratzel(cfg: RunConfig) -> str:
-    p = cfg.params
-    al, be = p["alpha"], p["beta"]
+def _run_kratzel(ns) -> str:
+    al, be = ns.alpha, ns.beta
     return _tabulate(
-        [p["gamma"], p["a"], p["y"]],
+        [ns.gamma, ns.a, ns.y],
         ["gamma", "a", "y", "alpha", "beta", "value", "abs_err_estimate"],
-        lambda g, a, y: melconv.kratzel_g2_with_error(g, a, y, al, be),
+        lambda points: [melconv.kratzel_g2_with_error(g, a, y, al, be) for g, a, y in points],
         fixed=(al, be),
     )
 
 
 def _parse_product_spec(path: str) -> melconv.ProductSpec:
-    doc = json.loads(Path(path).read_text())
+    doc = _read(path, json.loads)
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: the spec must be a JSON object")
     unknown = sorted(set(doc) - {"numerator", "denominator"})
@@ -338,109 +176,223 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
     )
 
 
-def _run_melconv(cfg: RunConfig) -> str:
-    p = cfg.params
-    dens = melconv.product_moment_density(_parse_product_spec(p["spec"]))
-    density = iter(dens.density(np.array(p["u"], dtype=float)))  # one batched inversion
-    return _tabulate([p["u"]], ["u", "density"], lambda u: (next(density),))
+def _run_melconv(ns) -> str:
+    dens = melconv.product_moment_density(_parse_product_spec(ns.spec))
+    # the whole grid is one batched inversion
+    return _tabulate([ns.u], ["u", "density"], lambda points: zip(dens.density(np.ravel(points))))
 
 
-def _run_anova(cfg: RunConfig) -> str:
-    p = cfg.params
-    _, g_tab = load_table(p["g"])
+def _run_anova(ns) -> str:
+    _, g_tab = load_table(ns.g)
     G = g_tab.ravel()
-    if p["a_matrix"]:
-        _, A = load_table(p["a_matrix"])
+    if ns.a_matrix is not None:
+        _, A = load_table(ns.a_matrix)
     else:
-        _, counts = load_table(p["counts"])
+        _, counts = load_table(ns.counts)
         A = designstats.build_incidence(counts)
     system = designstats.IncidenceSystem(A=A, G=G)
-    alpha, _, _ = designstats.neumann_solve(
-        system, tol=p["tol"], max_terms=p["max_terms"]
-    )
+    alpha, _, _ = designstats.neumann_solve(system, tol=ns.tol, max_terms=ns.max_terms)
     return format_table(["index", "alpha_value"], list(enumerate(alpha)))
 
 
-def _run_corr(cfg: RunConfig) -> str:
-    p = cfg.params
-    if p["data"]:
-        _, tab = load_table(p["data"])
+def _run_corr(ns) -> str:
+    if ns.data is not None:
+        _, tab = load_table(ns.data)
         if tab.shape[1] < 2:
-            raise DomainError("corr --data needs at least two columns")
+            raise DomainError("--data needs at least two columns, x and y")
         x, y = tab[:, 0], tab[:, 1]
     else:
-        x, y = p["x"], p["y"]
+        x, y = ns.x, ns.y
     return _fmt(designstats.sample_correlation(x, y)) + "\n"
 
 
-def _run_qform(cfg: RunConfig) -> str:
-    p = cfg.params
-    _, A = load_table(p["matrix"])
-    report = designstats.chisquared_form_check(A, n=p["n"], seed=cfg.resolved_seed())
+def _run_qform(ns) -> str:
+    _, A = load_table(ns.matrix)
+    report = designstats.chisquared_form_check(A, n=ns.n, seed=ns.seed)
     header = ["idempotent", "rank", "ks_stat", "consistent"]
     return format_table(header, [[report[k] for k in header]])
 
 
-def _run_volume(cfg: RunConfig) -> str:
-    p = cfg.params
-    trend = melconv.normality_trend(
-        p["k_list"], (p["alpha"], p["beta"]), p["n"], cfg.resolved_seed()
-    )
+def _run_volume(ns) -> str:
+    trend = melconv.normality_trend(ns.k_list, (ns.alpha, ns.beta), ns.n, ns.seed)
     return format_table(["k", "skewness"], trend)
 
 
-def _run_phyllo(cfg: RunConfig) -> str:
-    p = cfg.params
-    divergence = (
-        math.radians(p["divergence_deg"])
-        if p["divergence_deg"] is not None
-        else None
-    )
+def _run_phyllo(ns) -> str:
+    divergence = None if ns.divergence_deg is None else math.radians(ns.divergence_deg)
     config = phyllotaxis.SpiralConfig(
-        k=p["k"],
-        n_points=p["n"],
+        k=ns.k,
+        n_points=ns.n,
         divergence=divergence,
-        marker_radius=p["marker_radius"],
+        marker_radius=ns.marker_radius,
     )
     points = phyllotaxis.generate_points(config)
     return phyllotaxis.render_svg(points, config)
 
 
-_HANDLERS = {
-    "ml": _run_ml,
-    "pathway": _run_pathway,
-    "ratecalc": _run_ratecalc,
-    "kratzel": _run_kratzel,
-    "melconv": _run_melconv,
-    "anova": _run_anova,
-    "corr": _run_corr,
-    "qform": _run_qform,
-    "volume": _run_volume,
-    "phyllo": _run_phyllo,
-}
+# ---------------------------------------------------------------------------
+# the argument table
+
+def _list_of(kind, noun: str):
+    """argparse type for a comma-separated list; empty tokens are dropped."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
+    return parse
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated config; writes output only on success."""
+_float_list, _int_list = _list_of(float, "number"), _list_of(int, "integer")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a non-negative integer, such as a draw count or a seed."""
     try:
-        payload = _HANDLERS[cfg.subcommand](cfg)
-        data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
-        if cfg.output:
-            Path(cfg.output).write_bytes(data)
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: each subparser carries its handler (``run``), its inputs
+    and their types.  Built once per process, so it holds nothing that
+    changes between calls; ``parse_args`` reads the seed's environment
+    fallback."""
+    parser = argparse.ArgumentParser(
+        prog="pathway-toolkit",
+        description="Pathway densities, Mittag-Leffler functions, "
+        "Mellin-convolution integrals, and related batch computations.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name, run, summary, seeded=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--out", help="output file (default: standard output)")
+        if seeded:
+            p.add_argument("--seed", type=_non_negative_int,
+                           help=f"seed (fallback: ${_ENV_SEED}, then 0)")
+        return p
+
+    p = add("ml", _run_ml, "Mittag-Leffler function value")
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--uppers", type=_float_list, default=())
+    p.add_argument("--lowers", type=_float_list, default=())
+    p.add_argument("--x", type=float, required=True)
+
+    p = add("pathway", _run_pathway, "pathway model pdf/cdf/support/sampling", seeded=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--params", help="JSON file with alpha, gamma, delta, a, eta")
+    source.add_argument("--alpha", type=float, help="inline, with the parameters below")
+    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--op", choices=["pdf", "cdf", "support", "sample"], default="pdf")
+    p.add_argument("--x", type=float, help="required by --op pdf and cdf")
+    p.add_argument("--n", type=_non_negative_int, default=1)
+
+    p = add("ratecalc", _run_ratecalc, "reaction-rate integral I(gamma, a, b)")
+    p.add_argument("--gamma", type=_float_list, required=True)
+    p.add_argument("--a", type=_float_list, required=True)
+    p.add_argument("--b", type=_float_list, required=True)
+    p.add_argument(
+        "--route", choices=["quadrature", "mellin", "both"], default="quadrature"
+    )
+
+    p = add("kratzel", _run_kratzel, "Kratzel integrals g1/g2")
+    p.add_argument("--gamma", type=_float_list, required=True)
+    p.add_argument("--a", type=_float_list, required=True)
+    p.add_argument("--y", type=_float_list, required=True)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+
+    p = add("melconv", _run_melconv, "density of a product/ratio structure")
+    p.add_argument("--spec", required=True, help="JSON product/ratio description")
+    p.add_argument("--u", type=_float_list, required=True)
+
+    p = add("anova", _run_anova, "missing-value design solver")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--a-matrix", help="CSV of the incidence matrix A")
+    source.add_argument("--counts", help="CSV of cell counts to build A from")
+    p.add_argument("--g", required=True, help="CSV with the right-hand side G")
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-terms", type=int, default=1000)
+
+    p = add("corr", _run_corr, "sample correlation coefficient")
+    p.add_argument("--data", help="CSV with two columns x, y (or give --x and --y)")
+    p.add_argument("--x", type=_float_list)
+    p.add_argument("--y", type=_float_list)
+
+    p = add("qform", _run_qform, "chi-squaredness Monte Carlo check", seeded=True)
+    p.add_argument("--matrix", required=True, help="CSV of the symmetric matrix")
+    p.add_argument("--n", type=int, default=100_000)
+
+    p = add("volume", _run_volume, "random-volume log-product skewness trend", seeded=True)
+    p.add_argument("--k-list", type=_int_list, default=(2, 4, 8))
+    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--n", type=int, default=100_000)
+
+    p = add("phyllo", _run_phyllo, "golden-angle spiral pattern as SVG")
+    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=300)
+    p.add_argument(
+        "--divergence-deg",
+        type=float,
+        help="divergence angle in degrees (default: golden angle)",
+    )
+    p.add_argument("--marker-radius", type=float, default=1.0)
+
+    return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse an argument vector; usage errors exit 2.  Past the table, two
+    rules that argparse cannot state, and the seed's fallback to
+    $PATHWAY_TOOLKIT_SEED (then 0), read on every call."""
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if "op" in ns and ns.op in ("pdf", "cdf") and ns.x is None:
+        parser.error(f"{ns.subcommand} --op {ns.op}: --x is required")
+    if "data" in ns and ns.data is None and (ns.x is None or ns.y is None):
+        parser.error(f"{ns.subcommand}: provide --data FILE or both --x and --y")
+    if "seed" in ns and ns.seed is None:
+        env = os.environ.get(_ENV_SEED)
+        try:
+            ns.seed = _non_negative_int(env) if env else 0
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"${_ENV_SEED}: {exc}")
+    return ns
+
+
+def run(ns: argparse.Namespace) -> int:
+    """Run a parsed command line; writes output only on success."""
+    try:
+        text = ns.run(ns)
+        if ns.out:
+            Path(ns.out).write_bytes(text.encode("utf-8"))
         else:
-            sys.stdout.write(data.decode("utf-8"))
-    except (DomainError, ConvergenceError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        malformed = "malformed JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
-        return _die(malformed + str(exc), code=1)
+            sys.stdout.write(text)
+    except (DomainError, ConvergenceError, OSError) as exc:
+        print(f"pathway-toolkit: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        ns = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return run(cfg)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -144,6 +144,9 @@ def sample_correlation(x, y) -> float:
         )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("correlation needs finite x and y")
+    # scaled by a power of two near the largest |value|, which is exact and
+    # keeps the means in the double range
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     dx = x - x.mean()
     dy = y - y.mean()
     sx, sy = np.abs(dx).max(), np.abs(dy).max()

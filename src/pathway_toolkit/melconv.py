@@ -798,6 +798,8 @@ def normality_trend(
     skewness magnitude must fall as k grows; returning the whole sequence lets
     callers check that central-limit trend directly.
     """
+    if not len(k_list):
+        raise DomainError("normality_trend needs at least one factor count")
     for k in k_list:
         if k < 2:
             raise DomainError(f"factor counts must be >= 2, got {k}")

@@ -45,12 +45,15 @@ class MLParams:
     lowers: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "uppers", tuple(float(a) for a in self.uppers))
+        object.__setattr__(self, "lowers", tuple(float(b) for b in self.lowers))
+        for name in ("alpha", "beta", "gamma", "uppers", "lowers"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.alpha > 0):
             raise DomainError(f"alpha must be > 0, got {self.alpha}")
         if not (self.beta > 0):
             raise DomainError(f"beta must be > 0, got {self.beta}")
-        object.__setattr__(self, "uppers", tuple(float(a) for a in self.uppers))
-        object.__setattr__(self, "lowers", tuple(float(b) for b in self.lowers))
         for b in self.lowers:
             if b <= 0 and b == int(b):
                 raise DomainError(

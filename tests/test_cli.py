@@ -12,6 +12,7 @@ import pytest
 import pathway_toolkit
 from pathway_toolkit import melconv
 from pathway_toolkit.cli import (
+    _build_parser,
     format_table,
     load_table,
     main,
@@ -26,8 +27,8 @@ class TestParseArgs:
     def test_ml_minimal(self):
         cfg = parse_args(["ml", "--alpha", "1", "--x", "1"])
         assert cfg.subcommand == "ml"
-        assert cfg.params["alpha"] == 1.0
-        assert cfg.params["x"] == 1.0
+        assert cfg.alpha == 1.0
+        assert cfg.x == 1.0
 
     def test_pathway_with_file(self, tmp_path):
         f = tmp_path / "p.json"
@@ -35,8 +36,8 @@ class TestParseArgs:
         cfg = parse_args(
             ["pathway", "--params", str(f), "--op", "pdf", "--x", "0.5"]
         )
-        assert cfg.params["params"] == str(f)
-        assert cfg.params["op"] == "pdf"
+        assert cfg.params == str(f)
+        assert cfg.op == "pdf"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -62,6 +63,67 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as err:
             parse_args(["pathway", "--op", "pdf", "--x", "1"])
         assert err.value.code == 2
+
+
+SUBCOMMANDS = ["ml", "pathway", "ratecalc", "kratzel", "melconv", "anova", "corr", "qform",
+               "volume", "phyllo"]
+SEEDED = {"pathway", "qform", "volume"}
+
+
+class TestParserTable:
+    """The argparse table is the CLI's one description, built once per process."""
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_help_exits_0(self, sub, capsys):
+        assert main([sub, "--help"]) == 0
+        assert ("--seed" in capsys.readouterr().out) == (sub in SEEDED)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ml", "--alpha", "1", "--x", "1", "--seed", "3"],
+            ["phyllo", "--n", "5", "--seed", "1"],
+            ["pathway", "--params", "{p}", "--alpha", "2", "--x", "0.5"],
+            ["anova", "--a-matrix", "{csv}", "--counts", "{csv}", "--g", "{csv}"],
+            ["pathway", "--alpha", "1", "--op", "sample", "--n", "3", "--seed=-1"],
+            ["pathway", "--alpha", "1", "--op", "sample", "--n=-1"],
+            ["pathway", "--alpha", "1", "--op", "cdf"],
+            ["corr", "--x", "1,2,3"],
+        ],
+        ids=["seed_on_ml", "seed_on_phyllo", "params_and_alpha", "a_matrix_and_counts",
+             "negative_seed", "negative_n", "cdf_without_x", "corr_without_y"],
+    )
+    def test_usage_error_exits_2(self, argv, tmp_path, capsys):
+        names = dict(p=tmp_path / "p.json", csv=tmp_path / "m.csv")
+        names["p"].write_text(json.dumps(dict(alpha=1, gamma=0, delta=1, a=1, eta=1)))
+        names["csv"].write_text("a,b\n1,0\n0,1\n")
+        assert main([a.format(**names) for a in argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    @pytest.mark.parametrize("sub", ["pathway", "volume"])
+    def test_bad_env_seed_exits_2(self, sub, value, monkeypatch, capsys):
+        monkeypatch.setenv("PATHWAY_TOOLKIT_SEED", value)
+        argv = {"pathway": ["pathway", "--alpha", "1", "--op", "sample", "--n", "3"],
+                "volume": ["volume", "--k-list", "2", "--n", "10"]}[sub]
+        assert main(argv) == 2
+        assert "PATHWAY_TOOLKIT_SEED" in capsys.readouterr().err
+
+    def test_env_seed_is_read_on_every_call(self, monkeypatch, capsys):
+        argv = ["pathway", "--alpha", "1", "--op", "sample", "--n", "5"]
+        draws = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("PATHWAY_TOOLKIT_SEED", seed)
+            assert main(argv) == 0
+            draws.append(capsys.readouterr().out)
+        assert draws[0] != draws[1]
+
+    def test_parser_is_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["ratecalc", "--gamma", "2", "--a", "3", "--b", "0"]) == 0
+        assert main(["corr", "--x", "1,2,3", "--y", "1,3,2"]) == 0
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestRun:
@@ -210,6 +272,17 @@ class TestRun:
         assert main(["corr", "--x", "1,2,3", "--y", "1,3,2"]) == 0
         assert capsys.readouterr().out == "0.5\n"
 
+    def test_corr_from_data(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,1\n2,3\n3,2\n")
+        assert main(["corr", "--data", str(data)]) == 0
+        assert capsys.readouterr().out == "0.5\n"
+
+    def test_pathway_support(self, capsys):
+        # alpha = 0.5: the support ends at (a (1 - alpha))^(-1 / delta) = 2
+        assert main(["pathway", "--alpha", "0.5", "--op", "support"]) == 0
+        assert capsys.readouterr().out == "0,2\n"
+
     def test_qform(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("a,b,c\n1,0,0\n0,1,0\n0,0,0\n")
@@ -231,6 +304,15 @@ class TestRun:
         root = ET.parse(out).getroot()
         circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
         assert len(circles) == 60
+
+    def test_phyllo_divergence_deg(self, capsys):
+        # a 90 degree divergence puts every fourth point on one ray from the origin
+        assert main(["phyllo", "--n", "9", "--divergence-deg", "90"]) == 0
+        root = ET.fromstring(capsys.readouterr().out)
+        xy = [(float(c.get("cx")), float(c.get("cy")))
+              for c in root.findall(".//{http://www.w3.org/2000/svg}circle")]
+        ray = [math.atan2(y, x) for x, y in xy[::4]]
+        assert len(xy) == 9 and max(ray) - min(ray) < 1e-5
 
     def test_no_partial_output_on_error(self, tmp_path):
         out = tmp_path / "never.txt"
@@ -306,6 +388,29 @@ class TestRun:
         self.assert_one_line_error([a.format(**{k: str(tmp_path / v) for k, v in names.items()})
                                     for a in argv], capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.csv", "m.csv", "spec.json"]
+
+    @pytest.mark.parametrize(
+        "argv, name, data",
+        [
+            (["anova", "--a-matrix", "{m}", "--g", "{f}"], "g.csv",
+             "g\n1\n2 \u00b5\n".encode("latin-1")),
+            (["melconv", "--spec", "{f}", "--u", "0.5"], "spec.json",
+             '{"numerator": [{"kind": "uniform01 \u00b5"}]}'.encode("latin-1")),
+            (["pathway", "--params", "{f}", "--x", "1"], "p.json",
+             b'{"alpha": 1.0,\n"gamma": 0.0 "delta": 1.0}'),
+            (["pathway", "--params", "{f}", "--x", "1"], "p.json", b'{"alpha": 1.0}'),
+        ],
+        ids=["csv_not_utf8", "spec_not_utf8", "params_malformed_json", "params_missing_keys"],
+    )
+    def test_input_file_error_names_its_file(self, argv, name, data, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text("a,b\n0.6,0.4\n0.3,0.7\n")
+        (tmp_path / name).write_bytes(data)
+        argv = [a.format(m=tmp_path / "m.csv", f=tmp_path / name) for a in argv]
+        assert str(tmp_path / name) in self.assert_one_line_error(argv, capsys)
+
+    def test_mellin_route_gamma_at_most_minus_2_exits_1(self, capsys):
+        argv = ["ratecalc", "--route", "mellin", "--gamma=-2.5", "--a", "1", "--b", "1"]
+        assert "gamma > -2" in self.assert_one_line_error(argv, capsys)
 
     @pytest.mark.parametrize(
         "alpha", ["x", None, True], ids=["string", "null", "bool"]

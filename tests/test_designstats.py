@@ -204,6 +204,13 @@ class TestSampleCorrelation:
         x = scale * np.array([1.0, 2.0, 3.0])
         assert abs(sample_correlation(x, [1, 2, 3]) - 1) <= 1e-15
 
+    def test_sum_past_double_range_without_warning(self):
+        # the sum of x overflows; the scale does not change the correlation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = sample_correlation([1e308, 1.5e308, 1.7e308], [1, 2, 3])
+        assert abs(r - sample_correlation([1, 1.5, 1.7], [1, 2, 3])) <= 1e-15
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected_without_warning(self, bad):
         with warnings.catch_warnings():

@@ -109,6 +109,10 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             MomentDensity("bad", lambda s: 1.0 / s, strip=(2.0, 3.0))
 
+    def test_moment_at_one_must_be_total_mass_one(self):
+        with pytest.raises(DomainError, match="total mass 1"):
+            MomentDensity("half", lambda s: 0.5 / s, strip=(0.0, 2.0))
+
 
 class TestStructureMoment:
     def test_single_uniform(self):
@@ -135,6 +139,10 @@ class TestStructureMoment:
     def test_exponents_positive(self):
         with pytest.raises(DomainError):
             ProductSpec(numerator=[(builtin_density("uniform01"), -1.0)])
+
+    def test_needs_a_factor(self):
+        with pytest.raises(DomainError, match="at least one factor"):
+            ProductSpec()
 
     @staticmethod
     def mixed_spec():
@@ -352,6 +360,16 @@ class TestBatchedInversion:
         assert grid.shape == (3, 4)
         assert np.array_equal(grid.ravel(), batch)
         assert dens.density(us[:1]).shape == (1,)
+
+    def test_some_exit_in_the_octaves_and_the_rest_in_the_tail(self):
+        # u = 0.3 leaves at an octave exit test, u = 0.9 goes on to the tail
+        dens = random_volume_dist(1, [(1.0, 4.5)])
+        us = np.array([0.3, 0.9])
+        batch = dens.density(us)
+        one_by_one = np.array([dens.density(float(u)) for u in us])
+        assert np.all(np.abs(batch - one_by_one) <= 1e-14 * (1.0 + np.abs(one_by_one)))
+        exact = dens.pdf_oracle(us)
+        assert np.all(np.abs(batch - exact) <= 1e-8 * (1.0 + np.abs(exact)))
 
     def test_empty_array(self):
         assert _two_uniforms().density(np.array([])).shape == (0,)
@@ -807,6 +825,8 @@ class TestNormalityTrend:
     def test_k_validation(self):
         with pytest.raises(DomainError):
             normality_trend([1], (2.0, 2.0), 100, seed=0)
+        with pytest.raises(DomainError, match="at least one factor count"):
+            normality_trend([], (2.0, 2.0), 100, seed=0)
 
     @pytest.mark.parametrize("shapes", [(math.inf, 2.0), (2.0, math.nan)])
     def test_non_finite_shapes_rejected(self, shapes):

@@ -197,6 +197,14 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             MLParams(alpha=1.0, uppers=(1.0, 2.0), lowers=())  # r > s + 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "uppers", "lowers"])
+    def test_non_finite_parameter_names_its_field(self, field, bad):
+        kwargs = dict(alpha=1.0, uppers=(1.5,), lowers=(2.5,))
+        kwargs[field] = (bad,) if field in ("uppers", "lowers") else bad
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            MLParams(**kwargs)
+
     def test_nonpositive_integer_gamma_terminates_series(self):
         # gamma = -2 zeroes every term from k = 3 on: a polynomial in x
         p = MLParams(alpha=1.0, beta=1.0, gamma=-2.0)
