@@ -2,7 +2,7 @@
 
 One subcommand per computational area; scalar queries print a single decimal,
 tabulations print CSV with a header row, and the spiral subcommand emits SVG.
-Exit codes: 0 success, 1 domain or convergence failure, 2 usage error.
+Exit codes: 0 success, 1 domain, convergence, file or memory failure, 2 usage error.
 Output files are only created after the computation has fully succeeded.
 """
 
@@ -132,8 +132,8 @@ def _run_ratecalc(ns) -> str:
     return _tabulate(
         [ns.gamma, ns.a, ns.b],
         ["gamma", "a", "b", "value", "abs_err_estimate"],
-        lambda points: [melconv.reaction_rate_with_error(g, a, b, route=ns.route)
-                        for g, a, b in points],
+        lambda points: np.transpose(
+            melconv.reaction_rate_with_error(*np.transpose(points), route=ns.route)),
     )
 
 
@@ -142,7 +142,7 @@ def _run_kratzel(ns) -> str:
     return _tabulate(
         [ns.gamma, ns.a, ns.y],
         ["gamma", "a", "y", "alpha", "beta", "value", "abs_err_estimate"],
-        lambda points: [melconv.kratzel_g2_with_error(g, a, y, al, be) for g, a, y in points],
+        lambda points: np.transpose(melconv.kratzel_g2_with_error(*np.transpose(points), al, be)),
         fixed=(al, be),
     )
 
@@ -246,15 +246,21 @@ def _list_of(kind, noun: str):
 _float_list, _int_list = _list_of(float, "number"), _list_of(int, "integer")
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for a non-negative integer, such as a draw count or a seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return value
+def _int_from(least: int, noun: str):
+    """argparse type for an integer >= least."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"not a {noun} integer: {text!r}")
+        return value
+    return parse
+
+
+# a draw count or a seed; a term cap
+_non_negative_int, _positive_int = _int_from(0, "non-negative"), _int_from(1, "positive")
 
 
 @functools.cache
@@ -324,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--counts", help="CSV of cell counts to build A from")
     p.add_argument("--g", required=True, help="CSV with the right-hand side G")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-terms", type=int, default=1000)
+    p.add_argument("--max-terms", type=_positive_int, default=1000)
 
     p = add("corr", _run_corr, "sample correlation coefficient")
     p.add_argument("--data", help="CSV with two columns x, y (or give --x and --y)")
@@ -381,7 +387,7 @@ def run(ns: argparse.Namespace) -> int:
             Path(ns.out).write_bytes(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
-    except (DomainError, ConvergenceError, OSError) as exc:
+    except (DomainError, ConvergenceError, OSError, MemoryError) as exc:
         print(f"pathway-toolkit: error: {exc}", file=sys.stderr)
         return 1
     return 0

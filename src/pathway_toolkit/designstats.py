@@ -102,6 +102,8 @@ def neumann_solve(
     """
     if not tol > 0:
         raise DomainError(f"tol must be > 0, got {tol}")
+    if not max_terms >= 1:
+        raise DomainError(f"max_terms must be at least 1, got {max_terms}")
     centered = center_by_medians(sys)
     B = centered.B
     term = sys.G.copy()

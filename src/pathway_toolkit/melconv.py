@@ -34,6 +34,8 @@ _TAIL_GROUP_CHUNKS = 1 << 16  # tail chunks per moment call: 2^20 nodes
 # half-line rule: the lowest s (e^(-s) stays finite); 81 probe offsets, 0 at 40
 _HL_S_MIN = -700.0
 _HL_PROBE = np.concatenate([-(2.0 ** np.arange(39, -1, -1)), [0.0], 2.0 ** np.arange(40)])
+_HL_BLOCK = 1 << 16  # most nodes in one integrand call, rows x nodes
+_DBL_MAX = np.finfo(float).max
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,28 @@ def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
         )
     message = f"{kind} shape parameters must be numbers, got {shape}"
     return [as_number(shape[k], message) for k in keys]
+
+
+def _columns(*params):
+    """The parameters as flat float columns of their broadcast shape, and the map of a
+    result column back to that shape: a float where the shape is a scalar's."""
+    arrays = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in params))
+    shape = arrays[0].shape if arrays else ()
+    shaped = (lambda a: float(a[0])) if shape == () else (lambda a: a.reshape(shape))
+    return [a.ravel() for a in arrays], shaped
+
+
+def _first_broken(rules, **columns) -> tuple[int, DomainError | None]:
+    """The first row that breaks a rule, and the DomainError of the first rule it breaks,
+    as a loop over the rows would raise it (the row count and None where none does).
+    ``rules`` are (mask of the rows that break it, message over the named columns)."""
+    broken = np.array([mask for mask, _ in rules], dtype=bool)
+    rows = broken.any(0)
+    if not rows.any():
+        return rows.size, None
+    i = int(rows.argmax())
+    message = rules[int(broken[:, i].argmax())][1]
+    return i, DomainError(message.format(**{k: float(col[i]) for k, col in columns.items()}))
 
 
 def _points(x) -> tuple[np.ndarray, bool]:
@@ -506,8 +530,7 @@ def mellin_invert(mom, u, c: float):
     the absolute error 1e-8 (1 + |g|), with the achieved bound.  The error
     names the first failing u and carries its partial value and bound.
     """
-    u_arr = np.asarray(u, dtype=float)
-    flat = u_arr.ravel()
+    (flat,), shaped = _columns(u)
     ok = (flat > 0) & (flat < math.inf)
     if not ok.all():
         raise DomainError(f"mellin_invert needs finite u > 0, got {flat[~ok][0]}")
@@ -518,7 +541,6 @@ def mellin_invert(mom, u, c: float):
                                f"{flat[scale == math.inf][0]}, c = {c}", bound=math.inf)
     rate = -1j * np.log(flat)  # the contour phase is e^(rate t)
     out = np.empty(flat.size)
-    shaped = (lambda a: float(a[0])) if u_arr.ndim == 0 else (lambda a: a.reshape(u_arr.shape))
     if not flat.size:
         return shaped(out)
 
@@ -571,79 +593,167 @@ def mellin_invert(mom, u, c: float):
 # ---------------------------------------------------------------------------
 # improper integrals on the positive half line
 
-def integrate_halfline(integrand) -> tuple[float, float]:
-    """integral over all t of exp(log_m) w, where ``integrand(t)`` gives (log_m, w)
-    on an array t: the log of a positive majorant and a weight in [-1, 1].
+def integrate_halfline(integrand, *columns, log_bound=None):
+    """integral over all t of exp(log_m) w, one per row of the parameter ``columns``
+    (numbers, or arrays of one broadcast shape; none for a single integral), where
+    ``integrand(t, *cols)`` gives (log_m, w) on a (rows, nodes) array t, each column cut to
+    those rows as a (rows, 1) array: the log of a positive majorant and a weight in [-1, 1].
 
-    The trapezoid rule runs in s, where t = s - e^(-s), so the x -> 0 side
-    decays double-exponentially even where log_m falls off only linearly
-    (Takahasi & Mori, Publ. RIMS 9, 1974).  A probe of doubling steps is moved
-    onto the peak in s and zoomed in; its points 40 below the peak bracket the
-    sum.  The step is halved until the sums of majorant and integrand agree to
-    1e-14 of the former or to their rounding (ulps times the size and curvature of
-    log_m at the peak); the larger is the error in the returned (value, abs_error),
-    and w = 0 gives exactly 0.  No such peak or agreement raises ConvergenceError.
+    The trapezoid rule runs in s, where t = s - e^(-s), so the x -> 0 side decays
+    double-exponentially even where log_m falls off only linearly (Takahasi & Mori,
+    Publ. RIMS 9, 1974).  Each row has its own probe of doubling steps, moved onto its
+    peak in s and zoomed in; its points 40 below the peak bracket the sum.  The row's step
+    is halved until the sums of majorant and integrand agree to 1e-14 of the former or to
+    their rounding (ulps times the size and curvature of log_m at the peak); the larger is
+    its error.  A row leaves the nodes once it settles, w = 0 gives exactly 0, and no
+    integrand call holds more than _HL_BLOCK nodes unless one row's level alone does.
+
+    Returns (value, abs_error): floats where the columns are numbers, else arrays of their
+    shape.  A row with no such peak or agreement is a ConvergenceError with its partial
+    value and bound, and the first such row raises, as a loop over the rows would.  Where
+    the probe finds no peak, ``log_bound(*cols)`` (those rows' columns) may give the log of
+    a bound B on the integral: a row whose B underflows is 0 with error 0, and the others
+    carry B as their bound.
     """
-
-    def log_ds(s):  # nan (inf - inf far out in a tail) counts as -inf
-        e = np.exp(-s)
-        log_m, w = integrand(s - e)
-        return np.nan_to_num(log_m + np.log1p(e), nan=-np.inf), w
-
+    cols, shaped = _columns(*columns)
+    n = cols[0].size if cols else 1
+    value, err = np.empty(n), np.empty(n)
+    group = _HL_BLOCK // _HL_PROBE.size  # rows per probe call
     with np.errstate(all="ignore"):
-        c, d = 0.0, 0.5
-        for _ in range(100):  # move the probe onto the peak, then zoom in
-            s = np.maximum(c + d * _HL_PROBE, _HL_S_MIN)
-            v = log_ds(s)[0]
-            k = int(np.argmax(v))
-            if k in (0, 80) or s[k] == _HL_S_MIN:
+        for start in range(0, n, group):
+            fault = _halfline_rows(integrand, cols, np.arange(start, min(n, start + group)),
+                                   log_bound, value, err)
+            if fault is not None:
+                raise fault
+    return shaped(value), shaped(err)
+
+
+def _halfline_rows(integrand, cols, rows, log_bound, value, err):
+    """integrate_halfline on ``rows``: fills their value and err, and gives the first
+    failing row's ConvergenceError (None where none fails)."""
+
+    def log_ds(s, at):
+        """(log of the majorant in s, weight) on the rows ``at``; +-inf counts as the
+        largest double and nan (inf - inf far out in a tail) as -inf."""
+        e = np.exp(-s)
+        log_m, w = integrand(s - e, *(col[at, None] for col in cols))
+        v = np.minimum(np.maximum(log_m + np.log1p(e), -_DBL_MAX), _DBL_MAX)
+        v[np.isnan(v)] = -np.inf
+        return v, w
+
+    # the probe: move onto the peak, then zoom in; a row keeps the sweep it stops at
+    k = rows.size
+    c, d, live, i = np.zeros(k), np.full(k, 0.5), np.arange(k), np.arange(k)
+    s_at, v_at, top, d_at = np.empty((k, 81)), np.empty((k, 81)), np.empty(k, int), np.empty(k)
+    for _ in range(100):
+        s = np.maximum(c[:, None] + d[:, None] * _HL_PROBE, _HL_S_MIN)
+        v = log_ds(s, rows[live])[0]
+        j = v.argmax(1)
+        sj = s[i, j]
+        inner = (j % 80 != 0) & (sj != _HL_S_MIN)  # neither end of the probe nor its floor
+        move = inner & (j != 40)
+        zoom = inner & (j == 40) & (v[:, 40] - np.minimum(v[:, 39], v[:, 41]) > 1.0)
+        if np.count_nonzero(move):
+            near = np.minimum(sj - s[i, j - 1], s[i, (j + 1) % 81] - sj)
+            c, d = np.where(move, sj, c), np.where(move, near / 2, d)
+        if np.count_nonzero(zoom):
+            d = np.where(zoom, d / 16, d)
+        going = move | zoom
+        if np.count_nonzero(going) < live.size:
+            if live.size == k and not np.count_nonzero(going):  # every row stops at once
+                s_at, v_at, top, d_at = s, v, j, d
                 break
-            if k != 40:
-                c, d = s[k], min(s[k] - s[k - 1], s[k + 1] - s[k]) / 2
-            elif v[40] - min(v[39], v[41]) > 1.0:
-                d /= 16
-            else:
+            stop = ~going
+            at = live[stop]
+            s_at[at], v_at[at], top[at], d_at[at] = s[stop], v[stop], j[stop], d[stop]
+            live, c, d = live[going], c[going], d[going]
+            i = i[:live.size]
+            if not live.size:
                 break
-        peak, low = v[k], v < v[k] - 40.0
-        if not (k == 40 and np.isfinite(peak) and low[:40].any() and low[41:].any()):
-            raise ConvergenceError("half-line integrand has no finite peak "
-                                   "that decays on both sides", bound=math.inf)
-        rounding = 1e-15 * (1.0 + abs(peak) + abs(v[39] - 2.0 * peak + v[41]) / d**2)
-        tol = max(1e-14, rounding)
-        lo, hi = s[39 - np.argmax(low[39::-1])], s[41 + np.argmax(low[41:])]
-        def sums(s):  # the majorant's sum + 1j * the integrand's, relative to the peak
-            log_m, w = log_ds(s)
-            m = np.exp(log_m - peak)
-            return complex(m.sum(), (m * w).sum())
-        n, h = 16, float(hi - lo) / 16  # both ends are negligible: plain sums
-        total = h * sums(lo + h * np.arange(n + 1))
+    else:  # out of sweeps: the rows still moving keep the last one
+        s_at[live], v_at[live], top[live], d_at[live] = s[going], v[going], j[going], d
+    i = np.arange(k)
+    peak = v_at[i, top]
+    low = v_at < (peak - 40.0)[:, None]
+    left, right = 39 - low[:, 39::-1].argmax(1), 41 + low[:, 41:].argmax(1)  # the first low points
+    found = (top == 40) & np.isfinite(peak) & low[i, left] & low[i, right]
+
+    # no peak: 0 where a bound B from log_bound underflows, else a fault with bound B
+    first_fault = k
+    if np.count_nonzero(found) < k:
+        lost = rows[~found]
+        value[lost], err[lost] = 0.0, math.inf
+        if log_bound is not None:
+            err[lost] = np.exp(log_bound(*(col[lost] for col in cols)))
+        faults = np.flatnonzero(~found & (err[rows] != 0.0))
+        first_fault = faults[0] if faults.size else k
+
+    # the trapezoid sums, one level per sweep over the rows still to settle
+    live = np.flatnonzero(found)
+    if live.size < k:
+        peak, left, right, s_at, v_at, d_at = (a[live] for a in (peak, left, right, s_at, v_at, d_at))
+        i = i[:live.size]
+    lo = s_at[i, left]
+    h = (s_at[i, right] - lo) / 16
+    rounding = 1e-15 * (1.0 + np.abs(peak) + np.abs(v_at[:, 39] - 2.0 * peak + v_at[:, 41]) / d_at**2)
+    tol = np.maximum(1e-14, rounding)
+
+    def sums(offsets):  # (2, rows): the sums of majorant and integrand at lo + h offsets, over e^peak
+        per, parts = max(1, _HL_BLOCK // offsets.size), []
+        for b in range(0, live.size, per):
+            r = slice(b, b + per)
+            log_m, w = log_ds(lo[r, None] + h[r, None] * offsets, rows[live[r]])
+            m = np.empty((2,) + log_m.shape)
+            np.multiply(np.exp(log_m - peak[r, None], out=m[0]), w, out=m[1])
+            parts.append(np.add.reduce(m, -1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
+
+    def settle(at):  # the rows at ``at`` leave with their value and error
+        scale = np.exp(peak[at])
+        value[rows[live[at]]] = scale * total[1, at]
+        err[rows[live[at]]] = scale * np.maximum(diff[at], rounding[at] * total[0, at])
+
+    n = 16  # both ends are negligible: plain sums
+    if live.size:
+        total = h * sums(np.arange(n + 1)) + 0.0  # + 0.0: a sum of zeros is +0, not -0
         for _ in range(12):
-            prev, total = total, 0.5 * (total + h * sums(lo + h * (np.arange(n) + 0.5)))
-            step = total - prev
-            diff, h, n = max(abs(step.real), abs(step.imag)), 0.5 * h, 2 * n
-            if diff <= tol * total.real:
+            prev, total = total, 0.5 * (total + h * sums(np.arange(0.5, n)))
+            diff = np.maximum.reduce(np.abs(total - prev))
+            h, n = 0.5 * h, 2 * n
+            done = diff <= tol * total[0]  # nan (an infinite node) never settles
+            settled = np.count_nonzero(done)
+            if settled == done.size:
+                settle(slice(None))
                 break
-        scale = np.exp(peak)
-        value, err = float(scale * total.imag), float(scale * max(diff, rounding * total.real))
-    if not diff <= tol * total.real:  # nan (an infinite node) fails too
-        raise ConvergenceError(f"half-line trapezoid sums still differ by "
-                               f"{err:.1e} at {n} nodes", partial=value, bound=err)
-    return value, err
+            if settled:
+                settle(done)
+                live, lo, h, peak, tol, rounding, diff = (
+                    a[~done] for a in (live, lo, h, peak, tol, rounding, diff))
+                total = total[:, ~done]
+        else:
+            settle(slice(None))
+            if live[0] < first_fault:
+                row = rows[live[0]]
+                return ConvergenceError(f"half-line trapezoid sums still differ by {err[row]:.1e} "
+                                        f"at {n} nodes", partial=float(value[row]),
+                                        bound=float(err[row]))
+    if first_fault < k:
+        return ConvergenceError("half-line integrand has no finite peak that decays on both "
+                                "sides", bound=float(err[rows[first_fault]]))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # reaction-rate integral
 
-def _validate_reaction(gamma: float, a: float, b: float):
-    if not (0 <= a < math.inf and 0 <= b < math.inf and math.isfinite(gamma)):
-        raise DomainError(f"need finite a, b >= 0 and a finite gamma; got a = {a}, "
-                          f"b = {b}, gamma = {gamma}")
-    if a == 0 and b == 0:
-        raise DomainError("need a > 0 or b > 0")
-    if b == 0 and gamma <= -1:
-        raise DomainError(f"b = 0 requires gamma > -1, got {gamma}")
-    if a == 0 and gamma >= -1:
-        raise DomainError(f"a = 0 requires gamma < -1, got {gamma}")
+def _validate_reaction(gamma, a, b):
+    return _first_broken([
+        (~((0 <= a) & (a < math.inf) & (0 <= b) & (b < math.inf) & np.isfinite(gamma)),
+         "need finite a, b >= 0 and a finite gamma; got a = {a}, b = {b}, gamma = {gamma}"),
+        ((a == 0) & (b == 0), "need a > 0 or b > 0"),
+        ((b == 0) & (gamma <= -1), "b = 0 requires gamma > -1, got {gamma}"),
+        ((a == 0) & (gamma >= -1), "a = 0 requires gamma < -1, got {gamma}"),
+    ], gamma=gamma, a=a, b=b)
 
 
 def _reaction_mellin(gamma: float, a: float, b: float) -> tuple[float, float]:
@@ -668,92 +778,163 @@ def _reaction_mellin(gamma: float, a: float, b: float) -> tuple[float, float]:
     return value, exp_or_inf(math.log(_INVERT_TOL * (1.0 + g)) - log_c)
 
 
-def reaction_rate(
-    gamma: float, a: float, b: float, route: str = "quadrature"
-) -> float:
+def reaction_rate(gamma, a, b, route: str = "quadrature"):
     """I(gamma, a, b) = integral of x^gamma exp(-a x - b x^(-1/2)) over (0, inf).
 
     route selects the half-line trapezoid rule (``integrate_halfline``) or the
     Mellin product-convolution identity; "both" runs the two and enforces 1e-6
     relative agreement.  When a or b vanishes the Mellin route reduces to a
-    plain gamma integral; the quadrature route always integrates.
+    plain gamma integral; the quadrature route always integrates.  The
+    parameters may be arrays, as in ``reaction_rate_with_error``.
     """
     return reaction_rate_with_error(gamma, a, b, route)[0]
 
 
-def reaction_rate_with_error(
-    gamma: float, a: float, b: float, route: str = "quadrature"
-) -> tuple[float, float]:
+def reaction_rate_with_error(gamma, a, b, route: str = "quadrature"):
     """reaction_rate plus its absolute-error estimate (for tabulation): the
     quadrature estimate, or on the Mellin route the inversion target
     1e-8 (1 + |g|) in value units, where value = g 2 Gamma(gamma+2) / a^(gamma+2)
-    (1e-8 |value| for the closed forms at a = 0 or b = 0)."""
-    _validate_reaction(gamma, a, b)
+    (1e-8 |value| for the closed forms at a = 0 or b = 0).
+
+    gamma, a and b are numbers, or arrays of one broadcast shape with a point per
+    element: floats come back for numbers, else arrays of that shape.  The
+    quadrature is one half-line call for all points, the Mellin route inverts
+    point by point, and the first failing point raises its error, as a loop over
+    the points would."""
     if route not in ("quadrature", "mellin", "both"):
         raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
-    if route == "mellin":
-        return _reaction_mellin(gamma, a, b)
-    mellin_val = _reaction_mellin(gamma, a, b)[0] if route == "both" else None
-    # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
-    q, err = integrate_halfline(_kratzel_integrand(gamma, a, b, 1.0, 0.5))
-    if route == "both" and abs(q - mellin_val) > 1e-6 * max(abs(q), abs(mellin_val)):
-        raise ConvergenceError(
-            f"reaction-rate routes disagree: quadrature {q!r} vs "
-            f"mellin {mellin_val!r}",
-            partial=q,
-            bound=abs(q - mellin_val),
-        )
-    return q, err
+    (gamma, a, b), shaped = _columns(gamma, a, b)
+    rows, fault = _validate_reaction(gamma, a, b)
+    gamma, a, b = gamma[:rows], a[:rows], b[:rows]
+    if route != "quadrature":
+        mellin = []
+        for point in zip(gamma.tolist(), a.tolist(), b.tolist()):
+            try:
+                mellin.append(_reaction_mellin(*point))
+            except (DomainError, ConvergenceError) as exc:
+                fault = exc
+                break
+        gamma, a, b = gamma[:len(mellin)], a[:len(mellin)], b[:len(mellin)]
+        value, err = np.reshape(mellin, (-1, 2)).T
+    if route != "mellin":
+        # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
+        try:
+            value, err = _kratzel_quadrature(gamma, a, b, 1.0, 0.5)
+        except ConvergenceError:
+            if route == "quadrature":
+                raise
+            value = None  # the points are replayed one by one below, up to the failing one
+        if route == "both":
+            for i, (m, _) in enumerate(mellin):
+                q = float(value[i] if value is not None else _kratzel_quadrature(
+                    gamma[i], a[i], b[i], 1.0, 0.5)[0])
+                if abs(q - m) > 1e-6 * max(abs(q), abs(m)):
+                    raise ConvergenceError(f"reaction-rate routes disagree: quadrature {q!r} "
+                                           f"vs mellin {m!r}", partial=q, bound=abs(q - m))
+    if fault is not None:
+        raise fault
+    return shaped(value), shaped(err)
 
 
 # ---------------------------------------------------------------------------
 # Kratzel integrals
 
-def _kratzel_integrand(gamma: float, a: float, y: float, alpha: float, beta: float):
-    """log of x^(gamma+1) exp(-a x^alpha - y x^(-beta)) at x = e^t, weight 1; a = 0
-    (reaction rate only) is rewritten in 1/x: the slow power-law side is at x -> 0."""
-    if a == 0:
-        return _kratzel_integrand(-gamma - 2.0, y, 0.0, beta, 1.0)
-
-    def integrand(t):
-        out = (gamma + 1.0) * t - a * np.exp(alpha * t)
-        return (out - y * np.exp(-beta * t) if y else out), 1.0
-
-    return integrand
+def _kratzel_columns(gamma, a, y, alpha, beta):
+    """The columns of ``_kratzel_integrand`` for the integral of
+    x^gamma exp(-a x^alpha - y x^(-beta)); a row with a = 0 (reaction rate only) is
+    rewritten in 1/x: its slow power-law side is at x -> 0."""
+    flip = a == 0
+    return (np.where(flip, -gamma - 2.0, gamma), np.where(flip, y, a), np.where(flip, 0.0, y),
+            np.where(flip, beta, alpha), np.where(flip, 1.0, beta))
 
 
-def kratzel_g1(gamma: float, a: float, y: float) -> float:
+def _kratzel_integrand(t, gamma, a, y, alpha, beta):
+    """log of x^(gamma+1) exp(-a x^alpha - y x^(-beta)) at x = e^t, weight 1; a row
+    with y = 0 has no y term (its e^(-beta t) may be inf)."""
+    tail = np.where(y == 0, 0.0, y * np.exp(-beta * t))
+    return (gamma + 1.0) * t - a * np.exp(alpha * t) - tail, 1.0
+
+
+def _kratzel_log_bound(gamma, a, y, alpha, beta):
+    """ln B, a bound on the integral of e^phi, for the rows whose probe finds no peak.
+
+    phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t) is concave, so it lies below
+    its tangents.  With its maximiser t* in [lo, hi], where phi'(lo) > 0 > phi'(hi),
+    the tangents at lo - 1 and hi + 1 bound the two tails, the tangent at lo bounds
+    phi(t*), and
+    B = e^(phi(lo) + phi'(lo) (hi - lo)) (hi - lo + 2 + 1/phi'(lo - 1) + 1/|phi'(hi + 1)|).
+    Doubling steps find the bracket and bisection closes it to adjacent doubles (Newton
+    steps on an exponential flank move about 1/alpha each); ln B is inf where that fails."""
+
+    log_a, log_y = np.log(a), np.log(y)  # ln 0 = -inf: no y term
+
+    def phi(t, order=0):  # phi or phi'; a term's factors meet in its exponent
+        ea = np.exp(log_a + alpha * t + order * np.log(alpha))
+        ey = np.exp(log_y - beta * t + order * np.log(np.abs(beta))) * np.sign(-beta) ** order
+        return (gamma + 1.0) * (t if order == 0 else 1.0) - ea - ey
+
+    lo, hi = np.full(gamma.shape, -1.0), np.full(gamma.shape, 1.0)
+    for _ in range(1100):  # past the double range: phi' is +inf at -inf and -inf at inf
+        left, right = phi(lo, 1) <= 0, phi(hi, 1) >= 0
+        if not (left | right).any():
+            break
+        lo, hi = np.where(left, 2.0 * lo, lo), np.where(right, 2.0 * hi, hi)
+    for _ in range(2200):
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            break
+        up = phi(mid, 1) > 0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    width = hi - lo
+    log_b = (phi(lo) + phi(lo, 1) * width
+             + np.log(width + 2.0 + 1.0 / phi(lo - 1.0, 1) - 1.0 / phi(hi + 1.0, 1)))
+    return np.where(np.isnan(log_b), math.inf, log_b)
+
+
+def _kratzel_quadrature(gamma, a, y, alpha, beta):
+    return integrate_halfline(_kratzel_integrand, *_kratzel_columns(gamma, a, y, alpha, beta),
+                              log_bound=_kratzel_log_bound)
+
+
+def _validate_kratzel(gamma, a, y, alpha, beta):
+    finite = np.logical_and.reduce([np.isfinite(col) for col in (gamma, a, y, alpha, beta)])
+    return _first_broken([
+        (~(finite & (a > 0) & (alpha > 0) & (beta != 0) & (y >= 0)),
+         "the Kratzel integral needs finite parameters with a > 0, alpha > 0, beta != 0 "
+         "and y >= 0; got gamma = {gamma}, a = {a}, alpha = {alpha}, beta = {beta}, y = {y}"),
+        (((y == 0) | (beta < 0)) & (gamma <= -1),
+         "integrability at 0 requires gamma > -1 when y = 0 or beta < 0, got gamma = {gamma}"),
+    ], gamma=gamma, a=a, y=y, alpha=alpha, beta=beta)
+
+
+def kratzel_g1(gamma, a, y):
     """integral of x^gamma exp(-a x - y/x) over (0, inf): kratzel_g2 with
     alpha = beta = 1."""
     return kratzel_g2(gamma, a, y)
 
 
-def kratzel_g2(
-    gamma: float, a: float, y: float, alpha: float = 1.0, beta: float = 1.0
-) -> float:
+def kratzel_g2(gamma, a, y, alpha=1.0, beta=1.0):
     """integral of x^gamma exp(-a x^alpha - y x^(-beta)) over (0, inf).
 
     beta may be negative, in which case both exponentials decay at infinity
     and the origin needs gamma > -1.  alpha = 1, beta = 1 is the basic
-    integral above; alpha = 1, beta = 1/2 is the reaction-rate integral.
+    integral above; alpha = 1, beta = 1/2 is the reaction-rate integral.  The
+    parameters may be arrays, as in ``kratzel_g2_with_error``.
     """
     return kratzel_g2_with_error(gamma, a, y, alpha, beta)[0]
 
 
-def kratzel_g2_with_error(
-    gamma: float, a: float, y: float, alpha: float = 1.0, beta: float = 1.0
-) -> tuple[float, float]:
-    finite = all(map(math.isfinite, (gamma, a, y, alpha, beta)))
-    if not (finite and a > 0 and alpha > 0 and beta != 0 and y >= 0):
-        raise DomainError("the Kratzel integral needs finite parameters with a > 0, "
-                          f"alpha > 0, beta != 0 and y >= 0; got gamma = {gamma}, "
-                          f"a = {a}, alpha = {alpha}, beta = {beta}, y = {y}")
-    if (y == 0 or beta < 0) and gamma <= -1:
-        raise DomainError(
-            f"integrability at 0 requires gamma > -1 when y = 0 or beta < 0, "
-            f"got gamma = {gamma}"
-        )
-    return integrate_halfline(_kratzel_integrand(gamma, a, y, alpha, beta))
+def kratzel_g2_with_error(gamma, a, y, alpha=1.0, beta=1.0):
+    """kratzel_g2 plus its absolute-error estimate.  The parameters are numbers, or
+    arrays of one broadcast shape with a point per element, integrated in one
+    half-line call: floats come back for numbers, else arrays of that shape, and
+    the first failing point raises its error, as a loop over the points would."""
+    cols, shaped = _columns(gamma, a, y, alpha, beta)
+    rows, fault = _validate_kratzel(*cols)
+    value, err = _kratzel_quadrature(*(col[:rows] for col in cols))
+    if fault is not None:
+        raise fault
+    return shaped(value), shaped(err)
 
 
 # ---------------------------------------------------------------------------

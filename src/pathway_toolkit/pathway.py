@@ -207,17 +207,24 @@ def _entropy_integral(f: DensityFn, h: Callable) -> float:
     sinh t on the whole line, lo + (hi - lo) / (1 + e^(-t)) with each end from its own side."""
     lo, hi = f.support
     fn = _vectorized(f.fn, max(lo, min(hi - 1, 0)) + min(1, hi - lo) * np.array([0.25, 0.5]))
+    first, last = np.nextafter(lo, hi), np.nextafter(hi, lo)  # the support's inner ends
 
     def integrand(t):  # r: x's distance from the nearer end; dx/dt = r (1 - r / (hi - lo))
-        r = np.exp(t) if math.inf in (-lo, hi) else (hi - lo) / (1.0 + np.exp(np.abs(t)))
-        x = np.where((lo > -math.inf) & ((t < 0) | (hi == math.inf)), lo + r, hi - r)
         if lo == -math.inf == -hi:  # the whole line: dx/dt = cosh t
             x, r = np.sinh(t), np.cosh(t)
-        inside, v = (r > 0) & (np.abs(x) < math.inf), np.zeros_like(x)  # else the node counts as 0
-        v[inside] = fn(np.clip(x[inside], np.nextafter(lo, hi), np.nextafter(hi, lo)))
+        elif math.inf in (-lo, hi):  # a half line
+            r = np.exp(t)
+            x = lo + r if hi == math.inf else hi - r
+        else:
+            r = (hi - lo) / (1.0 + np.exp(np.abs(t)))
+            x = np.where(t < 0, lo + r, hi - r)
+        inside, v = (r > 0) & (np.abs(x) < math.inf), np.zeros(x.shape)  # else the node counts as 0
+        v[inside] = fn(np.minimum(np.maximum(x[inside], first), last))
         hv = h(v)
         norm = np.hypot(v, hv)  # f sqrt(1 + phi^2), where h(v) = v phi(v)
-        log_m = np.log(norm) + np.log(r) + np.log1p(-r / (hi - lo))
+        log_m = np.log(norm) + np.log(r)
+        if hi - lo < math.inf:  # else -r / (hi - lo) is -0, and so is its log1p
+            log_m = log_m + np.log1p(-r / (hi - lo))
         return log_m, np.where(v > 0, hv / norm, 0.0)
 
     return integrate_halfline(integrand)[0]

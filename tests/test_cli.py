@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -89,9 +90,12 @@ class TestParserTable:
             ["pathway", "--alpha", "1", "--op", "sample", "--n=-1"],
             ["pathway", "--alpha", "1", "--op", "cdf"],
             ["corr", "--x", "1,2,3"],
+            ["anova", "--a-matrix", "{csv}", "--g", "{csv}", "--max-terms", "0"],
+            ["anova", "--a-matrix", "{csv}", "--g", "{csv}", "--max-terms=-1"],
         ],
         ids=["seed_on_ml", "seed_on_phyllo", "params_and_alpha", "a_matrix_and_counts",
-             "negative_seed", "negative_n", "cdf_without_x", "corr_without_y"],
+             "negative_seed", "negative_n", "cdf_without_x", "corr_without_y",
+             "zero_max_terms", "negative_max_terms"],
     )
     def test_usage_error_exits_2(self, argv, tmp_path, capsys):
         names = dict(p=tmp_path / "p.json", csv=tmp_path / "m.csv")
@@ -202,14 +206,45 @@ class TestRun:
         assert capsys.readouterr().out == "0\n"
 
     def test_ratecalc_both_integrates_each_point_once(self, monkeypatch, capsys):
-        calls = []
+        # one batched half-line call, with one row per point
+        rows = []
         integrate = melconv.integrate_halfline
         monkeypatch.setattr(
-            melconv, "integrate_halfline", lambda *f: calls.append(1) or integrate(*f)
+            melconv, "integrate_halfline",
+            lambda f, *cols, **kw: rows.append(np.broadcast(*cols).size) or integrate(f, *cols, **kw),
         )
         argv = ["ratecalc", "--route", "both", "--gamma", "0,1", "--a", "1", "--b", "1"]
         assert main(argv) == 0
-        assert len(calls) == 2
+        assert rows == [2]
+
+    @pytest.mark.parametrize(
+        "sub, axes, extra",
+        [
+            ("ratecalc", {"gamma": "-1.5,-1.2", "a": "0,0.5", "b": "0.7,2"}, []),
+            ("ratecalc", {"gamma": "0.5,1", "a": "0.5,2", "b": "0,1"}, []),
+            ("ratecalc", {"gamma": "0,1", "a": "0.5,0", "b": "1"}, []),
+            ("ratecalc", {"gamma": "0,-2.5", "a": "1", "b": "1,0.5"}, ["--route", "both"]),
+            ("kratzel", {"gamma": "-0.5,1", "a": "0.5,2", "y": "0,1e-9,2"}, ["--beta=-0.5"]),
+            ("kratzel", {"gamma": "0,-1.5", "a": "1", "y": "1,0"}, []),
+        ],
+        ids=["a_zero", "b_zero", "domain_fault", "mellin_fault", "kratzel", "kratzel_fault"],
+    )
+    def test_grid_is_its_points(self, sub, axes, extra, capsys):
+        # one batched call per grid: each row has the value its point prints alone, and
+        # a grid with a failing point fails with the error of the first such point
+        code = main([sub, *(f"--{k}={v}" for k, v in axes.items()), *extra])
+        out, err = capsys.readouterr()
+        values, first_error = [], None
+        for point in itertools.product(*(v.split(",") for v in axes.values())):
+            if main([sub, *(f"--{k}={v}" for k, v in zip(axes, point)), *extra]) == 0:
+                values.append(capsys.readouterr().out.strip())
+            else:
+                first_error = first_error or capsys.readouterr().err
+        if first_error is None:
+            assert code == 0
+            assert [row.split(",")[-2] for row in out.splitlines()[1:]] == values
+        else:
+            assert (code, out, err) == (1, "", first_error)
 
     def test_kratzel_scalar(self, capsys):
         assert main(["kratzel", "--gamma", "1", "--a", "2", "--y", "0"]) == 0
@@ -456,6 +491,30 @@ class TestRun:
         spec.write_text(json.dumps({"numerator": [{"kind": "uniform01"}]}))
         err = self.assert_one_line_error([a.format(spec=spec) for a in argv], capsys)
         assert "empty grid axis" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pathway", "--alpha", "1", "--op", "sample", "--n", "100000000000000"],
+            ["qform", "--matrix", "{m}", "--n", "100000000000000"],
+            ["volume", "--k-list", "2", "--n", "100000000000000"],
+        ],
+        ids=["pathway", "qform", "volume"],
+    )
+    def test_draw_count_past_memory_exits_1(self, argv, tmp_path, capsys):
+        # numpy refuses an allocation of 728 TiB or more at once: nothing is allocated
+        m = tmp_path / "m.csv"
+        m.write_text("a,b\n1,0\n0,1\n")
+        err = self.assert_one_line_error([a.format(m=m) for a in argv], capsys)
+        assert "Unable to allocate" in err
+
+    def test_kratzel_without_a_probe_peak_prints_0(self, capsys):
+        # the log-integrand peaks near -3e96: the probe cannot resolve its width, and the
+        # concave bound e^phi(t*) (2 + ...) underflows
+        argv = ["kratzel", "--gamma=-0.17", "--a", "1.13e78", "--y", "1.13e145",
+                "--alpha", "7.74", "--beta", "20.87"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("0\n", "")
 
     def test_qform_without_draws_exits_1(self, tmp_path, capsys):
         m = tmp_path / "m.csv"

@@ -150,6 +150,13 @@ class TestNeumannSolve:
         with pytest.raises(DomainError):
             neumann_solve(random_system(rng, 3), tol=0.0)
 
+    @pytest.mark.parametrize("max_terms", [0, -1, math.nan])
+    def test_max_terms_validation(self, max_terms):
+        # not a convergence failure "in -1 terms": no term can be summed
+        rng = np.random.default_rng(17)
+        with pytest.raises(DomainError, match="max_terms"):
+            neumann_solve(random_system(rng, 3), max_terms=max_terms)
+
 
 class TestFirstOrderApprox:
     def test_zero_matrix_case(self):

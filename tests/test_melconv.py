@@ -713,12 +713,14 @@ class TestHalflineRule:
     def test_against_30_digit_references(self):
         points = _reference_points()
         assert len(points) >= 300
+        # two batched calls: the reaction-rate rows, and the other Kratzel rows
+        rate = np.array([(al, be) == (1.0, 0.5) for *_, al, be in points])
+        cols = np.array(points).T
+        results = np.empty((len(points), 2))
+        results[rate] = np.transpose(reaction_rate_with_error(*cols[:3, rate]))
+        results[~rate] = np.transpose(kratzel_g2_with_error(*cols[:, ~rate]))
         worst, dishonest = 0.0, []
-        for g, a, y, al, be in points:
-            if (al, be) == (1.0, 0.5):
-                val, err = reaction_rate_with_error(g, a, y)
-            else:
-                val, err = kratzel_g2_with_error(g, a, y, al, be)
+        for (g, a, y, al, be), (val, err) in zip(points, results):
             ref = _kratzel_reference(g, a, y, al, be)
             actual = float(abs(mpmath.mpf(val) - ref))
             worst = max(worst, actual / float(ref))
@@ -771,6 +773,115 @@ class TestHalflineRule:
     def test_no_decay_raises(self, log_g):
         with pytest.raises(ConvergenceError):
             integrate_halfline(log_g)
+
+
+def _mixed_grid(seed, n=40):
+    """Seeded Kratzel columns (gamma, a, y, alpha, beta) mixing the reaction rate
+    (alpha = 1, beta = 1/2) with a = 0, y = 0, beta < 0 and tiny y."""
+    u = np.random.default_rng(seed).uniform
+    kind = np.arange(n) % 5
+    gamma = np.where(kind == 1, u(-4, -1.05, n), u(-0.9, 3, n))
+    a = np.where(kind == 1, 0.0, u(0.05, 5, n))
+    y = np.select([kind == 2, kind == 4], [0.0, 10 ** u(-13, -4, n)], u(0.05, 5, n))
+    alpha = np.where(kind < 2, 1.0, u(0.3, 3, n))
+    beta = np.select([kind < 2, kind == 3], [0.5, -u(0.1, 0.9, n)], u(0.3, 3, n))
+    return gamma, a, y, alpha, beta
+
+
+class TestHalflineBatch:
+    """A grid is one batched half-line call, with the bytes and errors of a point loop."""
+
+    @staticmethod
+    def loop(f, *cols):
+        return np.transpose([f(*point) for point in zip(*cols)])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_is_the_loop(self, seed):
+        gamma, a, y, alpha, beta = _mixed_grid(seed)
+        rate = beta == 0.5  # a = 0 rows are reaction rates only
+        batch = kratzel_g2_with_error(*(c[~rate] for c in (gamma, a, y, alpha, beta)))
+        loop = self.loop(kratzel_g2_with_error, *(c[~rate] for c in (gamma, a, y, alpha, beta)))
+        assert np.array_equal(batch, loop)
+        batch = reaction_rate_with_error(gamma[rate], a[rate], y[rate])
+        assert (a[rate] == 0).any() and np.array_equal(
+            batch, self.loop(reaction_rate_with_error, gamma[rate], a[rate], y[rate]))
+
+    def test_shapes(self):
+        g = np.array([[0.0, 1.0, 2.0], [0.5, 1.5, 2.5]])
+        val, err = kratzel_g2_with_error(g, 1.0, 0.0)  # Gamma(g + 1)
+        assert val.shape == err.shape == (2, 3)
+        assert val == pytest.approx(cgamma(g + 1), rel=1e-13)
+        assert isinstance(kratzel_g2_with_error(1.0, 1.0, 0.0)[0], float)
+        val, err = integrate_halfline(lambda t, mu: (-((t - mu) ** 2), 1.0), [3.0, -2.0, 10.0])
+        assert val == pytest.approx(np.full(3, math.sqrt(math.pi)), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", ["convergence_first", "domain_first"])
+    def test_failing_row_raises_the_loops_first_error(self, bad):
+        # alpha = 1e-12 puts the peak past the probe's reach and its bound at inf
+        rows = [(0.0, 1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1e-12, 1.0), (0.0, -1.0, 1.0, 1.0, 1.0),
+                (1.0, 2.0, 0.5, 1.0, 1.0)]
+        if bad == "domain_first":
+            rows[1], rows[2] = rows[2], rows[1]
+        errors = []
+        for point in rows:
+            try:
+                kratzel_g2_with_error(*point)
+            except (DomainError, ConvergenceError) as exc:
+                errors.append(exc)
+        with pytest.raises(type(errors[0])) as got:
+            kratzel_g2_with_error(*np.transpose(rows))
+        assert str(got.value) == str(errors[0])
+
+    @pytest.mark.parametrize("fault", ["quadrature", "disagree_first", "disagree_after"])
+    def test_both_route_raises_the_loops_first_error(self, fault, monkeypatch):
+        # the middle point's probe fails; with no bound its quadrature raises
+        g, a, b = np.zeros(3), np.array([1.0, 1e300, 2.0]), np.array([1.0, 1e300, 0.5])
+        q = [reaction_rate(0.0, 1.0, 1.0), 0.0, reaction_rate(0.0, 2.0, 0.5)]
+        off = {"quadrature": None, "disagree_first": 0, "disagree_after": 2}[fault]
+        mellin = {ai: (qi * (1.01 if i == off else 1.0), 0.0) for i, (ai, qi) in enumerate(zip(a, q))}
+        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b: mellin[a])
+        monkeypatch.setattr(melconv, "_kratzel_log_bound", lambda g, *_: np.full(g.shape, math.inf))
+        with pytest.raises(ConvergenceError) as first:
+            for point in zip(g, a, b):
+                reaction_rate(*point, route="both")
+        with pytest.raises(ConvergenceError) as got:
+            reaction_rate(g, a, b, route="both")
+        assert str(got.value) == str(first.value)
+        assert ("disagree" in str(got.value)) == (fault == "disagree_first")
+
+    def test_block_cap_splits_without_changing_bytes(self, monkeypatch):
+        # each point three times, so that rows reach each level together; a cap of
+        # 3 x 81 nodes makes groups of three rows, and splits every level past 81 nodes
+        cols = _mixed_grid(4, n=30)
+        cols = [np.repeat(c[cols[4] != 0.5], 3) for c in cols]
+        whole = kratzel_g2_with_error(*cols)
+        sizes, kratzel = [], melconv._kratzel_integrand
+
+        def integrand(t, *c):
+            sizes.append(t.shape)
+            return kratzel(t, *c)
+
+        monkeypatch.setattr(melconv, "_HL_BLOCK", 3 * 81)
+        monkeypatch.setattr(melconv, "_kratzel_integrand", integrand)
+        assert np.array_equal(kratzel_g2_with_error(*cols), whole)
+        assert max(rows * nodes for rows, nodes in sizes if rows > 1) <= 3 * 81
+        assert max(rows for rows, nodes in sizes if nodes > 81) == 1  # one row may pass it
+
+    def test_probe_without_peak_underflows_to_zero(self):
+        # the log-integrand peaks near -3e96, too sharp for any probe step
+        point = (-0.17, 1.13e78, 1.13e145, 7.74, 20.87)
+        assert kratzel_g2_with_error(*point) == (0.0, 0.0)
+        rows = np.transpose([point, (1.0, 2.0, 0.0, 1.0, 1.0)])
+        assert kratzel_g2_with_error(*rows)[0] == pytest.approx([0.0, 0.25], rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_concave_bound_covers_the_integral(self, seed):
+        cols = _mixed_grid(seed)
+        cols = [c[cols[4] != 0.5] for c in cols]
+        with np.errstate(all="ignore"):
+            bound = np.exp(melconv._kratzel_log_bound(*melconv._kratzel_columns(*cols)))
+        value = kratzel_g2(*cols)
+        assert (value <= bound).all() and (bound <= 10 * value).all()
 
 
 class TestRandomVolume:
