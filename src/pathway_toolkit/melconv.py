@@ -36,6 +36,7 @@ _HL_S_MIN = -700.0
 _HL_PROBE = np.concatenate([-(2.0 ** np.arange(39, -1, -1)), [0.0], 2.0 ** np.arange(40)])
 _HL_BLOCK = 1 << 16  # most nodes in one integrand call, rows x nodes
 _DBL_MAX = np.finfo(float).max
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +400,27 @@ def default_contour(strip: tuple[float, float]) -> float:
 
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
+# why an inversion misses its target at a u, by the code mellin_invert keeps per u (0: it does not)
+_INVERT_FAULTS = {
+    1: "u^-c is past the double range at u = {u}, c = {c}",
+    2: "the contour sum's rounding passes the target 1e-8 (1 + |g|) at u = {u} "
+       "(achieved bound ~ {bound:.2e})",
+    3: "moment function decays too slowly along the contour and |ln u| = {ln_u:.2e} at u = {u} "
+       "gives no usable oscillation (achieved bound ~ {bound:.2e})",
+    4: "oscillatory tail failed to settle within {panels} half-period panels at u = {u} "
+       "(achieved bound ~ {bound:.2e})",
+}
+
 
 def _contour_panel(
     mom, c: float, rate: np.ndarray, a: float, b: float, max_chunk: float, pieces: int = 1
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Gauss-Legendre integrals of M(c+it) e^(rate t) over each of ``pieces``
     equal parts of [a, b], one row per part and one column per rate (rate is
     -i ln u), each part split into equal chunks so the fixed order stays
-    adequate; and the envelope, the largest |M| on the nodes of the last
-    quarter of the last part.
+    adequate; the envelope, the largest |M| on the nodes of the last quarter of
+    the last part; and the sums of |M| |w| and |M| |w| t over all the nodes,
+    which size the rounding (see ``mellin_invert``).
 
     The moment runs once on nodes shared by every rate.  The phase factors
     into a per-chunk and a per-node exponential, so the node phases and
@@ -425,7 +438,10 @@ def _contour_panel(
     coarse = np.exp(np.multiply.outer(mids[::n_fine], rate))
     chunk_phase = (coarse[:, None] * fine).reshape(-1, rate.size)[:n_chunks]
     parts = ((vals @ node_phase) * chunk_phase).reshape(pieces, -1, rate.size).sum(1)
-    return half * parts, np.abs(vals[n_chunks - n_chunks // (4 * pieces):]).max()
+    mag = np.abs(vals)
+    mag_w = mag @ _GL_WEIGHTS
+    sums = half * np.array([mag_w.sum(), mids @ mag_w + (mag @ (offsets * _GL_WEIGHTS)).sum()])
+    return half * parts, mag[n_chunks - n_chunks // (4 * pieces):].max(), sums
 
 
 def _averaged_limit(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,7 +464,9 @@ def _tail_nodes(c: float, rate: np.ndarray, t0: float):
     each cut into its tail chunks, one row of Gauss-Legendre nodes per chunk,
     the rows of one rate contiguous from its entry in the returned ``starts``.
     ``panel(k)`` gives the contour nodes s of panel k, the per-node phased
-    weights and the per-chunk phases with the half width folded in."""
+    weights, the per-chunk phases with the half width folded in, and the
+    per-chunk half width times 1 + t |ln u| at the chunk's end, which weighs
+    the chunk's Gauss-Legendre sum of |M| in the rounding."""
     h = math.pi / np.abs(rate)
     n_chunks = _tail_chunks(rate)
     starts = np.cumsum(n_chunks) - n_chunks
@@ -457,58 +475,62 @@ def _tail_nodes(c: float, rate: np.ndarray, t0: float):
     within = np.arange(owner.size) - starts[owner]
     offsets = half[:, None] * _GL_NODES
     node_w = np.exp(rate[owner, None] * offsets) * _GL_WEIGHTS
+    ln_u = np.abs(rate)[owner]
 
     def panel(k: int):
         mids = t0 + k * h[owner] + half * (2.0 * within + 1.0)
         s = c + 1j * (mids[:, None] + offsets).ravel()
-        return s, node_w, half * np.exp(rate[owner] * mids)
+        return s, node_w, half * np.exp(rate[owner] * mids), half * (1.0 + ln_u * (mids + half))
 
     return starts, panel
 
 
-def _oscillatory_tail(mom, c: float, us, rate, scale, total, t0: float) -> np.ndarray:
-    """The values at ``us`` from the sum to t0, ``total``, and the half-period
-    tail panels after it, summed in lockstep and accelerated by iterated
-    averaging against the known oscillation; ``rate`` and ``scale`` are the
-    inversion's per-u phase rate and g units.
+def _oscillatory_tail(mom, c: float, rate, scale, total, mag, t0: float):
+    """The values from the sum to t0, ``total``, and the half-period tail
+    panels after it, summed in lockstep and accelerated by iterated averaging
+    against the known oscillation; ``rate`` and ``scale`` are the inversion's
+    per-u phase rate and g units, and ``mag`` the per-u sum of
+    |M| |w| (1 + t |ln u|) so far, to which the panels add (with t at each
+    chunk's end, a bound).
 
     Each panel index is one moment call on the chunks of every u still to
     settle; np.add.reduceat gives the per-u sums, and a u leaves the nodes once
-    it settles.  A u that does not settle within the panel cap raises
-    ConvergenceError with its partial value and bound."""
-    out, idx = np.empty(us.size), np.arange(us.size)
-    partials = np.empty((us.size, _MAX_TAIL_PANELS), dtype=complex)
-    running, best, best_err = np.zeros_like(total), np.zeros_like(total), np.full(us.size, math.inf)
+    it settles.  Returns per u its value, its error estimate, its final
+    ``mag`` and whether it settled within the panel cap; a u that did not has
+    its best partial value and the bound of that partial."""
+    n = rate.size
+    out, err, mag_out, idx = np.empty(n), np.empty(n), np.empty(n), np.arange(n)
+    partials = np.empty((n, _MAX_TAIL_PANELS), dtype=complex)
+    running, best, best_err = np.zeros_like(total), np.zeros_like(total), np.full(n, math.inf)
     starts, panel = _tail_nodes(c, rate, t0)
     for k in range(_MAX_TAIL_PANELS):
-        s, node_w, chunk_w = panel(k)
-        chunk_sums = (mom(s).reshape(node_w.shape) * node_w).sum(1) * chunk_w
-        running += np.add.reduceat(chunk_sums, starts)
+        s, node_w, chunk_w, abs_w = panel(k)
+        vals = mom(s).reshape(node_w.shape)
+        running += np.add.reduceat((vals * node_w).sum(1) * chunk_w, starts)
+        mag = mag + np.add.reduceat((np.abs(vals) @ _GL_WEIGHTS) * abs_w, starts)
         partials[:, k] = running
         if k < 5 or k % 2 == 0:
             continue
-        est, err = _averaged_limit(partials[:, : k + 1])
-        err *= scale
+        est, e = _averaged_limit(partials[:, : k + 1])
+        e *= scale
         g_try = scale * (total + est).real
-        better = err < best_err
-        best, best_err = np.where(better, est, best), np.where(better, err, best_err)
-        done = err < 0.3 * _INVERT_TOL * (1.0 + np.abs(g_try))
+        better = e < best_err
+        best, best_err = np.where(better, est, best), np.where(better, e, best_err)
+        done = e < 0.3 * _INVERT_TOL * (1.0 + np.abs(g_try))
         if done.any():
-            out[idx[done]] = g_try[done]
+            out[idx[done]], err[idx[done]], mag_out[idx[done]] = g_try[done], e[done], mag[done]
             if done.all():
-                return out
-            idx, rate, scale, total, running, partials, best, best_err = (
-                a[~done] for a in (idx, rate, scale, total, running, partials, best, best_err))
+                return out, err, mag_out, np.ones(n, bool)
+            idx, rate, scale, total, running, partials, best, best_err, mag = (
+                a[~done] for a in (idx, rate, scale, total, running, partials, best, best_err, mag))
             starts, panel = _tail_nodes(c, rate, t0)
-    raise ConvergenceError(
-        f"oscillatory tail failed to settle within {_MAX_TAIL_PANELS} "
-        f"half-period panels at u = {us[idx[0]]} (achieved bound ~ {best_err[0]:.2e})",
-        partial=scale[0] * (total[0] + best[0]).real,
-        bound=best_err[0],
-    )
+    out[idx], err[idx], mag_out[idx] = scale * (total + best).real, best_err, mag
+    settled = np.ones(n, bool)
+    settled[idx] = False
+    return out, err, mag_out, settled
 
 
-def mellin_invert(mom, u, c: float):
+def mellin_invert(mom, u, c: float, first_fault: bool = False):
     """Recover g(u) = (1/2 pi) * integral of E(u^(s-1)) u^(-s) along Re s = c.
 
     By conjugate symmetry of real-valued moments the integral collapses to
@@ -524,11 +546,22 @@ def mellin_invert(mom, u, c: float):
     leaves at its own exit test, and those that reach the tail run it in
     lockstep, each with its own half period.
 
+    Every exit also bounds the sum's rounding: eps |u^-c| / pi times the sum
+    of |M| |w| (1 + t |ln u|) over the nodes used, where the t |ln u| part is
+    the rounding of the phase.  The sum cancels where |M| is large against g,
+    as at an abscissa far from the saddle point of u^-s M(s) (Gil, Segura &
+    Temme, Numerical Methods for Special Functions, SIAM 2007).
+
     ``mom`` maps a complex array of s on the contour to the moments there.
-    Every u must be finite and > 0 (else DomainError); a u^-c past the double
-    range raises ConvergenceError with bound inf, and so does a missed target:
-    the absolute error 1e-8 (1 + |g|), with the achieved bound.  The error
-    names the first failing u and carries its partial value and bound.
+    Every u must be finite and > 0 (else DomainError).  The target is the
+    absolute error 1e-8 (1 + |g|); a u that misses it raises ConvergenceError
+    with its partial value and achieved bound: where u^-c is past the double
+    range (bound inf), where the rounding passes the target, or where the
+    contour sum does not settle.  The error is that of the first such u in the
+    flat order of u.  With ``first_fault`` nothing past the DomainError is
+    raised: the result is (g, i, error), with i the flat index of the first
+    failing u (u.size where none fails, error None) and g holding each failing
+    u's partial value (nan where there is none).
     """
     (flat,), shaped = _columns(u)
     ok = (flat > 0) & (flat < math.inf)
@@ -536,57 +569,74 @@ def mellin_invert(mom, u, c: float):
         raise DomainError(f"mellin_invert needs finite u > 0, got {flat[~ok][0]}")
     with np.errstate(over="ignore"):
         scale = flat**-c / math.pi  # converts contour integral to g units; > 0
-    if scale.max(initial=0.0) == math.inf:
-        raise ConvergenceError(f"u^-c is past the double range at u = "
-                               f"{flat[scale == math.inf][0]}, c = {c}", bound=math.inf)
-    rate = -1j * np.log(flat)  # the contour phase is e^(rate t)
-    out = np.empty(flat.size)
-    if not flat.size:
-        return shaped(out)
+    # per u: its value or partial, its achieved bound, and its fault code (_INVERT_FAULTS)
+    out, bound = np.full(flat.size, math.nan), np.full(flat.size, math.inf)
+    why = np.where(scale == math.inf, 1, 0)
 
-    # phase resolution: keep chunks short enough for both oscillation sources
-    chunk = min(math.pi / max(np.abs(rate).max(), 1e-12), 1.0)
-    # every point runs the first octave, so it shares the base sweep's call
-    (total, octave), env = _contour_panel(mom, c, rate, 0.0, 2 * _BASE_HEIGHT, chunk, 2)
+    def leave(at, g, err, rounding=0.0):
+        """The u at ``at`` leave with value g and bound err + rounding, faults where the
+        rounding alone passes the target."""
+        out[at], bound[at] = g, err + rounding
+        why[at] = np.where(rounding > _INVERT_TOL * (1.0 + np.abs(g)), 2, why[at])
 
     # the points still to exit: their index into u, and their own state
-    idx, prev_contrib = np.arange(flat.size), np.full(flat.size, math.inf)
-    t_cur = _BASE_HEIGHT
-    for k in range(_MAX_OCTAVES):
-        if k:
-            (octave,), env = _contour_panel(mom, c, rate, t_cur, 2 * t_cur, chunk)
-        budget = 0.1 * _INVERT_TOL * (1.0 + scale * np.abs(total.real))  # 0.1 target
-        total = total + octave
-        t_cur *= 2
-        contrib = scale * np.abs(octave)
-        # fast-decay exit: the octave is below the budget, and either the
-        # envelope can no longer matter or the octaves collapse geometrically
-        done = (contrib < budget) & ((env * t_cur * scale < 0.5 * budget) |
-                                     (contrib < 0.3 * prev_contrib))
-        prev_contrib = contrib
-        if done.any():
-            out[idx[done]] = scale[done] * total[done].real
-            if done.all():
-                return shaped(out)
-            idx, rate, scale, total, prev_contrib = (
-                a[~done] for a in (idx, rate, scale, total, prev_contrib))
+    idx = np.flatnonzero(why == 0)
+    rate, scale = -1j * np.log(flat[idx]), scale[idx]  # the contour phase is e^(rate t)
+    if idx.size:
+        # phase resolution: keep chunks short enough for both oscillation sources
+        chunk = min(math.pi / max(np.abs(rate).max(), 1e-12), 1.0)
+        # every point runs the first octave, so it shares the base sweep's call
+        (total, octave), env, sums = _contour_panel(mom, c, rate, 0.0, 2 * _BASE_HEIGHT, chunk, 2)
+        prev_contrib = np.full(idx.size, math.inf)
+        t_cur = _BASE_HEIGHT
+        for k in range(_MAX_OCTAVES):
+            if k:
+                (octave,), env, more = _contour_panel(mom, c, rate, t_cur, 2 * t_cur, chunk)
+                sums = sums + more
+            budget = 0.1 * _INVERT_TOL * (1.0 + scale * np.abs(total.real))  # 0.1 target
+            total = total + octave
+            t_cur *= 2
+            contrib = scale * np.abs(octave)
+            # fast-decay exit: the octave is below the budget, and either the
+            # envelope can no longer matter or the octaves collapse geometrically
+            done = (contrib < budget) & ((env * t_cur * scale < 0.5 * budget) |
+                                         (contrib < 0.3 * prev_contrib))
+            prev_contrib = contrib
+            if done.any():
+                rounding = _EPS * scale[done] * (sums[0] + np.abs(rate[done]) * sums[1])
+                leave(idx[done], scale[done] * total[done].real, contrib[done], rounding)
+                idx, rate, scale, total, prev_contrib = (
+                    a[~done] for a in (idx, rate, scale, total, prev_contrib))
+                if not idx.size:
+                    break
 
-    # slow decay: lean on the u-oscillation
-    no_freq = np.abs(rate) < _MIN_FREQ
-    if no_freq.any():
-        i = int(np.argmax(no_freq))
-        raise ConvergenceError(
-            f"moment function decays too slowly along the contour and "
-            f"|ln u| = {abs(rate[i]):.2e} at u = {flat[idx[i]]} gives no usable "
-            f"oscillation (achieved bound ~ {prev_contrib[i]:.2e})",
-            partial=scale[i] * total[i].real,
-            bound=prev_contrib[i],
-        )
-    # the tail runs u by group, so that one panel index holds about
-    # _TAIL_GROUP_CHUNKS chunks however many u lie close to 1
-    group = np.cumsum(_tail_chunks(rate)) // _TAIL_GROUP_CHUNKS
-    for g in np.split(np.arange(idx.size), np.flatnonzero(np.diff(group)) + 1):
-        out[idx[g]] = _oscillatory_tail(mom, c, flat[idx[g]], rate[g], scale[g], total[g], t_cur)
+    if idx.size:  # slow decay: lean on the u-oscillation
+        no_freq = np.abs(rate) < _MIN_FREQ
+        leave(idx[no_freq], scale[no_freq] * total[no_freq].real, prev_contrib[no_freq])
+        why[idx[no_freq]] = 3
+        idx, rate, scale, total = (a[~no_freq] for a in (idx, rate, scale, total))
+        mag = sums[0] + np.abs(rate) * sums[1]
+        # the tail runs u by group, so that one panel index holds about
+        # _TAIL_GROUP_CHUNKS chunks however many u lie close to 1
+        group = np.cumsum(_tail_chunks(rate)) // _TAIL_GROUP_CHUNKS
+        for g in np.split(np.arange(idx.size), np.flatnonzero(np.diff(group)) + 1):
+            g_val, err, g_mag, settled = _oscillatory_tail(
+                mom, c, rate[g], scale[g], total[g], mag[g], t_cur)
+            leave(idx[g], g_val, err, np.where(settled, _EPS * scale[g] * g_mag, 0.0))
+            why[idx[g][~settled]] = 4
+
+    failing = np.flatnonzero(why)
+    fault = None
+    if failing.size:
+        i = failing[0]
+        fault = ConvergenceError(
+            _INVERT_FAULTS[why[i]].format(u=flat[i], c=c, ln_u=abs(math.log(flat[i])),
+                                          bound=bound[i], panels=_MAX_TAIL_PANELS),
+            partial=None if math.isnan(out[i]) else float(out[i]), bound=float(bound[i]))
+    if first_fault:
+        return shaped(out), (failing[0] if failing.size else flat.size), fault
+    if fault is not None:
+        raise fault
     return shaped(out)
 
 
@@ -746,88 +796,90 @@ def _halfline_rows(integrand, cols, rows, log_bound, value, err):
 # ---------------------------------------------------------------------------
 # reaction-rate integral
 
-def _validate_reaction(gamma, a, b):
+def _validate_reaction(gamma, a, b, route):
     return _first_broken([
         (~((0 <= a) & (a < math.inf) & (0 <= b) & (b < math.inf) & np.isfinite(gamma)),
          "need finite a, b >= 0 and a finite gamma; got a = {a}, b = {b}, gamma = {gamma}"),
         ((a == 0) & (b == 0), "need a > 0 or b > 0"),
         ((b == 0) & (gamma <= -1), "b = 0 requires gamma > -1, got {gamma}"),
         ((a == 0) & (gamma >= -1), "a = 0 requires gamma < -1, got {gamma}"),
+        ((route != "quadrature") & (a > 0) & (b > 0) & (gamma <= -2),
+         "the product-structure route needs gamma > -2 so the power part is a probability "
+         "density; got gamma = {gamma}"),
     ], gamma=gamma, a=a, b=b)
 
 
-def _reaction_mellin(gamma: float, a: float, b: float) -> tuple[float, float]:
-    # u = x1 x2, x1 of density c1 x^(gamma+1) e^(-a x) and x2 of c2 e^(-sqrt(x)), has density
-    # g(u) = c1 c2 I(gamma, a, sqrt(u)), so I = g(b^2) / (c1 c2), formed in logs, with the error
-    # 1e-8 (1 + |g|) in the same units.  At a = 0 or b = 0, I is 1 / c of one gamma law in x or 1/x.
-    if a == 0 or b == 0:
-        law = _power_law(_GAMMA, math.inf, *((a, 1.0, gamma) if b == 0 else (b, 0.5, -gamma - 2)))
-        value = exp_or_inf(-law.log_c)
-        return value, _INVERT_TOL * value
-    if gamma <= -2:
-        raise DomainError("the product-structure route needs gamma > -2 so the power part "
-                          f"is a probability density; got gamma = {gamma}")
-    x1 = _power_law(_GAMMA, math.inf, a, 1.0, gamma + 1)
+def _reaction_mellin(gamma, a, b, fault):
+    """The Mellin route on valid columns: value and error columns, and the first failing row and
+    its error as a loop would raise it (``fault`` at the row after the columns).  u = x1 x2, x1 of
+    density c1 x^(gamma+1) e^(-x) and x2 of c2 e^(-sqrt(x)), has density g(u) = c1 c2 I(gamma, 1,
+    sqrt(u)), and x = t / a gives I(gamma, a, b) = a^-(gamma+1) g(a b^2) / (c1 c2), in logs: one
+    inversion per gamma.  At a = 0 or b = 0, I is 1 / c of a gamma law in x or 1/x."""
+    flip, closed = a == 0, (a == 0) | (b == 0)
+    scale, delta = np.where(flip, b, a), np.where(flip, 0.5, 1.0)
+    with np.errstate(all="ignore"):
+        u, p = a * b**2, np.where(flip, -gamma - 1, gamma + 1) / delta
+        value = np.exp(gammaln(p) - np.log(delta) - p * np.log(scale))
+    err, live = _INVERT_TOL * value, ~closed & (0 < u) & (u < math.inf)
+    faults = [(i, ConvergenceError(f"the Mellin route's u = a b^2 = {u[i]} is outside the double "
+                                   f"range at gamma = {gamma[i]}, a = {a[i]}, b = {b[i]}",
+                                   bound=math.inf)) for i in np.flatnonzero(~closed & ~live)[:1]]
     x2 = _power_law(_GAMMA, math.inf, 1.0, 0.5, 0.0)
-    strip = max(x1.strip[0], x2.strip[0]), min(x1.strip[1], x2.strip[1])
-    # a density is >= 0, and a negative g lies within its own bound
-    g = max(0.0, mellin_invert(lambda s: x1.moment(s) * x2.moment(s), b * b,
-                               default_contour(strip)))
-    log_c = x1.log_c + x2.log_c
-    value = exp_or_inf(math.log(g) - log_c) if g else 0.0
-    return value, exp_or_inf(math.log(_INVERT_TOL * (1.0 + g)) - log_c)
+    for g in np.unique(gamma[live]):
+        at = np.flatnonzero(live & (gamma == g))
+        x1 = _power_law(_GAMMA, math.inf, 1.0, 1.0, g + 1)
+        g_u, i, exc = mellin_invert(lambda s: x1.moment(s) * x2.moment(s), u[at], default_contour(
+            (max(x1.strip[0], x2.strip[0]), min(x1.strip[1], x2.strip[1]))), first_fault=True)
+        log_s = -(g + 1) * np.log(a[at]) - x1.log_c - x2.log_c  # ln a^-(gamma+1) / (c1 c2)
+        g_u = np.maximum(g_u, 0.0)  # a density is >= 0, and a negative g lies within its own bound
+        with np.errstate(divide="ignore", over="ignore"):
+            value[at], err[at] = np.exp(np.log([g_u, _INVERT_TOL * (1.0 + g_u)]) + log_s)
+            if exc is not None:
+                faults.append((at[i], ConvergenceError(
+                    f"the Mellin route at gamma = {g}, a = {a[at[i]]}, b = {b[at[i]]} inverts g "
+                    f"at u = a b^2: {exc}", partial=exc.partial and float(value[at[i]]),
+                    bound=float(np.exp(np.log(exc.bound) + log_s[i])))))
+    return value, err, *min(faults, key=lambda row: row[0], default=(gamma.size, fault))
 
 
 def reaction_rate(gamma, a, b, route: str = "quadrature"):
     """I(gamma, a, b) = integral of x^gamma exp(-a x - b x^(-1/2)) over (0, inf).
 
-    route selects the half-line trapezoid rule (``integrate_halfline``) or the
-    Mellin product-convolution identity; "both" runs the two and enforces 1e-6
-    relative agreement.  When a or b vanishes the Mellin route reduces to a
-    plain gamma integral; the quadrature route always integrates.  The
-    parameters may be arrays, as in ``reaction_rate_with_error``.
-    """
+    route selects the half-line trapezoid rule (``integrate_halfline``) or the Mellin
+    product-convolution identity; "both" runs the two and enforces 1e-6 relative agreement.
+    When a or b vanishes the Mellin route reduces to a plain gamma integral; the quadrature
+    route always integrates.  The parameters may be arrays, as in ``reaction_rate_with_error``."""
     return reaction_rate_with_error(gamma, a, b, route)[0]
 
 
 def reaction_rate_with_error(gamma, a, b, route: str = "quadrature"):
-    """reaction_rate plus its absolute-error estimate (for tabulation): the
-    quadrature estimate, or on the Mellin route the inversion target
-    1e-8 (1 + |g|) in value units, where value = g 2 Gamma(gamma+2) / a^(gamma+2)
-    (1e-8 |value| for the closed forms at a = 0 or b = 0).
+    """reaction_rate plus its absolute-error estimate (for tabulation): the quadrature
+    estimate, or on the Mellin route the inversion target 1e-8 (1 + |g|) in value units, where
+    value = g 2 Gamma(gamma+2) / a^(gamma+1) at u = a b^2 (1e-8 |value| for the closed forms).
 
-    gamma, a and b are numbers, or arrays of one broadcast shape with a point per
-    element: floats come back for numbers, else arrays of that shape.  The
-    quadrature is one half-line call for all points, the Mellin route inverts
-    point by point, and the first failing point raises its error, as a loop over
-    the points would."""
+    gamma, a and b are numbers, or arrays of one broadcast shape with a point per element:
+    floats come back for numbers, else arrays of that shape.  The quadrature is one half-line
+    call for all points, the Mellin route one inversion per distinct gamma, and the first
+    failing point raises its error, as a loop over the points would."""
     if route not in ("quadrature", "mellin", "both"):
         raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
     (gamma, a, b), shaped = _columns(gamma, a, b)
-    rows, fault = _validate_reaction(gamma, a, b)
+    rows, fault = _validate_reaction(gamma, a, b, route)
     gamma, a, b = gamma[:rows], a[:rows], b[:rows]
     if route != "quadrature":
-        mellin = []
-        for point in zip(gamma.tolist(), a.tolist(), b.tolist()):
-            try:
-                mellin.append(_reaction_mellin(*point))
-            except (DomainError, ConvergenceError) as exc:
-                fault = exc
-                break
-        gamma, a, b = gamma[:len(mellin)], a[:len(mellin)], b[:len(mellin)]
-        value, err = np.reshape(mellin, (-1, 2)).T
+        mellin, err, rows, fault = _reaction_mellin(gamma, a, b, fault)
+        gamma, a, b, value, err = (col[:rows] for col in (gamma, a, b, mellin, err))
     if route != "mellin":
         # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
         try:
             value, err = _kratzel_quadrature(gamma, a, b, 1.0, 0.5)
         except ConvergenceError:
-            if route == "quadrature":
-                raise
-            value = None  # the points are replayed one by one below, up to the failing one
+            if route == "both" and gamma.size > 1:  # the loop's first error, point by point
+                for point in zip(gamma, a, b):
+                    reaction_rate_with_error(*point, route="both")
+            raise
         if route == "both":
-            for i, (m, _) in enumerate(mellin):
-                q = float(value[i] if value is not None else _kratzel_quadrature(
-                    gamma[i], a[i], b[i], 1.0, 0.5)[0])
+            for q, m in zip(value.tolist(), mellin.tolist()):
                 if abs(q - m) > 1e-6 * max(abs(q), abs(m)):
                     raise ConvergenceError(f"reaction-rate routes disagree: quadrature {q!r} "
                                            f"vs mellin {m!r}", partial=q, bound=abs(q - m))

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -278,6 +279,22 @@ class TestRun:
         for line in lines[1:]:
             u, g = map(float, line.split(","))
             assert g == pytest.approx(-math.log(u), abs=1e-8 * (1 - math.log(u)))
+
+    def test_ratecalc_mellin_grid_is_one_inversion_per_gamma(self, monkeypatch, capsys):
+        # I(gamma, a, b) = a^-(gamma+1) I(gamma, 1, b sqrt(a)): each gamma is one
+        # inversion at the nine u = a b^2 of its (a, b) points
+        calls = []
+        invert = melconv.mellin_invert
+        monkeypatch.setattr(melconv, "mellin_invert",
+                            lambda *a, **kw: calls.append(np.shape(a[1])) or invert(*a, **kw))
+        axes = ["--gamma=-0.5,0,1,2", "--a", "0.5,1,2", "--b", "0.5,1,2"]
+        assert main(["ratecalc", *axes, "--route", "mellin"]) == 0
+        assert calls == [(9,)] * 4
+        mellin = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        assert main(["ratecalc", *axes]) == 0
+        quadrature = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        assert np.array_equal(mellin[:, :3], quadrature[:, :3])
+        assert np.all(np.abs(mellin[:, 3] - quadrature[:, 3]) <= mellin[:, 4])
 
     def test_anova_round_trip(self, tmp_path, capsys):
         a_csv = tmp_path / "a.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -318,6 +319,40 @@ class TestMellinInvert:
             mellin_invert(lambda s: 1.0 / s, 1.0, 1.0)
         assert err.value.bound is not None
 
+    def test_rounding_past_the_target_raises_with_a_covering_bound(self):
+        # u = x1^2 / x2^(1/2): the strip midpoint c = 4.61 is far from the saddle point
+        # of u^-s M(s) near 1, and the contour sum cancels from about e^24 down to g
+        x1, x2 = builtin_density("gamma", gamma=-0.434), builtin_density("gamma", gamma=2.751)
+        dens = product_moment_density(ProductSpec([(x1, 2.0)], [(x2, 0.5)]))
+        assert default_contour(dens.strip) == pytest.approx(4.6095)
+        with mpmath.workdps(30):
+            g1, g2, u = mpmath.mpf("-0.434"), mpmath.mpf("2.751"), mpmath.mpf("0.0202")
+
+            def f(x, g):
+                return x**g * mpmath.exp(-x) / mpmath.gamma(g + 1)
+
+            # g(u) = integral of f_v(u w) f_w(w) w dw, v = x1^2 and w = sqrt(x2)
+            ref = float(mpmath.quad(lambda w: f(mpmath.sqrt(u * w), g1) / mpmath.sqrt(u * w)
+                                    * f(w * w, g2) * w * w, [0, 1, 2, 4, mpmath.inf]))
+        assert ref == pytest.approx(5.0925254745, rel=1e-10)
+        with pytest.raises(ConvergenceError, match="rounding") as err:
+            dens.density(0.0202)
+        assert abs(err.value.partial - ref) <= err.value.bound < 1e-3
+
+    def test_first_failing_u_in_flat_order_raises(self):
+        # u = 1 has no oscillation (found after the sweeps), 1e-320 a u^-c past the
+        # double range (found first): the error is that of the earlier u
+        us = np.array([0.5, 1.0, 1e-320])
+        with pytest.raises(ConvergenceError, match=r"at u = 1\.0 "):
+            mellin_invert(lambda s: 1.0 / s, us, 1.0)
+        with pytest.raises(ConvergenceError, match="double range"):
+            mellin_invert(lambda s: 1.0 / s, us[::-1], 1.0)
+        g, i, err = mellin_invert(lambda s: 1.0 / s, us, 1.0, first_fault=True)
+        assert i == 1 and "no usable oscillation" in str(err)
+        assert g[0] == pytest.approx(1.0, abs=1e-8) and math.isnan(g[2])
+        g, i, err = mellin_invert(lambda s: 1.0 / s, us[:1], 1.0, first_fault=True)
+        assert (i, err) == (1, None) and g == pytest.approx([1.0], abs=1e-8)
+
 
 def _two_uniforms():
     u01 = builtin_density("uniform01")
@@ -526,12 +561,48 @@ class TestReactionRate:
                     assert reaction_rate(g, a, b, route="mellin") == pytest.approx(
                         dens.density(b * b) * scale, rel=1e-12)
 
-    def test_mellin_scale_past_double_range_is_not_nan(self):
-        # 1 / (c1 c2) = 2 / a^2 = 2e600 is past the double range, and g = 5e-301 is
-        # below the inversion's noise: the value is formed in logs, never as 0 * inf
-        val, err = reaction_rate_with_error(0.0, 1e-300, 1.0, route="mellin")
-        assert not math.isnan(val)
-        assert abs(val - reaction_rate(0.0, 1e-300, 1.0)) <= err
+    @pytest.mark.parametrize("g, a, b",
+                             [(0.0, 1e-150, 1.0), (1.0, 1e-100, 1.0), (0.0, 1e-300, 1.0)])
+    def test_mellin_rounding_at_tiny_a_raises_in_rate_units(self, g, a, b):
+        # u = a b^2 puts u^-c far past the sum's size: the rounding passes the target,
+        # and the partial value and bound come back in rate units, formed in logs
+        q = reaction_rate(g, a, b)
+        assert q == pytest.approx(a ** -(g + 1), rel=1e-12)
+        where = f"gamma = {g}, a = {a}, b = {b}.*rounding"
+        with pytest.raises(ConvergenceError, match=where) as err:
+            reaction_rate_with_error(g, a, b, route="mellin")
+        assert abs(err.value.partial - q) <= err.value.bound
+
+    def test_mellin_value_at_huge_a_is_covered(self):
+        # the rate, about e^(-8.8e6), is 0; the inversion's noise at u = 1e20 lies in its estimate
+        val, err = reaction_rate_with_error(0.0, 1e20, 1.0, route="mellin")
+        assert reaction_rate(0.0, 1e20, 1.0) == 0.0
+        assert abs(val) <= err < 1e-27
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1e-300), (1e300, 1e300)])
+    def test_mellin_u_outside_the_double_range_names_its_point(self, a, b):
+        # u = a b^2 underflows to 0 or overflows to inf; no RuntimeWarning on the way
+        where = re.escape(f"outside the double range at gamma = 1.0, a = {a}, b = {b}")
+        with pytest.raises(ConvergenceError, match=where) as err:
+            reaction_rate(1.0, a, b, route="mellin")
+        assert err.value.bound == math.inf
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mellin_grid_raises_the_loops_first_error(self, seed):
+        # tiny a fails by rounding in two gamma groups, b = 1e-300 puts u = a b^2 at 0,
+        # and gamma <= -2 is a DomainError of the route; the rows in shuffled orders
+        rows = [(0.0, 1.0, 1.0), (1.0, 1e-100, 1.0), (0.0, 1e-150, 1.0), (1.0, 1.0, 1e-300),
+                (-2.5, 1.0, 1.0), (1.0, 1.0, 1.0)]
+        rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+        errors = []
+        for point in rows:
+            try:
+                reaction_rate(*point, route="mellin")
+            except (DomainError, ConvergenceError) as exc:
+                errors.append(exc)
+        with pytest.raises(type(errors[0])) as got:
+            reaction_rate(*np.transpose(rows), route="mellin")
+        assert str(got.value) == str(errors[0])
 
     @pytest.mark.parametrize(
         "g, a, b", [(1.5, 2.0, 0.0), (0.0, 0.5, 0.0), (-2.5, 0.0, 1.5), (-3.0, 0.0, 0.5)]
@@ -543,7 +614,8 @@ class TestReactionRate:
 
     def test_routes_that_disagree_raise(self, monkeypatch):
         q = reaction_rate(1.0, 1.0, 1.0)
-        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b: (1.01 * q, 0.0))
+        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b, fault: (
+            np.full(g.size, 1.01 * q), np.zeros(g.size), g.size, fault))
         with pytest.raises(ConvergenceError, match="disagree") as err:
             reaction_rate(1.0, 1.0, 1.0, route="both")
         assert err.value.partial == q
@@ -838,8 +910,9 @@ class TestHalflineBatch:
         g, a, b = np.zeros(3), np.array([1.0, 1e300, 2.0]), np.array([1.0, 1e300, 0.5])
         q = [reaction_rate(0.0, 1.0, 1.0), 0.0, reaction_rate(0.0, 2.0, 0.5)]
         off = {"quadrature": None, "disagree_first": 0, "disagree_after": 2}[fault]
-        mellin = {ai: (qi * (1.01 if i == off else 1.0), 0.0) for i, (ai, qi) in enumerate(zip(a, q))}
-        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b: mellin[a])
+        mellin = {ai: qi * (1.01 if i == off else 1.0) for i, (ai, qi) in enumerate(zip(a, q))}
+        monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b, fault: (
+            np.array([mellin[ai] for ai in a]), np.zeros(a.size), a.size, fault))
         monkeypatch.setattr(melconv, "_kratzel_log_bound", lambda g, *_: np.full(g.shape, math.inf))
         with pytest.raises(ConvergenceError) as first:
             for point in zip(g, a, b):
