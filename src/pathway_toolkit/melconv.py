@@ -819,7 +819,12 @@ def _reaction_mellin(gamma, a, b, fault):
     scale, delta = np.where(flip, b, a), np.where(flip, 0.5, 1.0)
     with np.errstate(all="ignore"):
         u, p = a * b**2, np.where(flip, -gamma - 1, gamma + 1) / delta
-        value = np.exp(gammaln(p) - np.log(delta) - p * np.log(scale))
+        log_v = gammaln(p) - p * np.log(scale)
+        # where both terms are past the double range (inf - inf), Stirling's leading terms
+        # p (ln p - 1 - ln scale) - ln(p / 2 pi) / 2 give the sign, and e^log_v is inf or 0
+        stirling = p * (np.log(p) - 1.0 - np.log(scale)) - 0.5 * np.log(p / (2 * math.pi))
+        log_v = np.where(np.isnan(log_v), stirling, log_v)
+        value = np.exp(log_v - np.log(delta))
     err, live = _INVERT_TOL * value, ~closed & (0 < u) & (u < math.inf)
     faults = [(i, ConvergenceError(f"the Mellin route's u = a b^2 = {u[i]} is outside the double "
                                    f"range at gamma = {gamma[i]}, a = {a[i]}, b = {b[i]}",

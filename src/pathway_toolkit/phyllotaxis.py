@@ -5,8 +5,8 @@ discretization of the constant-speed construction), rotated by a fixed
 divergence angle.  Under the golden divergence the visible left/right spiral
 families count consecutive Fibonacci numbers; the detector below recovers the
 counts from nearest-neighbor index differences, no contact geometry needed.
-Every neighbor query (parastichy, spacing, coverage) goes through one k-d
-tree per call.
+Every neighbor query (parastichy, spacing, coverage) is one exact search over
+the points binned into a grid of square cells.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError
 
 _MIN_POINTS = 50
-_FIRST_K = 16  # candidates per point on the first k-d tree query
+_BATCH = 1 << 18  # candidate points per batch of a search step
 
 
 def golden_angle() -> float:
@@ -83,6 +82,135 @@ def _cartesian(points) -> np.ndarray:
     )
 
 
+def _finite_columns(points):
+    """r, phi, x and y columns of polar points (r, phi), with r and so x and y scaled by
+    2^shift, and shift; a nan or inf point is a DomainError."""
+    arr = np.asarray(points, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("every point (r, phi) must be finite")
+    # largest |r| about 2^500: squared distances stay inside the double range, and a power
+    # of two scales exactly
+    shift = 500 - math.frexp(float(np.abs(arr[:, 0]).max()))[1]
+    r, phi = np.ldexp(arr[:, 0], shift), arr[:, 1]
+    return r, phi, r * np.cos(phi), r * np.sin(phi), shift
+
+
+class _CellGrid:
+    """Points binned into square cells of side h, about one point a cell, and sorted by cell,
+    row by row; ``index`` maps a sorted position back to the point's index.  The coordinates
+    are scaled as ``_finite_columns`` scales them, so no span or squared distance overflows.
+
+    A query examines the cells in squares of R = 1, 2, 3, 4, 6, 9, ... cells about its own
+    cell (clamped onto the grid).  Every point in a cell it has not examined is then at least
+    R h away along one axis, and at least the query's distance to the points' bounding box
+    away along both: the search's one stopping rule.
+    """
+
+    def __init__(self, x, y):
+        n = len(x)
+        self._box = x_lo, x_hi, y_lo, y_hi = x.min(), x.max(), y.min(), y.max()
+        w, t = x_hi - x_lo, y_hi - y_lo
+        # h^2 = box area / n; span / n bounds the cell count of a flat box, and any h serves
+        # points that all coincide
+        self.h = float(max(np.sqrt(w * t / n), max(w, t) / n)) or 1.0
+        self.nx, self.ny = int(w / self.h) + 1, int(t / self.h) + 1
+        cx, cy = self._cells(x, y)
+        cell = cy * self.nx + cx
+        self.index = np.argsort(cell, kind="stable")
+        self.x, self.y = x[self.index], y[self.index]
+        self._first = np.zeros(self.nx * self.ny + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=self.nx * self.ny), out=self._first[1:])
+        # a computed d^2 is off by a few ulps and a cell index by about 1e-16 of the grid's
+        # width in cells, so the bound keeps a margin for both
+        self._shrink = 1.0 - 1e-12 - 4e-15 * max(self.nx, self.ny)
+
+    def _cells(self, x, y):
+        """Cell column and row of each point (x, y), clamped onto the grid."""
+        return (np.clip((x - self._box[0]) // self.h, 0, self.nx - 1).astype(np.intp),
+                np.clip((y - self._box[2]) // self.h, 0, self.ny - 1).astype(np.intp))
+
+    def _runs(self, cx, cy, inner, R):
+        """Runs of sorted positions that hold the points in the cells more than ``inner`` and
+        at most R cells out from cells (cx, cy): start and length, one row per query."""
+        dy = np.arange(max(-R, 1 - self.ny), min(R, self.ny - 1) + 1)  # rows inside the grid
+        row = (cy[:, None] + dy)[:, None]
+        cx = cx[:, None, None]
+        # column runs [a, b] per row: with no inner square the rows whole; else the rows past
+        # it whole and the rows across it their two ends
+        if inner < 0:
+            a, b = cx - R, cx + R
+        else:
+            rim = np.abs(dy) > inner
+            a = np.where(rim, np.concatenate((cx - R, cx + R + 1), 1),
+                         np.concatenate((cx - R, cx + inner + 1), 1))
+            b = np.where(rim, cx + R, np.concatenate((cx - inner - 1, cx + R), 1))
+        a, b = np.maximum(a, 0), np.minimum(b, self.nx - 1)
+        live = (0 <= row) & (row < self.ny) & (a <= b)
+        base = row * self.nx
+        start = self._first[np.where(live, base + a, 0)]
+        count = np.where(live, self._first[np.where(live, base + b + 1, 0)] - start, 0)
+        return start.reshape(len(cx), -1), count.reshape(len(cx), -1)
+
+    def search(self, qx, qy, step):
+        """Widen the square of cells about each query point (qx, qy) until ``step`` closes
+        it or the square covers the grid.  ``step(q, owner, pos, bound)`` gets open query numbers q,
+        the sorted positions pos of the points just examined, the entry of q each belongs to,
+        and per entry of q a squared distance below that to any point not yet examined; it
+        returns the mask of q still open."""
+        cx, cy = self._cells(qx, qy)
+        reach = np.max([cx, self.nx - 1 - cx, cy, self.ny - 1 - cy], axis=0)
+        x_lo, x_hi, y_lo, y_hi = self._box
+        outside = (np.maximum(np.maximum(x_lo - qx, qx - x_hi), 0.0) ** 2
+                   + np.maximum(np.maximum(y_lo - qy, qy - y_hi), 0.0) ** 2)
+        q, inner, R = np.arange(len(cx)), -1, 1
+        while q.size:
+            start, count = self._runs(cx[q], cy[q], inner, R)
+            gap = R * self.h
+            bound = (gap * gap + outside[q]) * self._shrink
+            # batches of about _BATCH candidates bound the memory a bunched point set takes
+            total = np.cumsum(count.sum(1))
+            ends = [0, q.size]
+            if total[-1] > _BATCH:
+                cuts = np.searchsorted(total, np.arange(_BATCH, total[-1], _BATCH), "right")
+                ends = np.unique(np.concatenate((ends, cuts)))
+            open_ = np.empty(q.size, dtype=bool)
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                owner = np.repeat(np.arange(hi - lo), count[lo:hi].sum(1))
+                run = count[lo:hi].ravel()
+                offset = np.cumsum(run) - run
+                pos = np.repeat(start[lo:hi].ravel() - offset, run) + np.arange(owner.size)
+                open_[lo:hi] = step(q[lo:hi], owner, pos, bound[lo:hi])
+            q = q[open_ & (reach[q] > R)]
+            inner, R = R, R + max(1, R // 2)
+
+
+def _least(values, owner, m) -> np.ndarray:
+    """The least of ``values`` per owner 0..m-1; inf for an owner with none."""
+    out = np.full(m, math.inf)
+    np.minimum.at(out, owner, values)
+    return out
+
+
+def _nearest(grid, qx, qy, own=False, keep=None) -> np.ndarray:
+    """Squared distance from each query point (qx, qy) to its nearest grid point; with
+    ``own`` the queries are the grid's points in sorted order, and a point's own position is
+    left out, so a duplicate point is at 0.  ``keep(best, q, bound)``, when given, may close
+    open queries q early; those keep an upper bound in place of their distance."""
+    best = np.full(len(qx), math.inf)
+
+    def step(q, owner, pos, bound):
+        i = q[owner]
+        d2 = (grid.x[pos] - qx[i]) ** 2 + (grid.y[pos] - qy[i]) ** 2
+        if own:
+            d2[pos == i] = math.inf
+        best[q] = np.minimum(best[q], _least(d2, owner, len(q)))
+        open_ = best[q] > bound
+        return open_ if keep is None else open_ & keep(best, q, bound)
+
+    grid.search(qx, qy, step)
+    return best
+
+
 def parastichy_pair(points, window) -> tuple[int, int]:
     """Dominant index differences to the nearest inward neighbor on each
     angular side, over the given index window.
@@ -104,31 +232,35 @@ def parastichy_pair(points, window) -> tuple[int, int]:
         raise DomainError(
             f"window ({lo}, {hi}) out of range for {len(points)} points"
         )
-    xy = _cartesian(points)
-    phi = np.asarray(points, dtype=float)[:, 1]
-    tree = cKDTree(xy[:hi])
+    _, phi, x, y, _ = _finite_columns(points)
+    grid = _CellGrid(x[:hi], y[:hi])
     rows = np.arange(max(lo, 1), hi)
-    # nearest inward neighbor per row and side (right: psi >= 0, left: psi <= 0);
-    # hi marks a side with no inward point at all
+    # nearest inward neighbor per row and side (right: psi >= 0, left: psi <= 0) and its
+    # squared distance; hi marks a side with no inward point at all
+    best = np.full((2, len(rows)), math.inf)
     nearest = np.full((2, len(rows)), hi)
-    pending, k = rows, min(_FIRST_K, hi)
-    while pending.size:
-        idx = tree.query(xy[pending], k=k)[1]
-        d = xy[idx] - xy[pending, None]
-        dist2 = np.einsum("mkj,mkj->mk", d, d)
-        psi = np.mod(phi[idx] - phi[pending, None] + math.pi, 2.0 * math.pi) - math.pi
-        # an unqueried point lies at least as far as the k-th candidate; the
-        # margin absorbs rounding between the tree's distances and dist2
-        horizon = dist2[:, -1:] * (1.0 - 1e-12)
-        settled = np.full(len(pending), True)
-        for s, side in enumerate((psi >= 0, psi <= 0)):
-            cand = side & (idx < pending[:, None])
-            d2 = np.where(cand, dist2, math.inf)
-            best = d2.min(axis=1, keepdims=True)
-            # the lowest index among equally near candidates, as argmin takes
-            nearest[s, pending - rows[0]] = np.where(cand & (d2 == best), idx, hi).min(1)
-            settled &= (best < horizon).ravel() | (k == hi)
-        pending, k = pending[~settled], min(2 * k, hi)
+
+    def step(q, owner, pos, bound):
+        i, j = rows[q][owner], grid.index[pos]
+        inward = j < i
+        owner, pos, i, j = owner[inward], pos[inward], i[inward], j[inward]
+        d2 = (grid.x[pos] - x[i]) ** 2 + (grid.y[pos] - y[i]) ** 2
+        psi = np.mod(phi[j] - phi[i] + math.pi, 2.0 * math.pi) - math.pi
+        # side s of entry e of q is slot e + s len(q); a point at psi = 0 is on both sides
+        right, left = psi >= 0, psi <= 0
+        slot = np.concatenate((owner[right], owner[left] + len(q)))
+        d2, j = np.concatenate((d2[right], d2[left])), np.concatenate((j[right], j[left]))
+        old = best[:, q].ravel()
+        least = np.minimum(old, _least(d2, slot, old.size))
+        # the lowest index among equally near candidates, as argmin takes
+        tie = d2 == least[slot]
+        low = np.full(old.size, hi)
+        np.minimum.at(low, slot[tie], j[tie])
+        near = np.where(least == old, np.minimum(nearest[:, q].ravel(), low), low)
+        best[:, q], nearest[:, q] = least.reshape(2, -1), near.reshape(2, -1)
+        return (best[:, q] > bound).any(axis=0)
+
+    grid.search(x[rows], y[rows], step)
     # difference counts; argmax picks the most frequent, the smallest on ties
     right_diffs, left_diffs = (np.bincount(rows[j < hi] - j[j < hi]) for j in nearest)
     if not left_diffs.any() or not right_diffs.any():
@@ -138,10 +270,13 @@ def parastichy_pair(points, window) -> tuple[int, int]:
 
 def nearest_neighbor_distances(points) -> np.ndarray:
     """Distance from each point to its nearest other point."""
-    xy = _cartesian(points)
-    if len(xy) < 2:
+    if len(points) < 2:
         raise DomainError("need at least two points")
-    return cKDTree(xy).query(xy, k=2)[0][:, 1]
+    *_, x, y, shift = _finite_columns(points)
+    grid = _CellGrid(x, y)
+    out = np.empty(len(points))
+    out[grid.index] = np.ldexp(np.sqrt(_nearest(grid, grid.x, grid.y, own=True)), -shift)
+    return out
 
 
 def coverage_packing_ratio(points) -> float:
@@ -155,20 +290,36 @@ def coverage_packing_ratio(points) -> float:
     """
     if len(points) < 2:
         raise DomainError("need at least two points")
-    xy = _cartesian(points)
-    radii = np.asarray(points, dtype=float)[:, 0]
+    radii, _, x, y, _ = _finite_columns(points)
+    grid = _CellGrid(x, y)
+    # a point stops once nothing it has not examined can beat the least spacing found
+    packing = _nearest(grid, grid.x, grid.y, own=True,
+                       keep=lambda best, q, bound: bound < best.min()).min()
+    if packing == 0.0:
+        raise DomainError("the smallest spacing is 0: two points coincide")
     rr = np.linspace(radii.min(), radii.max(), 60)
     aa = np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False)
-    probes = np.column_stack(
-        (
-            np.outer(rr, np.cos(aa)).ravel(),
-            np.outer(rr, np.sin(aa)).ravel(),
-        )
-    )
-    tree = cKDTree(xy)
-    cover = float(tree.query(probes)[0].max())
-    packing = float(tree.query(xy, k=2)[0][:, 1].min())
-    return cover / packing
+    px, py = np.outer(rr, np.cos(aa)), np.outer(rr, np.sin(aa))
+    # exact distances at the centres of 20 x 60 tiles of 3 x 3 probes; the distance to the
+    # nearest point is 1-Lipschitz, so a probe can beat the largest of them only if its
+    # centre's distance plus its own offset from the centre does
+    cx, cy = px[1::3, 1::3], py[1::3, 1::3]
+    centre2 = _nearest(grid, cx.ravel(), cy.ravel())
+    cover2 = float(centre2.max())
+    tiles = (20, 3, 60, 3)
+    reach = np.sqrt(centre2).reshape(20, 1, 60, 1) + np.hypot(
+        px.reshape(tiles) - cx[:, None, :, None], py.reshape(tiles) - cy[:, None, :, None])
+    probe = (reach > math.sqrt(cover2) * (1.0 - 1e-12)).reshape(60, 180)
+    probe[1::3, 1::3] = False  # the centres are done
+
+    def keep(best, q, bound):
+        # a probe closes once it is settled or cannot beat the largest settled distance
+        nonlocal cover2
+        cover2 = max(cover2, float(best[q].max(where=best[q] <= bound, initial=0.0)))
+        return best[q] > cover2
+
+    hole = _nearest(grid, px[probe], py[probe], keep=keep).max(initial=0.0)
+    return math.sqrt(max(cover2, hole)) / math.sqrt(packing)
 
 
 def render_svg(points, config: SpiralConfig) -> str:

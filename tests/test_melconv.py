@@ -548,6 +548,16 @@ class TestReactionRate:
         for route in ("mellin", "quadrature", "both"):
             assert reaction_rate(g, a, b, route=route) == math.inf
 
+    @pytest.mark.parametrize("g, a, b, rate", [
+        (1e307, 1e300, 0.0, math.inf), (1e306, 2.0, 0.0, math.inf), (1e307, 1e308, 0.0, 0.0),
+        (-1e307, 0.0, 1e300, math.inf), (-1e307, 0.0, 1e308, 0.0)])
+    def test_closed_form_past_the_double_range_is_inf_or_zero(self, g, a, b, rate):
+        # ln Gamma(p) and p ln(scale) are both inf here, and their difference decides the
+        # sign: Gamma(p) / scale^p is e^(+-1e308) or more, never nan
+        assert reaction_rate_with_error(g, a, b, route="mellin") == (rate, rate)
+        if rate == 0.0:
+            assert reaction_rate(g, a, b) == 0.0
+
     def test_mellin_route_is_a_product_of_two_stock_laws(self):
         # u = x1 x2 with x1 ~ gen_gamma(gamma+1, a, 1) and x2 ~ gen_gamma(0, 1, 1/2)
         # has density c1 c2 I(gamma, a, sqrt(u)), 1 / (c1 c2) = 2 Gamma(gamma+2) / a^(gamma+2)

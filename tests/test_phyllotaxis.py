@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pathway_toolkit import phyllotaxis
 from pathway_toolkit.errors import DomainError
 from pathway_toolkit.phyllotaxis import (
     SpiralConfig,
@@ -117,6 +118,41 @@ def exactness_cases(count=100, seed=20261018):
         k = float(rng.uniform(0.3, 3.0))
         cases.append(pytest.param(k, n, divergence, (lo, hi), id=f"{family}-{c}"))
     return cases
+
+
+def scattered_sets(n=400, seed=20261019):
+    """Fixed-seed point sets that are not spirals, in polar form: each stresses one part of
+    a cell-grid search (empty cells, a flat box, points on cell edges, duplicates)."""
+    rng = np.random.default_rng(seed)
+
+    def polar(x, y):
+        return list(zip(np.hypot(x, y).tolist(), np.arctan2(y, x).tolist()))
+
+    disc = list(zip((50.0 * np.sqrt(rng.random(n))).tolist(),
+                    (2.0 * math.pi * rng.random(n)).tolist()))
+    # 11 x 11 integer points less 21 inner ones: a 10 x 10 box over 100 points makes the
+    # cell side 1, so the points lie on cell edges
+    lattice = np.array([(i, j) for i in range(11) for j in range(11)], dtype=float)
+    inner = np.flatnonzero((lattice > 0).all(1) & (lattice < 10).all(1))
+    lattice = np.delete(lattice, rng.choice(inner, 21, replace=False), axis=0)
+    line_x = rng.uniform(-40.0, 40.0, n)
+    return {
+        "disc": disc,
+        # one cell holds all but one point; every other cell is empty
+        "cluster_and_outlier": polar(*(1000.0 + 1e-3 * rng.standard_normal((2, n - 1))))
+        + [(1e6, 2.0)],
+        "ray": [(r, 0.0) for r in rng.uniform(1.0, 100.0, n).tolist()],  # a box of area 0
+        "vertical_ray": [(r, math.pi / 2) for r in rng.uniform(1.0, 100.0, n).tolist()],
+        "line": polar(line_x, 15.0 - line_x / 2.0),
+        "lattice": polar(*lattice[rng.permutation(len(lattice))].T),
+        # exact integers on a line: duplicates and equally near neighbors
+        "integer_line": [(float(v), 0.0) for v in rng.integers(-40, 41, 150).tolist()],
+        "two_points": [(1.0, 0.3), (2.0, 1.0)],
+        "duplicates": disc[:200] + disc[:60] + disc[150:200],
+    }
+
+
+SCATTERED = scattered_sets()
 
 
 def is_consecutive_fibonacci(pair):
@@ -241,7 +277,7 @@ class TestParastichy:
 
 
 class TestNeighborSearchExactness:
-    """The k-d tree answers must equal the brute-force loops they replaced."""
+    """The cell-grid search answers must equal the brute-force loops."""
 
     @pytest.mark.parametrize("k, n, divergence, window", exactness_cases())
     def test_parastichy_pair_matches_brute_force(self, k, n, divergence, window):
@@ -261,6 +297,15 @@ class TestNeighborSearchExactness:
         pair = parastichy_pair(doubled, (580, 590))
         assert pair == brute_parastichy_pair(doubled, (580, 590))
         assert min(pair) > 290
+
+    def test_distance_ties_in_cells_apart_go_to_lowest_index(self):
+        # 100 points on a line from 0 to 100 make cells 1 wide: window point 80 + k, at
+        # 4k + 2.75, has inward neighbors 1.5 away on both sides, index 60 + k in the next
+        # cell and index 40 + k two cells on; the brute force's argmin takes 40 + k
+        mid = np.arange(20) * 4.0 + 2.75
+        pts = [(x, 0.0) for x in [*[0.0] * 39, 100.0, *(mid + 1.5), *(mid - 1.5), *mid]]
+        pair = parastichy_pair(pts, (80, 100))
+        assert pair == brute_parastichy_pair(pts, (80, 100)) == (40, 40)
 
     @pytest.mark.parametrize(
         "divergence",
@@ -283,6 +328,71 @@ class TestNeighborSearchExactness:
         pts = [(1.0, 0.5), (2.0, 1.0), (1.0, 0.5)]
         np.testing.assert_array_equal(
             nearest_neighbor_distances(pts), brute_nearest_neighbor_distances(pts)
+        )
+        # the ratio's denominator is that 0 spacing
+        with pytest.raises(DomainError, match="coincide"):
+            coverage_packing_ratio(pts)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("query", ["spacing", "coverage", "parastichy"])
+    def test_non_finite_point_is_a_domain_error(self, query, bad):
+        pts = generate_points(SpiralConfig(n_points=60))
+        pts[30] = bad
+        call = {
+            "spacing": nearest_neighbor_distances,
+            "coverage": coverage_packing_ratio,
+            "parastichy": lambda p: parastichy_pair(p, (0, 60)),
+        }[query]
+        with pytest.raises(DomainError, match="finite"):
+            call(pts)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_scale_past_squared_double_range_is_exact(self, power):
+        # squared distances at these scales leave the double range; the search works at a
+        # power-of-two scale, which is exact
+        pts = generate_points(SpiralConfig(n_points=300))
+        scaled = generate_points(SpiralConfig(k=2.0**power, n_points=300))
+        np.testing.assert_array_equal(
+            nearest_neighbor_distances(scaled), np.ldexp(nearest_neighbor_distances(pts), power)
+        )
+        assert coverage_packing_ratio(scaled) == coverage_packing_ratio(pts)
+        assert parastichy_pair(scaled, OUTER_WINDOW) == parastichy_pair(pts, OUTER_WINDOW)
+
+    @pytest.mark.parametrize("name", list(SCATTERED))
+    def test_scattered_sets_match_brute_force(self, name):
+        pts = SCATTERED[name]
+        spacing = brute_nearest_neighbor_distances(pts)
+        np.testing.assert_allclose(nearest_neighbor_distances(pts), spacing, rtol=1e-12, atol=0)
+        if spacing.min() == 0.0:
+            with pytest.raises(DomainError, match="coincide"):
+                coverage_packing_ratio(pts)
+        else:
+            assert coverage_packing_ratio(pts) == pytest.approx(
+                brute_coverage_packing_ratio(pts), rel=1e-12
+            )
+        if len(pts) >= 50:
+            window = (0, len(pts))
+            assert parastichy_pair(pts, window) == brute_parastichy_pair(pts, window)
+
+    def test_search_in_small_batches_gives_the_same_answers(self, monkeypatch):
+        # a search step over more candidates than a batch holds runs batch by batch
+        bunched = SCATTERED["cluster_and_outlier"]
+        spiral = generate_points(SpiralConfig(n_points=300, divergence=2.0 * math.pi / 5.0))
+
+        def answers():
+            return (nearest_neighbor_distances(bunched).tolist(), coverage_packing_ratio(bunched),
+                    coverage_packing_ratio(spiral), parastichy_pair(spiral, (150, 300)))
+
+        whole = answers()
+        monkeypatch.setattr(phyllotaxis, "_BATCH", 50)
+        assert answers() == whole
+
+    @pytest.mark.parametrize("divergence", [2.0 * math.pi / 5.0, math.pi], ids=["fifth", "half"])
+    def test_coverage_with_wedge_holes_matches_brute_force(self, divergence):
+        # holes many cells wide: most probe tiles are pruned, the rest search far out
+        pts = generate_points(SpiralConfig(n_points=3000, divergence=divergence))
+        assert coverage_packing_ratio(pts) == pytest.approx(
+            brute_coverage_packing_ratio(pts), rel=1e-12
         )
 
 
