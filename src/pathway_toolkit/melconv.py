@@ -64,8 +64,9 @@ class MomentDensity:
             raise DomainError(
                 f"{self.label}: strip ({lo}, {hi}) must contain s = 1"
             )
-        m1 = complex(self.moment_fn(np.array([1.0 + 0.0j]))[0])
-        if abs(m1 - 1.0) > _MOMENT_NORM_TOL:
+        with np.errstate(all="ignore"):
+            m1 = complex(self.moment_fn(np.array([1.0 + 0.0j]))[0])
+        if not abs(m1 - 1.0) <= _MOMENT_NORM_TOL:  # NaN fails too
             raise DomainError(
                 f"{self.label}: moment at s = 1 is {m1!r}, not total mass 1"
             )
@@ -86,8 +87,8 @@ class MomentDensity:
 
 
 def _shape_values(kind: str, shape: dict, *keys: str) -> list[float]:
-    """The shape parameters ``keys`` of a builtin kind as floats; a missing,
-    unexpected or non-numeric parameter is a DomainError."""
+    """The shape parameters ``keys`` of a builtin kind (or the pathway record) as floats;
+    a missing, unexpected or non-numeric parameter is a DomainError."""
     missing = [k for k in keys if k not in shape]
     unexpected = sorted(set(shape) - set(keys))
     if missing or unexpected:
@@ -272,14 +273,24 @@ class _PowerLaw(NamedTuple):
 
 
 def _power_law(row: _Law, e: float, scale: float, delta: float, gamma: float) -> _PowerLaw:
-    """The ``_PowerLaw`` of these five; a support end or constant past a double is inf."""
+    """The ``_PowerLaw`` of these five.  A DomainError unless they make a density on
+    doubles: p > 0, q > 0, and a constant and (for a bounded row) support end that fit."""
     p = (gamma + 1) / delta
+    if not p > 0:
+        raise DomainError(f"(gamma+1)/delta must be > 0 for integrability at 0, "
+                          f"got gamma={gamma}, delta={delta}")
     q = row.q(p, e)
+    if not q > 0:  # pathway and stock shapes fail this only in the type-2 beta tail
+        raise DomainError(f"density is not normalizable: the tail needs q > 0, got q = {q} "
+                          f"from kernel exponent e = {e} and p = (gamma+1)/delta = {p}")
     try:  # float ** overflows; a scale that underflowed to 0 fails too
         x_max = (row.y_max / scale) ** (1 / delta)
         log_c = math.log(delta) + p * math.log(scale) - row.log_integral(p, q)
     except (ArithmeticError, ValueError):
         x_max = log_c = math.inf
+    if not math.isfinite(log_c) or (row.y_max < math.inf and x_max == math.inf):
+        raise DomainError(f"the normalizing constant or the support end overflows a double at "
+                          f"e = {e}, scale = {scale}, delta = {delta}, gamma = {gamma}")
     return _PowerLaw(row, e, scale, delta, gamma, p, q, x_max, log_c)
 
 
@@ -803,9 +814,10 @@ def _validate_reaction(gamma, a, b, route):
         ((a == 0) & (b == 0), "need a > 0 or b > 0"),
         ((b == 0) & (gamma <= -1), "b = 0 requires gamma > -1, got {gamma}"),
         ((a == 0) & (gamma >= -1), "a = 0 requires gamma < -1, got {gamma}"),
-        ((route != "quadrature") & (a > 0) & (b > 0) & (gamma <= -2),
-         "the product-structure route needs gamma > -2 so the power part is a probability "
-         "density; got gamma = {gamma}"),
+        ((route != "quadrature") & (a > 0) & (b > 0)  # the law of x1 in _reaction_mellin exists
+         & ~((gamma > -2) & (gammaln(gamma + 2) < math.inf)),
+         "the product-structure route needs gamma > -2 and Gamma(gamma + 2) in the double range "
+         "so the power part is a probability density; got gamma = {gamma}"),
     ], gamma=gamma, a=a, b=b)
 
 

@@ -5,8 +5,8 @@ the transition value, a heavy-tailed power model above it, and a stretched
 gamma model exactly at it.  Under y = a|1-alpha| x^delta (a eta x^delta at the
 transition) they are a type-1 beta, a type-2 beta and a gamma law (Mathai,
 Linear Algebra Appl. 396, 2005).  Construction picks that law from melconv's
-table, shared with the stock Mellin kinds, and checks only that its closed-form
-constant and support fit a double.
+table, shared with the stock Mellin kinds, whose constructor holds the one rule
+for when five numbers make a density on doubles.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, as_number
-from .melconv import _BETA1, _BETA2, _GAMMA, _power_law, integrate_halfline
+from .errors import DomainError
+from .melconv import _BETA1, _BETA2, _GAMMA, _power_law, _shape_values, integrate_halfline
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,11 @@ class PathwayParams:
 
     ``alpha`` selects the family (below / above / exactly 1), ``gamma`` is the
     power weight at the origin, ``delta`` the power-transform exponent, ``a``
-    the scale, ``eta`` the shape exponent.  Construction looks up the regime
-    of y = a|1-alpha| x^delta and rejects parameter sets whose density cannot
-    integrate to one, or whose closed-form normalizing constant or (below
-    alpha = 1) support end does not fit in a double.
+    the scale, ``eta`` the shape exponent.  Construction needs the five
+    finite and delta, a, eta > 0, and looks up the law of y = a|1-alpha| x^delta,
+    which rejects parameter sets whose density cannot integrate to one, or whose
+    closed-form normalizing constant or (below alpha = 1) support end does not
+    fit in a double.
     """
 
     alpha: float
@@ -53,21 +54,7 @@ class PathwayParams:
             d = abs(1 - self.alpha)
             law = _power_law(_BETA1 if self.alpha < 1 else _BETA2, self.eta / d, self.a * d,
                              self.delta, self.gamma)
-        if not (law.p > 0):
-            raise DomainError(
-                f"(gamma+1)/delta must be > 0 for integrability at 0, "
-                f"got gamma={self.gamma}, delta={self.delta}"
-            )
-        if not (law.q > 0):  # only the heavy tail can fail this
-            raise DomainError(
-                "density is not normalizable: for alpha > 1 the tail needs "
-                f"eta/(alpha-1) > (gamma+1)/delta, got {law.e} <= {law.p}"
-            )
         object.__setattr__(self, "_law", law)
-        if not math.isfinite(law.log_c) or (self.alpha < 1 and law.x_max == math.inf):
-            raise DomainError(
-                f"{self}: the normalizing constant or the support end overflows a double"
-            )
 
     def __reduce__(self):
         # the law row holds closures, so pickles carry the five scalars only
@@ -90,15 +77,10 @@ class PathwayParams:
 
     @classmethod
     def from_json(cls, text: str) -> "PathwayParams":
-        keys = [f.name for f in fields(cls)]
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise DomainError("pathway parameter JSON must be an object")
-        missing = set(keys) - set(doc)
-        if missing:
-            raise DomainError(f"pathway parameter JSON missing keys: {sorted(missing)}")
-        message = f"pathway parameters must be numbers, got {doc}"
-        return cls(**{k: as_number(doc[k], message) for k in keys})
+        return cls(*_shape_values("pathway", doc, *(f.name for f in fields(cls))))
 
 
 def pathway_support(params: PathwayParams) -> tuple[float, float]:

@@ -464,6 +464,11 @@ class TestRun:
         argv = ["ratecalc", "--route", "mellin", "--gamma=-2.5", "--a", "1", "--b", "1"]
         assert "gamma > -2" in self.assert_one_line_error(argv, capsys)
 
+    def test_mellin_route_gamma_past_double_range_exits_1(self, capsys):
+        # Gamma(gamma + 2) overflows: one error line, no RuntimeWarning before it
+        argv = ["ratecalc", "--route", "mellin", "--gamma", "1e306", "--a", "1", "--b", "1"]
+        assert "double range" in self.assert_one_line_error(argv, capsys)
+
     @pytest.mark.parametrize(
         "alpha", ["x", None, True], ids=["string", "null", "bool"]
     )

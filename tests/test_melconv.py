@@ -105,6 +105,12 @@ class TestBuiltins:
             builtin_density("gamma")  # missing shape key
         with pytest.raises(DomainError, match="must be numbers"):
             builtin_density("gamma", gamma=True)  # JSON true is not 1
+        with pytest.raises(DomainError, match="overflows a double"):
+            builtin_density("gamma", gamma=1e307)  # Gamma(1e307 + 1) is past a double
+        with pytest.raises(DomainError):
+            builtin_density("type1_beta", alpha=1e308, beta=1e308)  # p + q overflows
+        with pytest.raises(DomainError, match="total mass 1"):
+            builtin_density("type1_beta", alpha=1.0, beta=1e308)  # a finite constant, NaN moment
 
     def test_strip_must_contain_one(self):
         with pytest.raises(DomainError):
@@ -113,6 +119,8 @@ class TestBuiltins:
     def test_moment_at_one_must_be_total_mass_one(self):
         with pytest.raises(DomainError, match="total mass 1"):
             MomentDensity("half", lambda s: 0.5 / s, strip=(0.0, 2.0))
+        with pytest.raises(DomainError, match="total mass 1"):
+            MomentDensity("x", lambda s: s * np.nan, strip=(0.0, 2.0))
 
 
 class TestStructureMoment:
@@ -600,9 +608,10 @@ class TestReactionRate:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_mellin_grid_raises_the_loops_first_error(self, seed):
         # tiny a fails by rounding in two gamma groups, b = 1e-300 puts u = a b^2 at 0,
-        # and gamma <= -2 is a DomainError of the route; the rows in shuffled orders
+        # and gamma <= -2 or Gamma(gamma + 2) past a double is a DomainError of the route;
+        # the rows in shuffled orders
         rows = [(0.0, 1.0, 1.0), (1.0, 1e-100, 1.0), (0.0, 1e-150, 1.0), (1.0, 1.0, 1e-300),
-                (-2.5, 1.0, 1.0), (1.0, 1.0, 1.0)]
+                (-2.5, 1.0, 1.0), (1.0, 1.0, 1.0), (1e306, 1.0, 1.0)]
         rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
         errors = []
         for point in rows:

@@ -169,6 +169,11 @@ class TestParams:
         with pytest.raises(DomainError):
             PathwayParams.from_json(json.dumps({"alpha": 1.0}))
 
+    def test_json_unknown_key(self):
+        doc = dict(alpha=1, gamma=0, delta=1, a=1, eta=1, zeta=2)
+        with pytest.raises(DomainError, match=r"unexpected \['zeta'\]"):
+            PathwayParams.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("alpha", ["x", None, True, [1.0]])
     def test_json_non_numeric_value(self, alpha):
         doc = dict(alpha=alpha, gamma=0, delta=1, a=1, eta=1)
