@@ -9,6 +9,7 @@ and the product-convolution identity, which is the whole point of the technique.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -23,13 +24,12 @@ from .errors import ConvergenceError, DomainError, as_number, exp_or_inf
 _MOMENT_NORM_TOL = 1e-12
 
 # contour-integration knobs
-_BASE_HEIGHT = 64.0
-_MAX_OCTAVES = 4
+_SWEEP_END = 128.0  # the shared sweep covers t in [0, 128], the tail t > 128
 _GL_ORDER = 16
-_MAX_TAIL_PANELS = 240
-_MIN_FREQ = 1e-6
+_TAIL_STEPS = 7  # the tail's steps h = 1, 1/2, ..., 2^-6
+_TAIL_CALL_NODES = 1 << 20  # most tail nodes in one moment call
+_MIN_FREQ = 1e-6  # below this |ln u| the tail takes the exp-sinh rule
 _INVERT_TOL = 1e-8  # inversion target: absolute error 1e-8 (1 + |g|)
-_TAIL_GROUP_CHUNKS = 1 << 16  # tail chunks per moment call: 2^20 nodes
 
 # half-line rule: the lowest s (e^(-s) stays finite); 81 probe offsets, 0 at 40
 _HL_S_MIN = -700.0
@@ -418,29 +418,29 @@ _INVERT_FAULTS = {
        "(achieved bound ~ {bound:.2e})",
     3: "moment function decays too slowly along the contour and |ln u| = {ln_u:.2e} at u = {u} "
        "gives no usable oscillation (achieved bound ~ {bound:.2e})",
-    4: "oscillatory tail failed to settle within {panels} half-period panels at u = {u} "
+    4: f"tail failed to settle by step h = 2^-{_TAIL_STEPS - 1} at u = {{u}} "
        "(achieved bound ~ {bound:.2e})",
 }
 
 
 def _contour_panel(
-    mom, c: float, rate: np.ndarray, a: float, b: float, max_chunk: float, pieces: int = 1
+    mom, c: float, rate: np.ndarray, b: float, max_chunk: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Gauss-Legendre integrals of M(c+it) e^(rate t) over each of ``pieces``
-    equal parts of [a, b], one row per part and one column per rate (rate is
-    -i ln u), each part split into equal chunks so the fixed order stays
-    adequate; the envelope, the largest |M| on the nodes of the last quarter of
-    the last part; and the sums of |M| |w| and |M| |w| t over all the nodes,
-    which size the rounding (see ``mellin_invert``).
+    """Gauss-Legendre integrals of M(c+it) e^(rate t) over the two halves of
+    [0, b], one row per half and one column per rate (rate is -i ln u), each
+    half split into equal chunks no longer than ``max_chunk`` so the fixed
+    order stays adequate; the envelope, the largest |M| on the nodes of the
+    last eighth of [0, b]; and the sums of |M| |w| and |M| |w| t over all the
+    nodes, which size the rounding (see ``mellin_invert``).
 
     The moment runs once on nodes shared by every rate.  The phase factors
     into a per-chunk and a per-node exponential, so the node phases and
     weights are one (chunks x order) @ (order x rates) product.  The chunk
     phases, in turn, are products of a coarse and a fine table of about
     sqrt(chunks) exponentials each, as the chunk midpoints are equally spaced."""
-    n_chunks = pieces * max(1, int(math.ceil((b - a) / pieces / max_chunk)))
-    half = 0.5 * (b - a) / n_chunks
-    mids = a + half * (2.0 * np.arange(n_chunks) + 1.0)
+    n_chunks = 2 * max(1, int(math.ceil(b / 2 / max_chunk)))
+    half = 0.5 * b / n_chunks
+    mids = half * (2.0 * np.arange(n_chunks) + 1.0)
     offsets = half * _GL_NODES
     vals = mom(c + 1j * (mids[:, None] + offsets).ravel()).reshape(n_chunks, -1)
     node_phase = np.exp(np.multiply.outer(offsets, rate)) * _GL_WEIGHTS[:, None]
@@ -448,97 +448,61 @@ def _contour_panel(
     fine = np.exp(np.multiply.outer(mids[:n_fine] - mids[0], rate))
     coarse = np.exp(np.multiply.outer(mids[::n_fine], rate))
     chunk_phase = (coarse[:, None] * fine).reshape(-1, rate.size)[:n_chunks]
-    parts = ((vals @ node_phase) * chunk_phase).reshape(pieces, -1, rate.size).sum(1)
+    parts = ((vals @ node_phase) * chunk_phase).reshape(2, -1, rate.size).sum(1)
     mag = np.abs(vals)
     mag_w = mag @ _GL_WEIGHTS
     sums = half * np.array([mag_w.sum(), mids @ mag_w + (mag @ (offsets * _GL_WEIGHTS)).sum()])
-    return half * parts, mag[n_chunks - n_chunks // (4 * pieces):].max(), sums
+    return half * parts, mag[n_chunks - n_chunks // 8:].max(), sums
 
 
-def _averaged_limit(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Iterated averaging of each row's oscillating partial sums (at least
-    two); returns the apexes and the sizes of the last averaging steps as the
-    error estimates."""
-    work = prev = partials
-    while work.shape[1] > 1:
-        prev, work = work[:, -1], 0.5 * (work[:, :-1] + work[:, 1:])
-    return work[:, 0], np.abs(work[:, 0] - prev)
+@functools.cache
+def _fourier_rule(k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ooura & Mori's double-exponential rules at step h = 2^-k for the integrals of
+    f(y) cos y and f(y) sin y over y > 0 (J. Comput. Appl. Math. 112, 1999): the nodes,
+    the cosine rule's first, their weights, and the cosine rule's node count.
+
+    The nodes are y = M phi(t), M h = pi, with
+    phi(t) = t / (1 - exp(-2t - alpha (1 - e^-t) - beta (e^t - 1))), beta = 1/4 and
+    alpha = beta / sqrt(1 + M ln(1 + M) / 4 pi), at t = (n - 1/2) h for the cosine and
+    t = n h for the sine; a node's weight is pi phi'(t) cos y or pi phi'(t) sin y.  As t
+    grows, M t is an odd multiple of pi/2 or a multiple of pi and phi(t) -> t, so the
+    weights vanish double-exponentially: there cos y and sin y are both taken as
+    (-1)^(n+1) sin(M (t - phi(t))).  As t falls, phi' does.  Nodes on t in [-10, 7] whose
+    weight passes 1e-20 are kept."""
+    m, beta = math.pi * 2**k, 0.25
+    alpha = beta / math.sqrt(1 + m * math.log1p(m) / (4 * math.pi))
+    n = np.arange(-10 * 2**k, 7 * 2**k + 1)
+    t = np.concatenate([n - 0.5, n]) / 2**k
+    with np.errstate(all="ignore"):
+        g = 2 * t - alpha * np.expm1(-t) + beta * np.expm1(t)
+        q = 1 / np.expm1(g)  # E / (1 - E), E = e^-g
+        p = np.exp(g) * q  # 1 / (1 - E)
+        y, d = m * t * p, -m * t * q  # M phi(t), and M (t - phi(t)) = M t - y
+        dphi = p * (1 - t * (2 + alpha * np.exp(-t) + beta * np.exp(t)) * q)
+        direct = np.concatenate([np.cos(y[:n.size]), np.sin(y[n.size:])])
+        trig = np.where(np.abs(d) < y, np.where(np.tile(n, 2) % 2, 1, -1) * np.sin(d), direct)
+    # t = 0, the sine rule's n = 0: phi(0) = 1 / g'(0), phi'(0) = 1/2 - g''(0) / 2 g'(0)^2
+    g1, at = 2 + alpha + beta, n.size + 10 * 2**k
+    y[at], dphi[at] = m / g1, 0.5 - (beta - alpha) / (2 * g1**2)
+    trig[at] = math.sin(y[at])
+    w = math.pi * dphi * trig
+    keep = np.abs(w) > 1e-20  # nan too (inf / inf far down the left end) is left out
+    y, w = y[keep], w[keep]
+    y.flags.writeable = w.flags.writeable = False  # the cache hands them to every caller
+    return y, w, int(np.count_nonzero(keep[:n.size]))
 
 
-def _tail_chunks(rate: np.ndarray) -> np.ndarray:
-    """Chunks per half-period tail panel, ceil(h / 2) with h = pi / |ln u|."""
-    return np.ceil(0.5 * math.pi / np.abs(rate)).astype(int)
-
-
-def _tail_nodes(c: float, rate: np.ndarray, t0: float):
-    """The half-period panels [t0 + k h, t0 + (k+1) h] of every rate at once:
-    each cut into its tail chunks, one row of Gauss-Legendre nodes per chunk,
-    the rows of one rate contiguous from its entry in the returned ``starts``.
-    ``panel(k)`` gives the contour nodes s of panel k, the per-node phased
-    weights, the per-chunk phases with the half width folded in, and the
-    per-chunk half width times 1 + t |ln u| at the chunk's end, which weighs
-    the chunk's Gauss-Legendre sum of |M| in the rounding."""
-    h = math.pi / np.abs(rate)
-    n_chunks = _tail_chunks(rate)
-    starts = np.cumsum(n_chunks) - n_chunks
-    owner = np.repeat(np.arange(rate.size), n_chunks)
-    half = (h / (2.0 * n_chunks))[owner]
-    within = np.arange(owner.size) - starts[owner]
-    offsets = half[:, None] * _GL_NODES
-    node_w = np.exp(rate[owner, None] * offsets) * _GL_WEIGHTS
-    ln_u = np.abs(rate)[owner]
-
-    def panel(k: int):
-        mids = t0 + k * h[owner] + half * (2.0 * within + 1.0)
-        s = c + 1j * (mids[:, None] + offsets).ravel()
-        return s, node_w, half * np.exp(rate[owner] * mids), half * (1.0 + ln_u * (mids + half))
-
-    return starts, panel
-
-
-def _oscillatory_tail(mom, c: float, rate, scale, total, mag, t0: float):
-    """The values from the sum to t0, ``total``, and the half-period tail
-    panels after it, summed in lockstep and accelerated by iterated averaging
-    against the known oscillation; ``rate`` and ``scale`` are the inversion's
-    per-u phase rate and g units, and ``mag`` the per-u sum of
-    |M| |w| (1 + t |ln u|) so far, to which the panels add (with t at each
-    chunk's end, a bound).
-
-    Each panel index is one moment call on the chunks of every u still to
-    settle; np.add.reduceat gives the per-u sums, and a u leaves the nodes once
-    it settles.  Returns per u its value, its error estimate, its final
-    ``mag`` and whether it settled within the panel cap; a u that did not has
-    its best partial value and the bound of that partial."""
-    n = rate.size
-    out, err, mag_out, idx = np.empty(n), np.empty(n), np.empty(n), np.arange(n)
-    partials = np.empty((n, _MAX_TAIL_PANELS), dtype=complex)
-    running, best, best_err = np.zeros_like(total), np.zeros_like(total), np.full(n, math.inf)
-    starts, panel = _tail_nodes(c, rate, t0)
-    for k in range(_MAX_TAIL_PANELS):
-        s, node_w, chunk_w, abs_w = panel(k)
-        vals = mom(s).reshape(node_w.shape)
-        running += np.add.reduceat((vals * node_w).sum(1) * chunk_w, starts)
-        mag = mag + np.add.reduceat((np.abs(vals) @ _GL_WEIGHTS) * abs_w, starts)
-        partials[:, k] = running
-        if k < 5 or k % 2 == 0:
-            continue
-        est, e = _averaged_limit(partials[:, : k + 1])
-        e *= scale
-        g_try = scale * (total + est).real
-        better = e < best_err
-        best, best_err = np.where(better, est, best), np.where(better, e, best_err)
-        done = e < 0.3 * _INVERT_TOL * (1.0 + np.abs(g_try))
-        if done.any():
-            out[idx[done]], err[idx[done]], mag_out[idx[done]] = g_try[done], e[done], mag[done]
-            if done.all():
-                return out, err, mag_out, np.ones(n, bool)
-            idx, rate, scale, total, running, partials, best, best_err, mag = (
-                a[~done] for a in (idx, rate, scale, total, running, partials, best, best_err, mag))
-            starts, panel = _tail_nodes(c, rate, t0)
-    out[idx], err[idx], mag_out[idx] = scale * (total + best).real, best_err, mag
-    settled = np.ones(n, bool)
-    settled[idx] = False
-    return out, err, mag_out, settled
+@functools.cache
+def _exp_sinh_rule(k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The exp-sinh rule at step h = 2^-k for the integral of f(x) over x > 0 (Takahasi &
+    Mori, Publ. RIMS 9, 1974), as ``_fourier_rule``'s triple with every node in the first
+    part: x = exp(pi/2 sinh t) at t = n h from -4 to 3.5 (3 at h = 1), x from about
+    1e-19 to 2e11, each weighted h pi/2 cosh(t) x."""
+    t = np.arange(-(4 << k), (7 << k) // 2 + 1) / 2**k
+    x = np.exp(0.5 * math.pi * np.sinh(t))
+    w = 0.5 * math.pi / 2**k * np.cosh(t) * x
+    x.flags.writeable = w.flags.writeable = False
+    return x, w, t.size
 
 
 def mellin_invert(mom, u, c: float, first_fault: bool = False):
@@ -546,33 +510,44 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
 
     By conjugate symmetry of real-valued moments the integral collapses to
     twice the real part over t >= 0; the contour integrand is
-    M(c+it) e^(-i t ln u).  Three stages: a fixed base sweep, octave doubling
-    while contributions keep collapsing, and (for slowly decaying moments) a
-    half-period panel sum accelerated by iterated averaging against the known
-    oscillation frequency ln u.
+    M(c+it) e^(-i t ln u).  Two stages:
+    - the batch shares one Gauss-Legendre sweep over t in [0, 128] (see
+      ``_contour_panel``), with the chunk length set by the largest |ln u|, so
+      the moment runs once per node; a u leaves there when the sweep's second
+      half and its envelope term are both below 0.1 of its target;
+    - every other u takes the tail t > 128 in steps h = 1, 1/2, ..., 2^-6, and
+      leaves when two successive steps agree to 0.3 of its target; their
+      difference is its truncation estimate.  The tail is Ooura & Mori's
+      double-exponential rule for Fourier integrals (``_fourier_rule``), whose
+      nodes, divided by |ln u|, serve every u.  Where |ln u| < 1e-6 the phase
+      turns too slowly to lean on, and the tail is the exp-sinh rule
+      (``_exp_sinh_rule``) to t ~ 2e11, with the phase on its nodes; its
+      estimate adds t |M| / (p - 1), the rest of the contour where |M| falls on
+      as the power t^-p its last two nodes fit (inf where p <= 1).  A step is
+      one moment call per rule on the nodes of every u still open (at most 2^20
+      nodes a call).
 
     u is a scalar (a float comes back) or an array (an array of its shape).
-    The whole batch shares one set of base and octave nodes, with the chunk
-    length set by the largest |ln u|, so the moment runs once per node; each u
-    leaves at its own exit test, and those that reach the tail run it in
-    lockstep, each with its own half period.
+    Each row of the tail is summed on its own, so a u's value does not depend
+    on the batch it is in past the sweep's shared chunk length.
 
     Every exit also bounds the sum's rounding: eps |u^-c| / pi times the sum
-    of |M| |w| (1 + t |ln u|) over the nodes used, where the t |ln u| part is
-    the rounding of the phase.  The sum cancels where |M| is large against g,
-    as at an abscissa far from the saddle point of u^-s M(s) (Gil, Segura &
-    Temme, Numerical Methods for Special Functions, SIAM 2007).
+    of |M| |w| (1 + t |ln u|) over the sweep's nodes and the last tail step's,
+    where the t |ln u| part is the rounding of the phase.  The sum cancels
+    where |M| is large against g, as at an abscissa far from the saddle point
+    of u^-s M(s) (Gil, Segura & Temme, Numerical Methods for Special
+    Functions, SIAM 2007).
 
     ``mom`` maps a complex array of s on the contour to the moments there.
     Every u must be finite and > 0 (else DomainError).  The target is the
     absolute error 1e-8 (1 + |g|); a u that misses it raises ConvergenceError
     with its partial value and achieved bound: where u^-c is past the double
-    range (bound inf), where the rounding passes the target, or where the
-    contour sum does not settle.  The error is that of the first such u in the
-    flat order of u.  With ``first_fault`` nothing past the DomainError is
-    raised: the result is (g, i, error), with i the flat index of the first
-    failing u (u.size where none fails, error None) and g holding each failing
-    u's partial value (nan where there is none).
+    range (bound inf), where the rounding passes the target, or where the tail
+    does not settle (bound inf for the exp-sinh rule).  The error is that of
+    the first such u in the flat order of u.  With ``first_fault`` nothing
+    past the DomainError is raised: the result is (g, i, error), with i the
+    flat index of the first failing u (u.size where none fails, error None)
+    and g holding each failing u's partial value (nan where there is none).
     """
     (flat,), shaped = _columns(u)
     ok = (flat > 0) & (flat < math.inf)
@@ -593,48 +568,66 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
     # the points still to exit: their index into u, and their own state
     idx = np.flatnonzero(why == 0)
     rate, scale = -1j * np.log(flat[idx]), scale[idx]  # the contour phase is e^(rate t)
+    omega = np.abs(rate)  # |ln u|
     if idx.size:
-        # phase resolution: keep chunks short enough for both oscillation sources
-        chunk = min(math.pi / max(np.abs(rate).max(), 1e-12), 1.0)
-        # every point runs the first octave, so it shares the base sweep's call
-        (total, octave), env, sums = _contour_panel(mom, c, rate, 0.0, 2 * _BASE_HEIGHT, chunk, 2)
-        prev_contrib = np.full(idx.size, math.inf)
-        t_cur = _BASE_HEIGHT
-        for k in range(_MAX_OCTAVES):
-            if k:
-                (octave,), env, more = _contour_panel(mom, c, rate, t_cur, 2 * t_cur, chunk)
-                sums = sums + more
-            budget = 0.1 * _INVERT_TOL * (1.0 + scale * np.abs(total.real))  # 0.1 target
-            total = total + octave
-            t_cur *= 2
-            contrib = scale * np.abs(octave)
-            # fast-decay exit: the octave is below the budget, and either the
-            # envelope can no longer matter or the octaves collapse geometrically
-            done = (contrib < budget) & ((env * t_cur * scale < 0.5 * budget) |
-                                         (contrib < 0.3 * prev_contrib))
-            prev_contrib = contrib
-            if done.any():
-                rounding = _EPS * scale[done] * (sums[0] + np.abs(rate[done]) * sums[1])
-                leave(idx[done], scale[done] * total[done].real, contrib[done], rounding)
-                idx, rate, scale, total, prev_contrib = (
-                    a[~done] for a in (idx, rate, scale, total, prev_contrib))
-                if not idx.size:
-                    break
+        # the sweep: chunks short enough for both oscillation sources
+        chunk = min(math.pi / max(omega.max(), 1e-12), 1.0)
+        (total, upper), env, sums = _contour_panel(mom, c, rate, _SWEEP_END, chunk)
+        budget = 0.1 * _INVERT_TOL * (1.0 + scale * np.abs(total.real))  # 0.1 target
+        total = total + upper
+        contrib = scale * np.abs(upper)
+        mag = sums[0] + omega * sums[1]  # per u, the sum of |M| |w| (1 + t |ln u|) so far
+        done = (contrib < budget) & (env * _SWEEP_END * scale < 0.5 * budget)
+        rounding = _EPS * scale[done] * mag[done]
+        leave(idx[done], scale[done] * total[done].real, contrib[done], rounding)
+        # the points still open, the exp-sinh rule's last: each rule's rows are a slice
+        open_ = np.flatnonzero(~done)
+        open_ = open_[np.argsort(omega[open_] < _MIN_FREQ, kind="stable")]
+        idx, rate, scale, total, mag, omega = (
+            a[open_] for a in (idx, rate, scale, total, mag, omega))
 
-    if idx.size:  # slow decay: lean on the u-oscillation
-        no_freq = np.abs(rate) < _MIN_FREQ
-        leave(idx[no_freq], scale[no_freq] * total[no_freq].real, prev_contrib[no_freq])
-        why[idx[no_freq]] = 3
-        idx, rate, scale, total = (a[~no_freq] for a in (idx, rate, scale, total))
-        mag = sums[0] + np.abs(rate) * sums[1]
-        # the tail runs u by group, so that one panel index holds about
-        # _TAIL_GROUP_CHUNKS chunks however many u lie close to 1
-        group = np.cumsum(_tail_chunks(rate)) // _TAIL_GROUP_CHUNKS
-        for g in np.split(np.arange(idx.size), np.flatnonzero(np.diff(group)) + 1):
-            g_val, err, g_mag, settled = _oscillatory_tail(
-                mom, c, rate[g], scale[g], total[g], mag[g], t_cur)
-            leave(idx[g], g_val, err, np.where(settled, _EPS * scale[g] * g_mag, 0.0))
-            why[idx[g][~settled]] = 4
+    # the tail, t = 128 + x: e^(rate 128) / |ln u| times the cosine rule's sum at
+    # x = y / |ln u| minus i sgn(ln u) times the sine's, or where |ln u| < 1e-6 (the
+    # phase turns too slowly to lean on) the exp-sinh rule's, with the phase on its nodes
+    slow = omega < _MIN_FREQ
+    div = np.where(slow, 1.0, omega)
+    phase, turn = np.exp(rate * _SWEEP_END) / div, 1j * np.sign(rate.imag)
+    for k in range(_TAIL_STEPS):
+        if not idx.size:
+            break
+        tail, spent, rest = np.empty(idx.size, complex), np.empty(idx.size), np.zeros(idx.size)
+        n_fast = idx.size - np.count_nonzero(slow)
+        for exp_sinh, rule, lo, hi in ((False, _fourier_rule, 0, n_fast),
+                                       (True, _exp_sinh_rule, n_fast, idx.size)):
+            y, w, n_cos = rule(k)
+            per = max(1, _TAIL_CALL_NODES // y.size)
+            for b in range(lo, hi, per):  # each row summed on its own: no product across rows
+                r = slice(b, min(b + per, hi))
+                x = y / div[r, None]
+                t = _SWEEP_END + x
+                vals = mom(c + 1j * t.ravel()).reshape(t.shape)
+                if exp_sinh:  # |M| past the last node, as the power t^-p the last two fit
+                    (m1, m2), (t1, t2) = np.abs(vals[:, -2:]).T, t[0, -2:]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        p = np.log(m1 / m2) / math.log(t2 / t1)
+                        rest[r] = np.where(m2 > 0, np.where(p > 1, t2 * m2 / (p - 1), math.inf), 0)
+                    vals = vals * np.exp(rate[r, None] * x)
+                tail[r] = phase[r] * ((vals[:, :n_cos] * w[:n_cos]).sum(1)
+                                      + turn[r] * (vals[:, n_cos:] * w[n_cos:]).sum(1))
+                mag_w = np.abs(vals) * np.abs(w)  # the sum of |M| |w| (1 + t |ln u|) dt
+                spent[r] = (mag_w.sum(1) + omega[r] * (mag_w * t).sum(1)) / div[r]
+        g = scale * (total + tail).real
+        err = scale * (np.abs(tail - prev) + rest) if k else np.full(idx.size, math.inf)
+        done = err < 0.3 * _INVERT_TOL * (1.0 + np.abs(g))
+        if k == _TAIL_STEPS - 1:
+            leave(idx, g, err, _EPS * scale * (mag + spent))
+            stuck = ~done & (why[idx] != 2)  # rounding, where it passes the target, is why
+            why[idx[stuck]] = np.where(slow[stuck], 3, 4)
+            bound[idx[stuck & slow]] = math.inf  # nothing bounds the exp-sinh rule's miss
+            break
+        leave(idx[done], g[done], err[done], _EPS * scale[done] * (mag[done] + spent[done]))
+        idx, rate, scale, total, mag, omega, slow, div, phase, turn, prev = (
+            a[~done] for a in (idx, rate, scale, total, mag, omega, slow, div, phase, turn, tail))
 
     failing = np.flatnonzero(why)
     fault = None
@@ -642,7 +635,7 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
         i = failing[0]
         fault = ConvergenceError(
             _INVERT_FAULTS[why[i]].format(u=flat[i], c=c, ln_u=abs(math.log(flat[i])),
-                                          bound=bound[i], panels=_MAX_TAIL_PANELS),
+                                          bound=bound[i]),
             partial=None if math.isnan(out[i]) else float(out[i]), bound=float(bound[i]))
     if first_fault:
         return shaped(out), (failing[0] if failing.size else flat.size), fault
@@ -856,6 +849,11 @@ def _reaction_mellin(gamma, a, b, fault):
                     f"the Mellin route at gamma = {g}, a = {a[at[i]]}, b = {b[at[i]]} inverts g "
                     f"at u = a b^2: {exc}", partial=exc.partial and float(value[at[i]]),
                     bound=float(np.exp(np.log(exc.bound) + log_s[i])))))
+        # a finite value whose estimate is not says nothing (g may have underflowed to 0)
+        faults += [(j, ConvergenceError(
+            f"the Mellin route at gamma = {g}, a = {a[j]}, b = {b[j]} gives {float(value[j])!r} "
+            f"with an error estimate past the double range", partial=float(value[j]),
+            bound=math.inf)) for j in at[np.isfinite(value[at]) & ~np.isfinite(err[at])][:1]]
     return value, err, *min(faults, key=lambda row: row[0], default=(gamma.size, fault))
 
 

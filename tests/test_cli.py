@@ -469,6 +469,14 @@ class TestRun:
         argv = ["ratecalc", "--route", "mellin", "--gamma", "1e306", "--a", "1", "--b", "1"]
         assert "double range" in self.assert_one_line_error(argv, capsys)
 
+    @pytest.mark.parametrize("gamma", ["1e300", "2.5e305"])
+    def test_mellin_route_estimate_past_double_range_exits_1(self, gamma, capsys):
+        # g underflows to 0 while its scale passes a double: not a silent 0 on stdout
+        argv = ["ratecalc", "--route", "mellin", "--gamma", gamma, "--a", "1", "--b", "1"]
+        err = self.assert_one_line_error(argv, capsys)
+        assert "error estimate past the double range" in err
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "alpha", ["x", None, True], ids=["string", "null", "bool"]
     )

@@ -375,8 +375,9 @@ def _gamma_ratio():
 
 
 class TestBatchedInversion:
-    """An array of u is one inversion: shared base and octave nodes, a per-point
-    exit, and a lockstep tail; it must give the per-point values."""
+    """An array of u is one inversion: one shared sweep, a per-point exit, and a
+    tail run step by step for the points still open; it must give the per-point
+    values."""
 
     def test_scalar_gives_float(self):
         dens = _two_uniforms()
@@ -388,7 +389,7 @@ class TestBatchedInversion:
         "dens, us",
         [
             (_two_uniforms(), np.linspace(0.02, 0.98, 12)),  # tail for every point
-            (_gamma_ratio(), np.geomspace(0.05, 5.0, 12)),  # exit in the octaves
+            (_gamma_ratio(), np.geomspace(0.05, 5.0, 12)),  # exit in the sweep
             (random_volume_dist(3, [(2.0, 2.7)]), np.linspace(0.01, 0.95, 12)),
             (builtin_density("type2_beta", alpha=2.5, beta=0.7), np.geomspace(1e-3, 30, 12)),
         ],
@@ -404,10 +405,17 @@ class TestBatchedInversion:
         assert np.array_equal(grid.ravel(), batch)
         assert dens.density(us[:1]).shape == (1,)
 
-    def test_some_exit_in_the_octaves_and_the_rest_in_the_tail(self):
-        # u = 0.3 leaves at an octave exit test, u = 0.9 goes on to the tail
-        dens = random_volume_dist(1, [(1.0, 4.5)])
-        us = np.array([0.3, 0.9])
+    @pytest.mark.parametrize(
+        "beta, us",
+        [
+            (7.5, [0.02, 0.9]),  # 0.9 leaves in the sweep, 0.02 (u^-c 45 times larger) in the tail
+            (4.5, [0.3, 0.9]),  # both leave in the tail
+        ],
+        ids=["sweep_and_tail", "tail_only"],
+    )
+    def test_sweep_and_tail_exits_match_per_point_calls(self, beta, us):
+        dens = random_volume_dist(1, [(1.0, beta)])
+        us = np.array(us)
         batch = dens.density(us)
         one_by_one = np.array([dens.density(float(u)) for u in us])
         assert np.all(np.abs(batch - one_by_one) <= 1e-14 * (1.0 + np.abs(one_by_one)))
@@ -442,7 +450,7 @@ class TestBatchedInversion:
         def moment(s):  # a term that never decays: no tail settles
             return 1.0 / s + 1e-2 * np.cos(s.imag) ** 2
 
-        with pytest.raises(ConvergenceError, match="half-period panels at u = 0.5 ") as err:
+        with pytest.raises(ConvergenceError, match=r"settle by step h = 2\^-6 at u = 0.5 ") as err:
             mellin_invert(moment, np.array([0.5, 2.0]), 1.0)
         with pytest.raises(ConvergenceError) as alone:
             mellin_invert(moment, 0.5, 1.0)
@@ -450,19 +458,19 @@ class TestBatchedInversion:
         assert err.value.bound == pytest.approx(alone.value.bound, rel=1e-6)
 
     def test_tail_groups_give_the_same_values(self, monkeypatch):
-        # u near 1 have long half periods; the tail then runs group by group
+        # a cap of 100 nodes a moment call runs each tail step in blocks of five u or fewer
         dens = _two_uniforms()
         us = np.concatenate((np.linspace(0.99, 0.999, 5), np.linspace(0.3, 0.7, 5)))
         whole = dens.density(us)
-        monkeypatch.setattr(melconv, "_TAIL_GROUP_CHUNKS", 500)
+        monkeypatch.setattr(melconv, "_TAIL_CALL_NODES", 100)
         assert np.array_equal(dens.density(us), whole)
         assert np.all(np.abs(whole + np.log(us)) <= 1e-8 * (1.0 - np.log(us)))
 
     @pytest.mark.parametrize("dens", [_gamma_ratio(), _two_uniforms()], ids=["octaves", "tail"])
     def test_moment_calls_do_not_grow_with_points(self, dens):
-        # one call per base-and-octave sweep and per tail panel, shared by the
-        # batch: as many calls as its slowest point makes alone (|ln u| <= pi
-        # keeps the chunk length 1 for every batch below)
+        # one call for the sweep and one per tail step, shared by the batch: as
+        # many calls as its slowest point makes alone (|ln u| <= pi keeps the
+        # chunk length 1 for every batch below)
         def calls(us):
             count = []
 
@@ -475,6 +483,97 @@ class TestBatchedInversion:
 
         us = np.linspace(0.1, 3.0, 40)
         assert calls(us) == max(calls(u) for u in us)
+
+
+class TestContourTail:
+    """The contour past t = 128, one moment call a step: Ooura & Mori's double-exponential
+    rule for Fourier integrals, or the exp-sinh rule where |ln u| < 1e-6."""
+
+    def test_each_step_integrates_the_reference_pair(self):
+        # the integrals of cos x / (1 + x^2) and x sin x / (1 + x^2) over x > 0 are both
+        # pi / 2e; the error falls with each halving of the step, down to rounding
+        exact = math.pi / (2 * math.e)
+        errors = []
+        for k in range(melconv._TAIL_STEPS):
+            y, w, n_cos = melconv._fourier_rule(k)
+            cosine = np.sum(w[:n_cos] / (1 + y[:n_cos] ** 2))
+            sine = np.sum(w[n_cos:] * y[n_cos:] / (1 + y[n_cos:] ** 2))
+            errors.append(max(abs(cosine - exact), abs(sine - exact)))
+        assert errors[0] > errors[1] > errors[2] > errors[3]
+        assert max(errors[3:]) <= 1e-14
+
+    def test_each_exp_sinh_step_integrates_the_reference_pair(self):
+        # the integrals of e^-x and 1 / (1 + x)^3 over x > 0 are 1 and 1/2
+        errors = []
+        for k in range(melconv._TAIL_STEPS):
+            x, w, n = melconv._exp_sinh_rule(k)
+            assert n == x.size
+            errors.append(max(abs(np.sum(w * np.exp(-x)) - 1), abs(np.sum(w / (1 + x) ** 3) - 0.5)))
+        assert errors[0] > errors[1] > errors[2] > errors[3]
+        assert max(errors[4:]) <= 1e-14
+
+    @staticmethod
+    def _counted(dens, u):
+        calls = []
+
+        def moment(s):
+            calls.append(np.size(s))
+            return dens.moment_fn(s)
+
+        return mellin_invert(moment, u, default_contour(dens.strip)), len(calls)
+
+    @pytest.mark.parametrize(
+        "dens, u, exact",
+        [
+            (_two_uniforms(), 0.99999, -math.log(0.99999)),
+            (_two_uniforms(), 1 - 2e-6, -math.log1p(-2e-6)),
+            (_two_uniforms(), 1 + 2e-6, 0.0),
+            (builtin_density("uniform01"), 0.99999, 1.0),
+            (_two_uniforms(), 1 - 1e-7, -math.log1p(-1e-7)),  # the exp-sinh rule's, from here
+            (_two_uniforms(), 1 + 1e-7, 0.0),
+            (_two_uniforms(), 1.0, 0.0),
+        ],
+        ids=["uu_1e-5", "uu_below_2e-6", "uu_above_2e-6", "u_1e-5", "uu_below_1e-7",
+             "uu_above_1e-7", "uu_at_1"],
+    )
+    def test_u_near_one_settles_within_the_step_count(self, dens, u, exact):
+        # the moment decays like 1/t^2 or 1/t while the phase turns once per 1 / |ln u|
+        # (and not at all at u = 1): within target after the sweep and at most seven
+        # tail steps
+        g, calls = self._counted(dens, u)
+        assert abs(g - exact) <= 1e-8 * (1 + abs(exact))
+        assert calls <= 1 + 7
+
+    @pytest.mark.parametrize("delta", [5.0, 10.0, 50.0])
+    @pytest.mark.parametrize("u", [1.0, 1 - 5e-7, 1 + 5e-7, 1 - 1e-9, 1 + 1e-12])
+    def test_u_within_1e_6_of_one(self, delta, u):
+        # |M| falls like e^(-pi t / 2 delta), on past t = 128 from delta = 10, where the
+        # phase turns too slowly to lean on
+        dens = builtin_density("gen_gamma", gamma=0.5, a=1.0, delta=delta)
+        exact = dens.pdf_oracle(np.array([u]))[0]
+        assert abs(dens.density(u) - exact) <= 1e-8 * (1 + exact)
+
+    @pytest.mark.parametrize("size", [1.0, 0.015])
+    def test_slow_decay_at_one_raises_with_bound_inf(self, size):
+        # size s^-1.5 is past the sweep's target at t = 128 and has no phase at u = 1; its
+        # inverse, size (-ln u)^(1/2) / Gamma(3/2), is 0 there.  At size 0.015 the exp-sinh
+        # steps agree within the target and their sum is 1.4e-8: only |M| past the last
+        # node, 2 t^-0.5 size there, keeps it from returning
+        with pytest.raises(ConvergenceError, match="no usable oscillation") as err:
+            mellin_invert(lambda s: size * s**-1.5, 1.0, 1.0)
+        assert err.value.bound == math.inf and abs(err.value.partial) < 1e-6 * size
+
+    def test_an_exit_in_the_sweep_makes_no_tail_call(self):
+        assert self._counted(_gamma_ratio(), np.geomspace(0.05, 5.0, 12))[1] == 1
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_slow_oscillating_decay_near_one(self, gamma):
+        # z = (gamma + s) / 200 makes |M| decay like e^(-pi t / 400), still about 0.4 at
+        # the sweep's end, with a phase that turns ever faster, like (t / 200) ln t
+        dens = builtin_density("gen_gamma", gamma=gamma, a=1.0, delta=200.0)
+        us = np.array([0.99, 0.999, 1.001, 1.01])
+        exact = dens.pdf_oracle(us)
+        assert np.all(np.abs(dens.density(us) - exact) <= 1e-8 * (1 + exact))
 
 
 class TestReactionRate:
@@ -620,6 +719,30 @@ class TestReactionRate:
             except (DomainError, ConvergenceError) as exc:
                 errors.append(exc)
         with pytest.raises(type(errors[0])) as got:
+            reaction_rate(*np.transpose(rows), route="mellin")
+        assert str(got.value) == str(errors[0])
+
+    @pytest.mark.parametrize("g", [1e300, 1e304, 2.5e305])
+    def test_mellin_estimate_past_the_double_range_raises(self, g):
+        # the moment loggamma(z) - gammaln(gamma + 2) cancels, g underflows to 0, and the
+        # scale a^-(gamma+1) / (c1 c2) is past a double: 0 with an infinite estimate
+        # says nothing, so the point raises with bound inf
+        where = re.escape(f"gamma = {g}, a = 1.0, b = 1.0 gives 0.0 with an error estimate past")
+        with pytest.raises(ConvergenceError, match=where) as err:
+            reaction_rate_with_error(g, 1.0, 1.0, route="mellin")
+        assert err.value.bound == math.inf and err.value.partial == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mellin_estimate_fault_in_a_grid_is_the_loops_first(self, seed):
+        rows = [(1.0, 1.0, 1.0), (1e300, 1.0, 1.0), (1e304, 2.0, 1.0), (0.0, 1e-150, 1.0)]
+        rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+        errors = []
+        for point in rows:
+            try:
+                reaction_rate(*point, route="mellin")
+            except ConvergenceError as exc:
+                errors.append(exc)
+        with pytest.raises(ConvergenceError) as got:
             reaction_rate(*np.transpose(rows), route="mellin")
         assert str(got.value) == str(errors[0])
 
