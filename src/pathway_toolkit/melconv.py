@@ -1031,7 +1031,7 @@ def random_volume_dist(k: int, shapes: Sequence[tuple[float, float]]) -> MomentD
 
 def _sample_skewness(values: np.ndarray) -> float:
     z = (values - values.mean()) / values.std()
-    return float(np.mean(z**3))
+    return float(np.mean(z * z * z))  # z**3 takes libm's slow pow for z < 0
 
 
 def normality_trend(

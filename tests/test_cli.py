@@ -552,6 +552,12 @@ class TestRun:
         argv = ["qform", "--matrix", str(m), "--n", "0"]
         assert "n >= 1" in self.assert_one_line_error(argv, capsys)
 
+    def test_qform_overflowing_matrix_exits_1(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("a,b\n1e308,-1e308\n-1e308,1e308\n")
+        err = self.assert_one_line_error(["qform", "--matrix", str(m)], capsys)
+        assert "past the double range" in err
+
     def test_volume_with_one_draw_exits_1(self, capsys):
         assert "n >= 2" in self.assert_one_line_error(["volume", "--n", "1"], capsys)
 

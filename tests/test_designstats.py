@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,30 @@ class TestCentering:
         sys = IncidenceSystem(A=A, G=np.zeros(4))
         c = center_by_medians(sys)
         assert c.medians[0] == pytest.approx(0.25)
+
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 2000])
+    def test_medians_equal_numpy_median_bit_for_bit(self, p):
+        # rows of distinct entries, rows with entries from {1, 2, 3} that tie,
+        # and constant rows
+        rng = np.random.default_rng(p)
+        N = rng.uniform(1.0, 2.0, size=(p, p))
+        N[1::3] = rng.integers(1, 4, size=N[1::3].shape)
+        N[2::3] = 1.0
+        A = N / N.sum(axis=1)[:, None]
+        c = center_by_medians(IncidenceSystem(A=A, G=np.zeros(p)))
+        assert c.medians.tobytes() == np.median(A, axis=1).tobytes()
+
+    def test_peak_memory_is_two_matrices(self):
+        # the partitioned copy is freed before B and |B| are formed
+        sys = random_system(np.random.default_rng(13), 500)
+        tracemalloc.start()
+        try:
+            center_by_medians(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sys.A.nbytes
 
 
 class TestNeumannSolve:
@@ -296,3 +321,72 @@ class TestChisquaredness:
         q = np.linspace(0.1, 20.0, 25)
         for dof in (1, 2, 5):
             assert np.allclose(chi2_cdf(q, dof), chi2.cdf(q, dof), atol=1e-12)
+
+    def test_chi2_cdf_is_zero_below_zero(self):
+        assert np.array_equal(chi2_cdf([-math.inf, -1.0, -0.0, 0.0], 3), np.zeros(4))
+
+    def test_indefinite_form_fails_the_law(self):
+        # eigenvalues -1 and 1 give negative forms, which no chi-square law has
+        report = chisquared_form_check(np.array([[0.0, 1.0], [1.0, 0.0]]), n=10_000, seed=2)
+        assert report["idempotent"] is False
+        assert report["ks_stat"] > 1.63 / math.sqrt(10_000)
+        assert report["consistent"] is True
+
+    @pytest.mark.parametrize(
+        "A, what",
+        [
+            ([[1e308, -1e308], [-1e308, 1e308]], "symmetrized matrix"),
+            ([[1e200, 0.0], [0.0, 1.0]], "A @ A"),
+        ],
+    )
+    def test_overflowing_matrix_rejected_without_warning(self, A, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=what):
+                chisquared_form_check(np.array(A), n=10, seed=0)
+
+
+def full_ks(samples, dof):
+    """The KS statistic with F at every sorted sample."""
+    q = np.sort(samples)
+    f = chi2_cdf(q, dof)
+    n = q.size
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+class TestKsStatistic:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 100_001])
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 5])
+    def test_pruned_sweep_equals_full_sweep(self, n, dof):
+        rng = np.random.default_rng([n, dof])
+        draws = rng.chisquare(dof, n)
+        with_inf = draws.copy()
+        with_inf[rng.random(n) < 0.05] = math.inf
+        cases = {
+            "law": draws,
+            "ties": np.floor(draws),  # integer forms, so long runs of equal values
+            "inf": with_inf,
+            "wrong dof": rng.chisquare(dof + 5, n),
+        }
+        for name, q in cases.items():
+            assert ks_statistic(q, dof) == full_ks(q, dof), name
+        if n > 1000:
+            assert ks_statistic(cases["wrong dof"], dof) > 0.5
+
+    def test_only_infinite_samples(self):
+        assert ks_statistic(np.full(3, math.inf), 2) == 1.0
+
+    @pytest.mark.parametrize(
+        "samples, dof, match",
+        [
+            ([], 2, "at least one"),
+            ([1.0, math.nan, 2.0], 2, "NaN"),
+            ([math.nan], 2, "NaN"),
+            ([1.0, 2.0], 0, "dof"),
+            ([1.0, 2.0], -1, "dof"),
+        ],
+    )
+    def test_input_rules(self, samples, dof, match):
+        with pytest.raises(DomainError, match=match):
+            ks_statistic(np.array(samples), dof)

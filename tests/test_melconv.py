@@ -466,7 +466,7 @@ class TestBatchedInversion:
         assert np.array_equal(dens.density(us), whole)
         assert np.all(np.abs(whole + np.log(us)) <= 1e-8 * (1.0 - np.log(us)))
 
-    @pytest.mark.parametrize("dens", [_gamma_ratio(), _two_uniforms()], ids=["octaves", "tail"])
+    @pytest.mark.parametrize("dens", [_gamma_ratio(), _two_uniforms()], ids=["sweep", "tail"])
     def test_moment_calls_do_not_grow_with_points(self, dens):
         # one call for the sweep and one per tail step, shared by the batch: as
         # many calls as its slowest point makes alone (|ln u| <= pi keeps the
