@@ -2,9 +2,10 @@
 
 Distributions are carried around as moment functions s -> E(x^(s-1)) on a
 strip of analyticity.  Densities come back through numerical inversion of the
-moment function along a vertical contour; the reaction-rate integral comes from
-both the half-line rule, which also serves the Kratzel and entropy integrals,
-and the product-convolution identity, which is the whole point of the technique.
+moment function along a vertical contour.  The Kratzel integrals come from the
+half-line rule, which also serves the entropy integrals; one of them, at
+alpha = 1, beta = 1/2, is the reaction-rate integral, which also comes from the
+product-convolution identity, the whole point of the technique.
 """
 
 from __future__ import annotations
@@ -665,9 +666,9 @@ def integrate_halfline(integrand, *columns, log_bound=None):
     Returns (value, abs_error): floats where the columns are numbers, else arrays of their
     shape.  A row with no such peak or agreement is a ConvergenceError with its partial
     value and bound, and the first such row raises, as a loop over the rows would.  Where
-    the probe finds no peak, ``log_bound(*cols)`` (those rows' columns) may give the log of
-    a bound B on the integral: a row whose B underflows is 0 with error 0, and the others
-    carry B as their bound.
+    the probe finds no peak, ``log_bound(*cols)`` (those rows' columns) may give the logs of
+    bounds L <= integral <= B: a row whose B underflows is 0 with error 0, one whose L
+    overflows is inf with error inf, and the others carry B as their bound.
     """
     cols, shaped = _columns(*columns)
     n = cols[0].size if cols else 1
@@ -732,14 +733,17 @@ def _halfline_rows(integrand, cols, rows, log_bound, value, err):
     left, right = 39 - low[:, 39::-1].argmax(1), 41 + low[:, 41:].argmax(1)  # the first low points
     found = (top == 40) & np.isfinite(peak) & low[i, left] & low[i, right]
 
-    # no peak: 0 where a bound B from log_bound underflows, else a fault with bound B
+    # no peak: 0 where a bound B from log_bound underflows, inf where its L overflows, else a
+    # fault with bound B
     first_fault = k
     if np.count_nonzero(found) < k:
         lost = rows[~found]
         value[lost], err[lost] = 0.0, math.inf
         if log_bound is not None:
-            err[lost] = np.exp(log_bound(*(col[lost] for col in cols)))
-        faults = np.flatnonzero(~found & (err[rows] != 0.0))
+            low, bound = np.exp(log_bound(*(col[lost] for col in cols)))
+            big = low == math.inf
+            value[lost], err[lost] = np.where(big, math.inf, 0.0), np.where(big, math.inf, bound)
+        faults = np.flatnonzero(~found)[(value[lost] == 0.0) & (err[lost] != 0.0)]
         first_fault = faults[0] if faults.size else k
 
     # the trapezoid sums, one level per sweep over the rows still to settle
@@ -798,32 +802,19 @@ def _halfline_rows(integrand, cols, rows, log_bound, value, err):
 
 
 # ---------------------------------------------------------------------------
-# reaction-rate integral
-
-def _validate_reaction(gamma, a, b, route):
-    return _first_broken([
-        (~((0 <= a) & (a < math.inf) & (0 <= b) & (b < math.inf) & np.isfinite(gamma)),
-         "need finite a, b >= 0 and a finite gamma; got a = {a}, b = {b}, gamma = {gamma}"),
-        ((a == 0) & (b == 0), "need a > 0 or b > 0"),
-        ((b == 0) & (gamma <= -1), "b = 0 requires gamma > -1, got {gamma}"),
-        ((a == 0) & (gamma >= -1), "a = 0 requires gamma < -1, got {gamma}"),
-        ((route != "quadrature") & (a > 0) & (b > 0)  # the law of x1 in _reaction_mellin exists
-         & ~((gamma > -2) & (gammaln(gamma + 2) < math.inf)),
-         "the product-structure route needs gamma > -2 and Gamma(gamma + 2) in the double range "
-         "so the power part is a probability density; got gamma = {gamma}"),
-    ], gamma=gamma, a=a, b=b)
-
+# reaction-rate integral: the Kratzel integral at alpha = 1, beta = 1/2
 
 def _reaction_mellin(gamma, a, b, fault):
     """The Mellin route on valid columns: value and error columns, and the first failing row and
     its error as a loop would raise it (``fault`` at the row after the columns).  u = x1 x2, x1 of
     density c1 x^(gamma+1) e^(-x) and x2 of c2 e^(-sqrt(x)), has density g(u) = c1 c2 I(gamma, 1,
     sqrt(u)), and x = t / a gives I(gamma, a, b) = a^-(gamma+1) g(a b^2) / (c1 c2), in logs: one
-    inversion per gamma.  At a = 0 or b = 0, I is 1 / c of a gamma law in x or 1/x."""
-    flip, closed = a == 0, (a == 0) | (b == 0)
-    scale, delta = np.where(flip, b, a), np.where(flip, 0.5, 1.0)
+    inversion per gamma.  At a = 0 or b = 0, I is 1 / c of a gamma law: Gamma(p) / (alpha a^p)
+    with p = (gamma + 1) / alpha in the columns of ``_kratzel_columns``."""
+    closed = (a == 0) | (b == 0)
     with np.errstate(all="ignore"):
-        u, p = a * b**2, np.where(flip, -gamma - 1, gamma + 1) / delta
+        power, scale, _, delta, _ = _kratzel_columns(gamma, a, b, 1.0, 0.5)
+        u, p = a * b**2, (power + 1.0) / delta
         log_v = gammaln(p) - p * np.log(scale)
         # where both terms are past the double range (inf - inf), Stirling's leading terms
         # p (ln p - 1 - ln scale) - ln(p / 2 pi) / 2 give the sign, and e^log_v is inf or 0
@@ -858,7 +849,8 @@ def _reaction_mellin(gamma, a, b, fault):
 
 
 def reaction_rate(gamma, a, b, route: str = "quadrature"):
-    """I(gamma, a, b) = integral of x^gamma exp(-a x - b x^(-1/2)) over (0, inf).
+    """I(gamma, a, b) = integral of x^gamma exp(-a x - b x^(-1/2)) over (0, inf), the Kratzel
+    integral ``kratzel_g2(gamma, a, b, 1, 1/2)``.
 
     route selects the half-line trapezoid rule (``integrate_halfline``) or the Mellin
     product-convolution identity; "both" runs the two and enforces 1e-6 relative agreement.
@@ -876,31 +868,7 @@ def reaction_rate_with_error(gamma, a, b, route: str = "quadrature"):
     floats come back for numbers, else arrays of that shape.  The quadrature is one half-line
     call for all points, the Mellin route one inversion per distinct gamma, and the first
     failing point raises its error, as a loop over the points would."""
-    if route not in ("quadrature", "mellin", "both"):
-        raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
-    (gamma, a, b), shaped = _columns(gamma, a, b)
-    rows, fault = _validate_reaction(gamma, a, b, route)
-    gamma, a, b = gamma[:rows], a[:rows], b[:rows]
-    if route != "quadrature":
-        mellin, err, rows, fault = _reaction_mellin(gamma, a, b, fault)
-        gamma, a, b, value, err = (col[:rows] for col in (gamma, a, b, mellin, err))
-    if route != "mellin":
-        # the reaction-rate integrand is the Kratzel one with alpha = 1, beta = 1/2
-        try:
-            value, err = _kratzel_quadrature(gamma, a, b, 1.0, 0.5)
-        except ConvergenceError:
-            if route == "both" and gamma.size > 1:  # the loop's first error, point by point
-                for point in zip(gamma, a, b):
-                    reaction_rate_with_error(*point, route="both")
-            raise
-        if route == "both":
-            for q, m in zip(value.tolist(), mellin.tolist()):
-                if abs(q - m) > 1e-6 * max(abs(q), abs(m)):
-                    raise ConvergenceError(f"reaction-rate routes disagree: quadrature {q!r} "
-                                           f"vs mellin {m!r}", partial=q, bound=abs(q - m))
-    if fault is not None:
-        raise fault
-    return shaped(value), shaped(err)
+    return _kratzel(gamma, a, b, 1.0, 0.5, route)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +876,8 @@ def reaction_rate_with_error(gamma, a, b, route: str = "quadrature"):
 
 def _kratzel_columns(gamma, a, y, alpha, beta):
     """The columns of ``_kratzel_integrand`` for the integral of
-    x^gamma exp(-a x^alpha - y x^(-beta)); a row with a = 0 (reaction rate only) is
-    rewritten in 1/x: its slow power-law side is at x -> 0."""
+    x^gamma exp(-a x^alpha - y x^(-beta)); a row with a = 0 is rewritten in 1/x, as
+    x^(-gamma-2) exp(-y x^beta): its slow power-law side is at x -> 0."""
     flip = a == 0
     return (np.where(flip, -gamma - 2.0, gamma), np.where(flip, y, a), np.where(flip, 0.0, y),
             np.where(flip, beta, alpha), np.where(flip, 1.0, beta))
@@ -923,7 +891,7 @@ def _kratzel_integrand(t, gamma, a, y, alpha, beta):
 
 
 def _kratzel_log_bound(gamma, a, y, alpha, beta):
-    """ln B, a bound on the integral of e^phi, for the rows whose probe finds no peak.
+    """(ln L, ln B), bounds L <= integral of e^phi <= B, for the rows whose probe finds no peak.
 
     phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t) is concave, so it lies below
     its tangents.  With its maximiser t* in [lo, hi], where phi'(lo) > 0 > phi'(hi),
@@ -931,7 +899,10 @@ def _kratzel_log_bound(gamma, a, y, alpha, beta):
     phi(t*), and
     B = e^(phi(lo) + phi'(lo) (hi - lo)) (hi - lo + 2 + 1/phi'(lo - 1) + 1/|phi'(hi + 1)|).
     Doubling steps find the bracket and bisection closes it to adjacent doubles (Newton
-    steps on an exponential flank move about 1/alpha each); ln B is inf where that fails."""
+    steps on an exponential flank move about 1/alpha each); ln B is inf where that fails.
+    On [lo - 1, hi + 1] phi is at least its smaller end value, so
+    L = (hi - lo + 2) e^min(phi(lo - 1), phi(hi + 1)), each end value less a few eps times
+    the size of its terms, an exponential's scaled by the size of its exponent."""
 
     log_a, log_y = np.log(a), np.log(y)  # ln 0 = -inf: no y term
 
@@ -939,6 +910,13 @@ def _kratzel_log_bound(gamma, a, y, alpha, beta):
         ea = np.exp(log_a + alpha * t + order * np.log(alpha))
         ey = np.exp(log_y - beta * t + order * np.log(np.abs(beta))) * np.sign(-beta) ** order
         return (gamma + 1.0) * (t if order == 0 else 1.0) - ea - ey
+
+    def phi_low(t):  # phi(t) less a bound on its rounding; a term that is 0 has none
+        size = np.abs((gamma + 1.0) * t)
+        for log_c, rate in ((log_a, alpha * t), (log_y, -beta * t)):
+            term = np.exp(log_c + rate)
+            size = size + np.where(term == 0, 0.0, term * (2.0 + np.abs(log_c) + np.abs(rate)))
+        return phi(t) - 4.0 * _EPS * size
 
     lo, hi = np.full(gamma.shape, -1.0), np.full(gamma.shape, 1.0)
     for _ in range(1100):  # past the double range: phi' is +inf at -inf and -inf at inf
@@ -955,7 +933,8 @@ def _kratzel_log_bound(gamma, a, y, alpha, beta):
     width = hi - lo
     log_b = (phi(lo) + phi(lo, 1) * width
              + np.log(width + 2.0 + 1.0 / phi(lo - 1.0, 1) - 1.0 / phi(hi + 1.0, 1)))
-    return np.where(np.isnan(log_b), math.inf, log_b)
+    log_l = np.minimum(phi_low(lo - 1.0), phi_low(hi + 1.0)) + np.log(width + 2.0)
+    return log_l, np.where(np.isnan(log_b), math.inf, log_b)
 
 
 def _kratzel_quadrature(gamma, a, y, alpha, beta):
@@ -963,15 +942,52 @@ def _kratzel_quadrature(gamma, a, y, alpha, beta):
                               log_bound=_kratzel_log_bound)
 
 
-def _validate_kratzel(gamma, a, y, alpha, beta):
+def _validate_kratzel(gamma, a, y, alpha, beta, route):
     finite = np.logical_and.reduce([np.isfinite(col) for col in (gamma, a, y, alpha, beta)])
     return _first_broken([
-        (~(finite & (a > 0) & (alpha > 0) & (beta != 0) & (y >= 0)),
-         "the Kratzel integral needs finite parameters with a > 0, alpha > 0, beta != 0 "
+        (~(finite & (a >= 0) & (alpha > 0) & (beta != 0) & (y >= 0)),
+         "the Kratzel integral needs finite parameters with a >= 0, alpha > 0, beta != 0 "
          "and y >= 0; got gamma = {gamma}, a = {a}, alpha = {alpha}, beta = {beta}, y = {y}"),
         (((y == 0) | (beta < 0)) & (gamma <= -1),
          "integrability at 0 requires gamma > -1 when y = 0 or beta < 0, got gamma = {gamma}"),
+        ((a == 0) & ~((y > 0) & (beta > 0) & (gamma < -1)),
+         "a = 0 requires y > 0, beta > 0 and gamma < -1, got y = {y}, beta = {beta}, "
+         "gamma = {gamma}"),
+        ((route != "quadrature") & (a > 0) & (y > 0)  # the law of x1 in _reaction_mellin exists
+         & ~((gamma > -2) & (gammaln(gamma + 2) < math.inf)),
+         "the product-structure route needs gamma > -2 and Gamma(gamma + 2) in the double range "
+         "so the power part is a probability density; got gamma = {gamma}"),
     ], gamma=gamma, a=a, y=y, alpha=alpha, beta=beta)
+
+
+def _kratzel(gamma, a, y, alpha, beta, route):
+    """kratzel_g2_with_error by the half-line rule ("quadrature"), by the Mellin route
+    ("mellin", ``_reaction_mellin``, so at alpha = 1, beta = 1/2 alone), or by "both", which
+    runs the two and enforces 1e-6 relative agreement."""
+    if route not in ("quadrature", "mellin", "both"):
+        raise DomainError(f"unknown route {route!r}; use quadrature, mellin or both")
+    cols, shaped = _columns(gamma, a, y, alpha, beta)
+    rows, fault = _validate_kratzel(*cols, route)
+    cols = [col[:rows] for col in cols]
+    if route != "quadrature":
+        mellin, err, rows, fault = _reaction_mellin(*cols[:3], fault)
+        cols, value, err = [col[:rows] for col in cols], mellin[:rows], err[:rows]
+    if route != "mellin":
+        try:
+            value, err = _kratzel_quadrature(*cols)
+        except ConvergenceError:
+            if route == "both" and rows > 1:  # the loop's first error, point by point
+                for point in zip(*cols):
+                    _kratzel(*point, route)
+            raise
+        if route == "both":
+            for q, m in zip(value.tolist(), mellin.tolist()):
+                if abs(q - m) > 1e-6 * max(abs(q), abs(m)):
+                    raise ConvergenceError(f"reaction-rate routes disagree: quadrature {q!r} "
+                                           f"vs mellin {m!r}", partial=q, bound=abs(q - m))
+    if fault is not None:
+        raise fault
+    return shaped(value), shaped(err)
 
 
 def kratzel_g1(gamma, a, y):
@@ -984,9 +1000,11 @@ def kratzel_g2(gamma, a, y, alpha=1.0, beta=1.0):
     """integral of x^gamma exp(-a x^alpha - y x^(-beta)) over (0, inf).
 
     beta may be negative, in which case both exponentials decay at infinity
-    and the origin needs gamma > -1.  alpha = 1, beta = 1 is the basic
-    integral above; alpha = 1, beta = 1/2 is the reaction-rate integral.  The
-    parameters may be arrays, as in ``kratzel_g2_with_error``.
+    and the origin needs gamma > -1.  a may be 0 where y > 0, beta > 0 and
+    gamma < -1: the integral is then Gamma(p) / (beta y^p), p = (-gamma-1)/beta.
+    alpha = 1, beta = 1 is the basic integral above; alpha = 1, beta = 1/2 is the
+    reaction-rate integral.  The parameters may be arrays, as in
+    ``kratzel_g2_with_error``.
     """
     return kratzel_g2_with_error(gamma, a, y, alpha, beta)[0]
 
@@ -996,12 +1014,7 @@ def kratzel_g2_with_error(gamma, a, y, alpha=1.0, beta=1.0):
     arrays of one broadcast shape with a point per element, integrated in one
     half-line call: floats come back for numbers, else arrays of that shape, and
     the first failing point raises its error, as a loop over the points would."""
-    cols, shaped = _columns(gamma, a, y, alpha, beta)
-    rows, fault = _validate_kratzel(*cols)
-    value, err = _kratzel_quadrature(*(col[:rows] for col in cols))
-    if fault is not None:
-        raise fault
-    return shaped(value), shaped(err)
+    return _kratzel(gamma, a, y, alpha, beta, "quadrature")
 
 
 # ---------------------------------------------------------------------------

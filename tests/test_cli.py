@@ -227,8 +227,10 @@ class TestRun:
             ("ratecalc", {"gamma": "0,-2.5", "a": "1", "b": "1,0.5"}, ["--route", "both"]),
             ("kratzel", {"gamma": "-0.5,1", "a": "0.5,2", "y": "0,1e-9,2"}, ["--beta=-0.5"]),
             ("kratzel", {"gamma": "0,-1.5", "a": "1", "y": "1,0"}, []),
+            ("kratzel", {"gamma": "-2.5,-1.2", "a": "0,0.5", "y": "0.7,2"}, ["--beta", "2"]),
         ],
-        ids=["a_zero", "b_zero", "domain_fault", "mellin_fault", "kratzel", "kratzel_fault"],
+        ids=["a_zero", "b_zero", "domain_fault", "mellin_fault", "kratzel", "kratzel_fault",
+             "kratzel_a_zero"],
     )
     def test_grid_is_its_points(self, sub, axes, extra, capsys):
         # one batched call per grid: each row has the value its point prints alone, and
@@ -459,6 +461,13 @@ class TestRun:
         (tmp_path / name).write_bytes(data)
         argv = [a.format(m=tmp_path / "m.csv", f=tmp_path / name) for a in argv]
         assert str(tmp_path / name) in self.assert_one_line_error(argv, capsys)
+
+    @pytest.mark.parametrize("route", ["quadrature", "mellin", "both"])
+    @pytest.mark.parametrize("argv", [["--gamma", "0", "--a", "0", "--b", "0"],
+                                      ["--gamma=-1.5", "--a", "1", "--b", "0"]],
+                             ids=["a_and_b_zero", "b_zero_gamma_low"])
+    def test_ratecalc_outside_the_domain_exits_1(self, argv, route, capsys):
+        self.assert_one_line_error(["ratecalc", *argv, "--route", route], capsys)
 
     def test_mellin_route_gamma_at_most_minus_2_exits_1(self, capsys):
         argv = ["ratecalc", "--route", "mellin", "--gamma=-2.5", "--a", "1", "--b", "1"]

@@ -823,6 +823,29 @@ class TestKratzel:
             kratzel_g2(-1.5, 1.0, 1.0, 1.0, -0.5)
 
     @pytest.mark.parametrize(
+        "args", [(-0.5, 0.0, 1.0, 1.0, -0.5), (0.5, 0.0, 0.0, 1.0, 1.0), (-1.0, 0.0, 1.0, 1.0, 1.0)],
+        ids=["beta_negative", "y_zero", "gamma_minus_1"],
+    )
+    def test_a_zero_domain_edges(self, args):
+        # a = 0 needs y > 0, beta > 0 and gamma < -1, alone and inside a grid
+        for point in (args, np.transpose([(0.0, 1.0, 1.0, 1.0, 1.0), args])):
+            with pytest.raises(DomainError, match="a = 0 requires"):
+                kratzel_g2(*point)
+
+    def test_a_zero_against_30_digit_closed_form(self):
+        # x^gamma exp(-y x^(-beta)) integrates to Gamma(p) / (beta y^p), p = (-gamma-1)/beta
+        u = np.random.default_rng(7).uniform
+        n = 200
+        g, y, al, be = u(-4, -1.05, n), 10 ** u(-2, 2, n), u(0.3, 3, n), u(0.2, 4, n)
+        val, err = kratzel_g2_with_error(g, 0.0, y, al, be)
+        with mpmath.workdps(30):
+            for point in zip(g, y, be, val, err):
+                gi, yi, bi, v, e = (mpmath.mpf(c) for c in point)
+                p = (-gi - 1) / bi
+                ref = mpmath.gamma(p) / (bi * yi**p)
+                assert abs(v - ref) <= min(e, 1e-14 * ref)
+
+    @pytest.mark.parametrize(
         "args", [(math.inf, 1.0, 1.0, 1.0, 1.0), (0.0, math.inf, 1.0, 1.0, 1.0),
                  (0.0, 1.0, math.inf, 1.0, 1.0), (0.0, 1.0, 1.0, math.inf, 1.0),
                  (0.0, 1.0, 1.0, 1.0, -math.inf), (math.nan, 1.0, 1.0, 1.0, 1.0)],
@@ -1011,14 +1034,9 @@ class TestHalflineBatch:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_batch_is_the_loop(self, seed):
-        gamma, a, y, alpha, beta = _mixed_grid(seed)
-        rate = beta == 0.5  # a = 0 rows are reaction rates only
-        batch = kratzel_g2_with_error(*(c[~rate] for c in (gamma, a, y, alpha, beta)))
-        loop = self.loop(kratzel_g2_with_error, *(c[~rate] for c in (gamma, a, y, alpha, beta)))
-        assert np.array_equal(batch, loop)
-        batch = reaction_rate_with_error(gamma[rate], a[rate], y[rate])
-        assert (a[rate] == 0).any() and np.array_equal(
-            batch, self.loop(reaction_rate_with_error, gamma[rate], a[rate], y[rate]))
+        cols = _mixed_grid(seed)
+        assert (cols[1] == 0).any()
+        assert np.array_equal(kratzel_g2_with_error(*cols), self.loop(kratzel_g2_with_error, *cols))
 
     def test_shapes(self):
         g = np.array([[0.0, 1.0, 2.0], [0.5, 1.5, 2.5]])
@@ -1031,9 +1049,9 @@ class TestHalflineBatch:
 
     @pytest.mark.parametrize("bad", ["convergence_first", "domain_first"])
     def test_failing_row_raises_the_loops_first_error(self, bad):
-        # alpha = 1e-12 puts the peak past the probe's reach and its bound at inf
-        rows = [(0.0, 1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1e-12, 1.0), (0.0, -1.0, 1.0, 1.0, 1.0),
-                (1.0, 2.0, 0.5, 1.0, 1.0)]
+        # the second row's trapezoid sums still differ by 9e-9 at 65 536 nodes
+        rows = [(0.0, 1.0, 1.0, 1.0, 1.0), (-1.33, 4.08e-274, 6.92e-66, 4.11, 18.0),
+                (0.0, -1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 0.5, 1.0, 1.0)]
         if bad == "domain_first":
             rows[1], rows[2] = rows[2], rows[1]
         errors = []
@@ -1055,7 +1073,8 @@ class TestHalflineBatch:
         mellin = {ai: qi * (1.01 if i == off else 1.0) for i, (ai, qi) in enumerate(zip(a, q))}
         monkeypatch.setattr(melconv, "_reaction_mellin", lambda g, a, b, fault: (
             np.array([mellin[ai] for ai in a]), np.zeros(a.size), a.size, fault))
-        monkeypatch.setattr(melconv, "_kratzel_log_bound", lambda g, *_: np.full(g.shape, math.inf))
+        monkeypatch.setattr(melconv, "_kratzel_log_bound",
+                            lambda g, *_: (np.full(g.shape, -math.inf), np.full(g.shape, math.inf)))
         with pytest.raises(ConvergenceError) as first:
             for point in zip(g, a, b):
                 reaction_rate(*point, route="both")
@@ -1094,9 +1113,19 @@ class TestHalflineBatch:
         cols = _mixed_grid(seed)
         cols = [c[cols[4] != 0.5] for c in cols]
         with np.errstate(all="ignore"):
-            bound = np.exp(melconv._kratzel_log_bound(*melconv._kratzel_columns(*cols)))
+            low, bound = np.exp(melconv._kratzel_log_bound(*melconv._kratzel_columns(*cols)))
         value = kratzel_g2(*cols)
-        assert (value <= bound).all() and (bound <= 10 * value).all()
+        assert (low <= value).all() and (value <= bound).all() and (bound <= 10 * value).all()
+
+    def test_probe_without_peak_past_the_double_range_is_inf(self):
+        # t* = 1e12 ln(1e12) is past the probe's reach, and the integral, about
+        # Gamma(1e12) 1e12 ~ e^(2.7e13), is past the double range, alone and in a grid
+        point = (0.0, 1.0, 1.0, 1e-12, 1.0)
+        assert kratzel_g2_with_error(*point) == (math.inf, math.inf)
+        rows = np.transpose([(0.0, 1.0, 1.0, 1.0, 1.0), point, (1.0, 2.0, 0.0, 1.0, 1.0)])
+        val, err = kratzel_g2_with_error(*rows)
+        assert val == pytest.approx([2.0 * kv(1, 2.0), math.inf, 0.25], rel=1e-13)
+        assert err[1] == math.inf and (err[::2] < 1e-14).all()
 
 
 class TestRandomVolume:
