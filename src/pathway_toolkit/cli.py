@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("kratzel", _run_kratzel, "Kratzel integrals g1/g2 (ratecalc: alpha=1, beta=1/2)")
     p.add_argument("--gamma", type=_float_list, required=True)
     p.add_argument("--a", type=_float_list, required=True,
-                   help="a >= 0; a = 0 needs y > 0, beta > 0 and gamma < -1")
+                   help="a >= 0; a = 0 needs y > 0, and gamma < -1 where beta > 0")
     p.add_argument("--y", type=_float_list, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)

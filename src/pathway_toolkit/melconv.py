@@ -295,6 +295,15 @@ def _power_law(row: _Law, e: float, scale: float, delta: float, gamma: float) ->
     return _PowerLaw(row, e, scale, delta, gamma, p, q, x_max, log_c)
 
 
+def _pathway_row(alpha: float, a: float, eta: float) -> tuple[_Law, float, float]:
+    """The pathway kernel [1 - a(1-alpha) x^delta]^(eta/(1-alpha)), e^(-a eta x^delta) at
+    alpha = 1, as (law row, kernel exponent e, scale) of y = scale x^delta."""
+    if alpha == 1:
+        return _GAMMA, math.inf, a * eta
+    d = abs(1 - alpha)
+    return (_BETA1 if alpha < 1 else _BETA2), eta / d, a * d
+
+
 # each stock kind: the value each shape key must exceed, and its law as
 # (law row, kernel exponent, scale, delta, gamma)
 _BUILTINS = {
@@ -540,7 +549,7 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
     Functions, SIAM 2007).
 
     ``mom`` maps a complex array of s on the contour to the moments there.
-    Every u must be finite and > 0 (else DomainError).  The target is the
+    Every u must be finite and > 0, and c finite (else DomainError).  The target is the
     absolute error 1e-8 (1 + |g|); a u that misses it raises ConvergenceError
     with its partial value and achieved bound: where u^-c is past the double
     range (bound inf), where the rounding passes the target, or where the tail
@@ -550,6 +559,8 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
     flat index of the first failing u (u.size where none fails, error None)
     and g holding each failing u's partial value (nan where there is none).
     """
+    if not math.isfinite(c):
+        raise DomainError(f"mellin_invert needs a finite contour abscissa c, got {c}")
     (flat,), shaped = _columns(u)
     ok = (flat > 0) & (flat < math.inf)
     if not ok.all():
@@ -876,9 +887,10 @@ def reaction_rate_with_error(gamma, a, b, route: str = "quadrature"):
 
 def _kratzel_columns(gamma, a, y, alpha, beta):
     """The columns of ``_kratzel_integrand`` for the integral of
-    x^gamma exp(-a x^alpha - y x^(-beta)); a row with a = 0 is rewritten in 1/x, as
-    x^(-gamma-2) exp(-y x^beta): its slow power-law side is at x -> 0."""
-    flip = a == 0
+    x^gamma exp(-a x^alpha - y x^(-beta)); a row with a = 0 and beta > 0 is rewritten in
+    1/x, as x^(-gamma-2) exp(-y x^beta): its slow power-law side is at x -> 0.  With
+    beta < 0 the y term already decays at infinity, so such a row stays as it is."""
+    flip = (a == 0) & (beta > 0)
     return (np.where(flip, -gamma - 2.0, gamma), np.where(flip, y, a), np.where(flip, 0.0, y),
             np.where(flip, beta, alpha), np.where(flip, 1.0, beta))
 
@@ -950,8 +962,8 @@ def _validate_kratzel(gamma, a, y, alpha, beta, route):
          "and y >= 0; got gamma = {gamma}, a = {a}, alpha = {alpha}, beta = {beta}, y = {y}"),
         (((y == 0) | (beta < 0)) & (gamma <= -1),
          "integrability at 0 requires gamma > -1 when y = 0 or beta < 0, got gamma = {gamma}"),
-        ((a == 0) & ~((y > 0) & (beta > 0) & (gamma < -1)),
-         "a = 0 requires y > 0, beta > 0 and gamma < -1, got y = {y}, beta = {beta}, "
+        ((a == 0) & ~((y > 0) & ((beta < 0) | (gamma < -1))),
+         "a = 0 needs y > 0, and gamma < -1 where beta > 0, got y = {y}, beta = {beta}, "
          "gamma = {gamma}"),
         ((route != "quadrature") & (a > 0) & (y > 0)  # the law of x1 in _reaction_mellin exists
          & ~((gamma > -2) & (gammaln(gamma + 2) < math.inf)),
@@ -1000,8 +1012,8 @@ def kratzel_g2(gamma, a, y, alpha=1.0, beta=1.0):
     """integral of x^gamma exp(-a x^alpha - y x^(-beta)) over (0, inf).
 
     beta may be negative, in which case both exponentials decay at infinity
-    and the origin needs gamma > -1.  a may be 0 where y > 0, beta > 0 and
-    gamma < -1: the integral is then Gamma(p) / (beta y^p), p = (-gamma-1)/beta.
+    and the origin needs gamma > -1.  a may be 0 where y > 0, and gamma < -1
+    where beta > 0: the integral is then Gamma(p) / (|beta| y^p), p = (-gamma-1)/beta.
     alpha = 1, beta = 1 is the basic integral above; alpha = 1, beta = 1/2 is the
     reaction-rate integral.  The parameters may be arrays, as in
     ``kratzel_g2_with_error``.

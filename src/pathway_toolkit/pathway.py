@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .melconv import _BETA1, _BETA2, _GAMMA, _power_law, _shape_values, integrate_halfline
+from .errors import DomainError, exp_or_inf
+from .melconv import _pathway_row, _power_law, _shape_values, integrate_halfline
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,7 @@ class PathwayParams:
         for name in ("delta", "a", "eta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.alpha == 1:
-            law = _power_law(_GAMMA, math.inf, self.a * self.eta, self.delta, self.gamma)
-        else:  # the kernel exponent is eta / |1 - alpha|
-            d = abs(1 - self.alpha)
-            law = _power_law(_BETA1 if self.alpha < 1 else _BETA2, self.eta / d, self.a * d,
-                             self.delta, self.gamma)
+        law = _power_law(*_pathway_row(self.alpha, self.a, self.eta), self.delta, self.gamma)
         object.__setattr__(self, "_law", law)
 
     def __reduce__(self):
@@ -92,8 +87,9 @@ def pathway_support(params: PathwayParams) -> tuple[float, float]:
 def pathway_pdf(params: PathwayParams, x):
     """Density at x (scalar or array); zero outside the support.
 
-    The bracket is evaluated through log1p so the family limit alpha -> 1 is
-    smooth to machine precision rather than cancelling catastrophically.  At x = 0
+    The bracket is evaluated through log1p, so the kernel does not cancel as
+    alpha -> 1.  Near there the constant is only as good as scipy's betaln(p, q)
+    at q ~ eta/|1-alpha|: about 2e-11 relative at |1-alpha| = 1e-4.  At x = 0
     it is 0 for gamma > 0, the normalizing constant for gamma = 0, inf for gamma < 0.
     """
     return params._law.pdf(x)
@@ -117,28 +113,34 @@ def pathway_sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     incomplete beta or gamma function gives y = scale * x**delta, which is
     mapped back to x, through logs where y leaves the double range.
     """
-    if n < 0:
-        raise DomainError(f"sample count must be >= 0, got {n}")
+    if not (0 <= n < math.inf and n % 1 == 0):
+        raise DomainError(f"sample count must be a whole number >= 0, got {n}")
     return params._law.quantile(np.random.default_rng(seed).random(int(n)))
 
 
 def tsallis_g(x: float, alpha: float) -> float:
     """The power-function statistic [1 - (1-alpha) x]^(1/(1-alpha)).
 
-    Reduces to exp(-x) at alpha = 1; beyond the finite endpoint of the
-    alpha < 1 branch the value is extended by zero, density style.
+    It is the pathway kernel at a = eta = delta = 1, taken as e^(ln k(y)) from
+    that kernel's law row at y = |1-alpha| x, so it reduces to exp(-x) at
+    alpha = 1 and keeps its digits as alpha -> 1.  Beyond the finite endpoint
+    of the alpha < 1 branch the value is extended by zero, density style; a
+    value past the double range is inf.
     """
-    if alpha == 1:
-        return math.exp(-x)
-    base = 1.0 - (1.0 - alpha) * x
-    if base <= 0:
-        if alpha < 1:
-            return 0.0
+    if not (math.isfinite(x) and math.isfinite(alpha)):
+        raise DomainError(f"tsallis_g needs finite x and alpha, got x = {x}, alpha = {alpha}")
+    row, e, scale = _pathway_row(alpha, 1.0, 1.0)
+    y = min(scale * x, row.y_max)  # the kernel is 0 from the endpoint y = y_max = 1 on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_k = float(row.log_kernel(e, y))
+    if math.isinf(y) and not math.isnan(log_k):  # |y| past the double range: ln(1+|y|) = ln|y|
+        log_k = math.copysign(e * (math.log(scale) + math.log(abs(x))), log_k)
+    if not log_k < math.inf:  # nan or +inf: the type-2 kernel where 1 + y <= 0
         raise DomainError(
             f"x = {x} is outside the domain of the alpha = {alpha} branch "
             f"(needs x > {-1 / (alpha - 1)})"
         )
-    return base ** (1.0 / (1.0 - alpha))
+    return exp_or_inf(log_k)
 
 
 @dataclass(frozen=True)
@@ -212,14 +214,22 @@ def _entropy_integral(f: DensityFn, h: Callable) -> float:
     return integrate_halfline(integrand)[0]
 
 
+def _power_integral(f: DensityFn, s: float) -> float:
+    """integral of f^(1+s) - f over the support, as f expm1(s ln f), which keeps its digits
+    as s -> 0 (the entropies' orders -> 1), where f^(1+s) - f cancels."""
+    return _entropy_integral(f, lambda v: v * np.expm1(s * np.log(v)))
+
+
 def havrda_charvat_entropy(f: DensityFn, alpha: float) -> float:
     """Alpha-generalized entropy with the binary-exponent denominator
-    (integral f^alpha - 1) / (2^(1-alpha) - 1); alpha = 1 is excluded."""
+    (integral f^alpha - 1) / (2^(1-alpha) - 1), for finite alpha; alpha = 1 is excluded."""
     if alpha == 1:
         raise DomainError(
             "alpha = 1 is the Shannon limit; call shannon_entropy instead"
         )
-    return _entropy_integral(f, lambda v: v**alpha - v) / (2.0 ** (1.0 - alpha) - 1.0)
+    if not math.isfinite(alpha):
+        raise DomainError(f"havrda_charvat_entropy requires a finite alpha, got {alpha}")
+    return _power_integral(f, alpha - 1.0) / math.expm1((1.0 - alpha) * math.log(2.0))
 
 
 def shannon_entropy(f: DensityFn) -> float:
@@ -228,9 +238,9 @@ def shannon_entropy(f: DensityFn) -> float:
 
 
 def mathai_entropy(f: DensityFn, alpha: float) -> float:
-    """(integral f^(2-alpha) - 1) / (alpha - 1) for alpha != 1, alpha < 2."""
-    if alpha == 1 or alpha >= 2:
+    """(integral f^(2-alpha) - 1) / (alpha - 1) for finite alpha != 1, alpha < 2."""
+    if alpha == 1 or not -math.inf < alpha < 2:
         raise DomainError(
-            f"mathai_entropy requires alpha != 1 and alpha < 2, got {alpha}"
+            f"mathai_entropy requires a finite alpha != 1 and alpha < 2, got {alpha}"
         )
-    return _entropy_integral(f, lambda v: v ** (2.0 - alpha) - v) / (alpha - 1.0)
+    return _power_integral(f, 1.0 - alpha) / (alpha - 1.0)

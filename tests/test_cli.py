@@ -228,9 +228,10 @@ class TestRun:
             ("kratzel", {"gamma": "-0.5,1", "a": "0.5,2", "y": "0,1e-9,2"}, ["--beta=-0.5"]),
             ("kratzel", {"gamma": "0,-1.5", "a": "1", "y": "1,0"}, []),
             ("kratzel", {"gamma": "-2.5,-1.2", "a": "0,0.5", "y": "0.7,2"}, ["--beta", "2"]),
+            ("kratzel", {"gamma": "0.5,-1.5", "a": "0,1", "y": "1,0"}, ["--beta=-0.5"]),
         ],
         ids=["a_zero", "b_zero", "domain_fault", "mellin_fault", "kratzel", "kratzel_fault",
-             "kratzel_a_zero"],
+             "kratzel_a_zero", "kratzel_a_zero_beta_negative"],
     )
     def test_grid_is_its_points(self, sub, axes, extra, capsys):
         # one batched call per grid: each row has the value its point prints alone, and
@@ -373,6 +374,11 @@ class TestRun:
         code = main(["ml", "--alpha", "-1", "--x", "1", "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_corr_data_needs_two_columns(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x\n1\n2\n3\n")
+        assert "two columns" in self.assert_one_line_error(["corr", "--data", str(data)], capsys)
 
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         code = main(["qform", "--matrix", str(tmp_path / "absent.csv")])

@@ -48,6 +48,12 @@ class TestBuildIncidence:
         with pytest.raises(DomainError):
             build_incidence([[1, 0], [2, 0]])
 
+    @pytest.mark.parametrize("counts, match", [([1, 2], "2-d"), ([[1, -1], [2, 1]], "non-negative")],
+                             ids=["one_dimensional", "negative"])
+    def test_bad_table_rejected(self, counts, match):
+        with pytest.raises(DomainError, match=match):
+            build_incidence(counts)
+
 
 class TestIncidenceSystem:
     def test_rejects_nonpositive_entries(self):
@@ -63,6 +69,8 @@ class TestIncidenceSystem:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):
             IncidenceSystem(A=np.full((2, 2), 0.5), G=np.zeros(3))
+        with pytest.raises(DomainError, match="square"):
+            IncidenceSystem(A=np.full((2, 3), 1 / 3), G=np.zeros(2))
 
 
 class TestCentering:
@@ -225,6 +233,9 @@ class TestSampleCorrelation:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             sample_correlation([1, 1, 1], [1, 2, 3])
+        for x, y in (([1, 2, 3], [1, 2]), ([1], [2]), ([[1, 2]], [[2, 1]])):
+            with pytest.raises(DomainError, match="equal-length vectors"):
+                sample_correlation(x, y)
         with pytest.raises(DomainError):
             sample_correlation([1, 2, 3], [2, 2, 2])
         with pytest.raises(DomainError, match="constant"):

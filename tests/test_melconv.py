@@ -280,6 +280,12 @@ class TestMellinInvert:
         with pytest.raises(DomainError):
             mellin_invert(lambda s: 1.0 / s, u, 1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_c(self, c):
+        # a nan abscissa used to reach the sweep and raise ConvergenceError with bound nan
+        with pytest.raises(DomainError, match="abscissa"):
+            mellin_invert(lambda s: 1.0 / s, 0.5, c)
+
     @pytest.mark.parametrize(
         "num, den, u",
         [
@@ -823,26 +829,33 @@ class TestKratzel:
             kratzel_g2(-1.5, 1.0, 1.0, 1.0, -0.5)
 
     @pytest.mark.parametrize(
-        "args", [(-0.5, 0.0, 1.0, 1.0, -0.5), (0.5, 0.0, 0.0, 1.0, 1.0), (-1.0, 0.0, 1.0, 1.0, 1.0)],
-        ids=["beta_negative", "y_zero", "gamma_minus_1"],
+        "args, match",
+        [((-1.0, 0.0, 1.0, 1.0, -0.5), "integrability at 0"),
+         ((0.5, 0.0, 0.0, 1.0, -0.5), "a = 0 needs"),
+         ((0.5, 0.0, 0.0, 1.0, 1.0), "a = 0 needs"), ((-1.0, 0.0, 1.0, 1.0, 1.0), "a = 0 needs")],
+        ids=["beta_negative", "beta_negative_y_zero", "y_zero", "gamma_minus_1"],
     )
-    def test_a_zero_domain_edges(self, args):
-        # a = 0 needs y > 0, beta > 0 and gamma < -1, alone and inside a grid
+    def test_a_zero_domain_edges(self, args, match):
+        # a = 0 needs y > 0, and gamma < -1 where beta > 0 (gamma > -1 where beta < 0),
+        # alone and inside a grid
         for point in (args, np.transpose([(0.0, 1.0, 1.0, 1.0, 1.0), args])):
-            with pytest.raises(DomainError, match="a = 0 requires"):
+            with pytest.raises(DomainError, match=match):
                 kratzel_g2(*point)
 
-    def test_a_zero_against_30_digit_closed_form(self):
-        # x^gamma exp(-y x^(-beta)) integrates to Gamma(p) / (beta y^p), p = (-gamma-1)/beta
-        u = np.random.default_rng(7).uniform
+    @pytest.mark.parametrize("sign, seed, gammas", [(1, 7, (-4, -1.05)), (-1, 8, (-0.95, 4))],
+                             ids=["beta_positive", "beta_negative"])
+    def test_a_zero_against_30_digit_closed_form(self, sign, seed, gammas):
+        # x^gamma exp(-y x^(-beta)) integrates to Gamma(p) / (|beta| y^p), p = (-gamma-1)/beta;
+        # with beta < 0 the y term decays at infinity, and no rewrite in 1/x is needed
+        u = np.random.default_rng(seed).uniform
         n = 200
-        g, y, al, be = u(-4, -1.05, n), 10 ** u(-2, 2, n), u(0.3, 3, n), u(0.2, 4, n)
+        g, y, al, be = u(*gammas, n), 10 ** u(-2, 2, n), u(0.3, 3, n), sign * u(0.2, 4, n)
         val, err = kratzel_g2_with_error(g, 0.0, y, al, be)
         with mpmath.workdps(30):
             for point in zip(g, y, be, val, err):
                 gi, yi, bi, v, e = (mpmath.mpf(c) for c in point)
                 p = (-gi - 1) / bi
-                ref = mpmath.gamma(p) / (bi * yi**p)
+                ref = mpmath.gamma(p) / (abs(bi) * yi**p)
                 assert abs(v - ref) <= min(e, 1e-14 * ref)
 
     @pytest.mark.parametrize(

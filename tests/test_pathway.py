@@ -152,7 +152,8 @@ class TestParams:
     def test_huge_constant_gives_inf_at_origin(self):
         # C = e^2287: the density at 0 is past the double range, not an error
         params = PathwayParams(alpha=1.0, delta=0.1, a=1e100)
-        assert pathway_pdf(params, 0.0) == math.inf
+        assert pathway_pdf(params, 0.0) == math.inf == params.norm_const
+        assert UNIT_EXP.norm_const == 1.0 == pathway_pdf(UNIT_EXP, 0.0)
 
     def test_json_round_trip(self):
         p = PathwayParams(alpha=0.5, gamma=1.5, delta=2.0, a=0.7, eta=3.0)
@@ -363,9 +364,10 @@ class TestSampling:
     def test_empty(self):
         assert pathway_sample(UNIT_EXP, 0, seed=1).shape == (0,)
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(DomainError):
-            pathway_sample(UNIT_EXP, -1, seed=1)
+    @pytest.mark.parametrize("n", [-1, math.nan, math.inf, 2.5])
+    def test_count_not_a_whole_number_rejected(self, n):
+        with pytest.raises(DomainError, match="sample count"):
+            pathway_sample(UNIT_EXP, n, seed=1)
 
     def test_exponential_mean(self):
         n = 100_000
@@ -442,6 +444,50 @@ class TestTsallis:
 
     def test_zero_extension_beyond_endpoint(self):
         assert tsallis_g(3.0, 0.5) == 0.0  # endpoint at x = 2
+        assert tsallis_g(2.0, 0.5) == 0.0
+
+    def test_type2_domain(self):
+        # 1 + (alpha - 1) x <= 0 is outside the alpha > 1 branch; any x is inside the others
+        for x in (-2.0, -2.5, -1e300):
+            with pytest.raises(DomainError, match="outside the domain"):
+                tsallis_g(x, 1.5)
+        assert tsallis_g(-1.5, 0.5) == pytest.approx(1.75**2, rel=1e-15)
+        assert tsallis_g(-1.5, 1.0) == pytest.approx(math.exp(1.5), rel=1e-15)
+
+    @pytest.mark.parametrize("x, alpha", [(-1000.0, 1.0), (-1e300, 0.5), (-1e3, 1.001)])
+    def test_past_the_double_range_is_inf(self, x, alpha):
+        assert tsallis_g(x, alpha) == math.inf
+
+    def test_y_past_the_double_range(self):
+        # (alpha - 1) x overflows: [1 + 1e300 x]^(-1e-300) is e^(-1e-300 ln(1e608)), about 1
+        assert tsallis_g(1e308, 1 + 1e300) == 1.0
+        assert tsallis_g(-1e308, -9.0) == pytest.approx(10.0 ** 30.9, rel=1e-14)
+
+    @pytest.mark.parametrize("x, alpha", [(math.nan, 1.0), (math.inf, 0.5), (-math.inf, 1.0),
+                                          (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_non_finite_rejected(self, x, alpha):
+        with pytest.raises(DomainError, match="finite"):
+            tsallis_g(x, alpha)
+
+    def test_against_40_digit_mpmath_near_alpha_1(self):
+        # alpha = 1 +- 10^U(-15, 0.5), x = +-10^U(-3, 1.5); the hand-written power form
+        # [1 - (1-alpha) x]^(1/(1-alpha)) was off by up to 0.1 relative here
+        rng = np.random.default_rng(3)
+        n = 2000
+        alphas = 1 + rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-15, 0.5, n)
+        xs = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, 1.5, n)
+        inside = 0
+        with mpmath.workdps(40):
+            for x, alpha in zip(xs, alphas):
+                base = 1 - (1 - mpmath.mpf(alpha)) * x
+                if base <= 0 and alpha > 1:
+                    with pytest.raises(DomainError):
+                        tsallis_g(x, alpha)
+                    continue
+                inside += 1
+                ref = base ** (1 / (1 - mpmath.mpf(alpha))) if base > 0 else 0
+                assert abs(tsallis_g(x, alpha) - ref) <= 1e-13 * ref
+        assert inside > 1900
 
     def test_power_function_differential_property(self):
         h = 1e-5
@@ -505,6 +551,43 @@ class TestEntropies:
             mathai_entropy(u, 1.0)
         with pytest.raises(DomainError):
             mathai_entropy(u, 2.0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            for entropy in (havrda_charvat_entropy, mathai_entropy):
+                with pytest.raises(DomainError, match="finite"):
+                    entropy(u, alpha)
+        with pytest.raises(DomainError, match="empty support"):
+            uniform_density(1.0, 1.0)
+
+    def test_density_domain_error_passes_through(self):
+        def fn(x):
+            raise DomainError("no density here")
+
+        with pytest.raises(DomainError, match="no density here"):
+            shannon_entropy(DensityFn(fn, (0.0, 1.0)))
+
+    @pytest.mark.parametrize("k", range(2, 15))
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_orders_near_one_exponential(self, k, side):
+        # f = e^-x: integral f^q = 1/q, so Havrda-Charvat is ((1-alpha)/alpha) / (2^(1-alpha) - 1)
+        # and Mathai 1/(2 - alpha); f^q - f cancels as q -> 1, f expm1((q-1) ln f) does not
+        e = unit_exponential_density()
+        alpha = 1 + side * 10.0**-k
+        with mpmath.workdps(30):
+            al = mpmath.mpf(alpha)
+            hc = (1 - al) / al / mpmath.expm1((1 - al) * mpmath.log(2))
+            mathai = 1 / (2 - al)
+        assert abs(havrda_charvat_entropy(e, alpha) - hc) <= 1e-13 * hc
+        assert abs(mathai_entropy(e, alpha) - mathai) <= 1e-13 * mathai
+
+    @pytest.mark.parametrize("k", [2, 6, 10, 14])
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("functional", ["havrda_charvat", "mathai"])
+    def test_orders_near_one_pathway_law(self, k, side, functional):
+        law = PathwayParams(0.8, 2.0, 2.0, 1.25, 1.5)
+        order = 1 + side * 10.0**-k
+        entropy = havrda_charvat_entropy if functional == "havrda_charvat" else mathai_entropy
+        ref = float(mp_entropy(law, functional, order))
+        assert abs(entropy(pathway_density(law), order) - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize(
         "law",

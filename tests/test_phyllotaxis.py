@@ -274,6 +274,9 @@ class TestParastichy:
         pts = generate_points(SpiralConfig(n_points=100))
         with pytest.raises(DomainError):
             parastichy_pair(pts, (0, 1))
+        for score in (nearest_neighbor_distances, coverage_packing_ratio):
+            with pytest.raises(DomainError, match="two points"):
+                score(pts[:1])
 
 
 class TestNeighborSearchExactness:

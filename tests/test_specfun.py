@@ -70,6 +70,7 @@ class TestPochhammer:
 class TestGenPochhammer:
     def test_zero_partition(self):
         assert gen_pochhammer(3.0, Partition((0, 0, 0))) == 1.0
+        assert Partition((0, 0, 0)).weight == 0 and Partition((2, 0, 3)).weight == 5
 
     @given(
         st.floats(-5, 5, allow_nan=False, allow_infinity=False),
@@ -106,6 +107,9 @@ class TestMatrixGamma:
     def test_boundary_excluded(self):
         with pytest.raises(DomainError):
             matrix_gamma(2, 0.5)
+        for p in (0, 1.5):
+            with pytest.raises(DomainError, match="positive integer"):
+                matrix_gamma(p, 3.0)
 
     def test_against_scipy_multigammaln(self):
         from scipy.special import multigammaln
