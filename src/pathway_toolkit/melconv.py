@@ -218,12 +218,15 @@ class _PowerLaw(NamedTuple):
         return self.row.moment(self.p, self.q, z, log_w)
 
     def _y(self, x):
-        """y = scale * x**delta at x > 0, clipped to the y_max it may round past; the mask
-        where y passes the double range, and ln y = ln(scale) + delta ln x there."""
+        """y = scale * x**delta at x > 0, clipped to the y_max it may round past, and the
+        mask where y passes the double range."""
         with np.errstate(over="ignore"):
             y = self.scale * x**self.delta
-        far = np.isinf(np.minimum(y, self.row.y_max, out=y))
-        return y, far, math.log(self.scale) + self.delta * np.log(x[far])
+        return y, np.isinf(np.minimum(y, self.row.y_max, out=y))
+
+    def _log_y(self, x):
+        """ln y = ln(scale) + delta ln x, for the x where y passes the double range."""
+        return math.log(self.scale) + self.delta * np.log(x)
 
     def _log_tail(self):
         """t of P(Y > y) = e^t y^-q, the type-2 beta tail, exact where y is past the double
@@ -237,10 +240,11 @@ class _PowerLaw(NamedTuple):
         out = np.zeros_like(x_arr)
         inside = (x_arr > 0) & (x_arr < self.x_max)
         xi = x_arr[inside]
-        y, far, log_y = self._y(xi)
+        y, far = self._y(xi)
         with np.errstate(divide="ignore"):  # the kernel is 0 at y = y_max = 1
             log_kernel = self.row.log_kernel(self.e, y)
-        log_kernel[far] = -(self.p + self.q) * log_y  # there the kernel is y^-(p+q)
+        if far.any():  # there the kernel is y^-(p+q)
+            log_kernel[far] = -(self.p + self.q) * self._log_y(xi[far])
         out[inside] = np.exp(self.log_c + self.gamma * np.log(xi) + log_kernel)
         if self.gamma <= 0:
             out[x_arr == 0] = self.norm_const if self.gamma == 0 else math.inf
@@ -251,10 +255,11 @@ class _PowerLaw(NamedTuple):
         x_arr, scalar = _points(x)
         out = np.zeros_like(x_arr)
         pos = x_arr > 0
-        y, far, log_y = self._y(x_arr[pos])
+        xp = x_arr[pos]
+        y, far = self._y(xp)
         cdf = self.row.cdf(self.p, self.q, y)
         if far.any():
-            cdf[far] = -np.expm1(self._log_tail() - self.q * log_y)
+            cdf[far] = -np.expm1(self._log_tail() - self.q * self._log_y(xp[far]))
         out[pos] = cdf
         return float(out[0]) if scalar else out
 
@@ -1070,24 +1075,26 @@ def normality_trend(
     The log of a product of independent betas is a sum of i.i.d. terms, so the
     skewness magnitude must fall as k grows; returning the whole sequence lets
     callers check that central-limit trend directly.
+
+    One (max k, n) array of betas is drawn, and a running sum down its rows
+    turns it into log-products in place: each k reads row k - 1, the n sums of
+    its first k rows.  The counts share their draws (common random numbers), so
+    their estimates are correlated, and a k's result does not depend on the
+    other entries of ``k_list``, which may be unsorted or repeated.
     """
     if not len(k_list):
         raise DomainError("normality_trend needs at least one factor count")
     for k in k_list:
-        if k < 2:
-            raise DomainError(f"factor counts must be >= 2, got {k}")
+        if not (2 <= k < math.inf and k % 1 == 0):
+            raise DomainError(f"factor counts must be whole numbers >= 2, got {k}")
     al, be = shapes
     if not (0 < al < math.inf and 0 < be < math.inf):
         raise DomainError(f"beta shapes must be positive and finite, got {shapes}")
-    if n < 2:
-        raise DomainError(f"a skewness needs n >= 2 draws, got {n}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in k_list:
-        draws = rng.beta(al, be, size=(int(n), int(k)))
-        if (draws == 0).any():  # its log is -inf, and the skewness not a number
-            raise DomainError(f"beta({al}, {be}) gave {np.count_nonzero(draws == 0)} draws "
-                              f"of exactly 0 at k = {k}; their log-product is -inf")
-        log_v = np.sum(np.log(draws), axis=1)
-        out.append((int(k), _sample_skewness(log_v)))
-    return out
+    if not (2 <= n < math.inf and n % 1 == 0):
+        raise DomainError(f"a skewness needs a whole number n >= 2 of draws, got {n}")
+    v = np.random.default_rng(seed).beta(al, be, size=(int(max(k_list)), int(n)))
+    if v.min() == 0:  # its log is -inf, and the skewness not a number
+        raise DomainError(f"beta({al}, {be}) gave {np.count_nonzero(v == 0)} draws "
+                          f"of exactly 0; their log-product is -inf")
+    log_v = np.cumsum(np.log(v, out=v), axis=0, out=v)
+    return [(int(k), _sample_skewness(log_v[int(k) - 1])) for k in k_list]

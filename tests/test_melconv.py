@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as cgamma, gammaln, kv
+from scipy.special import gamma as cgamma, gammaln, kv, polygamma
 
 from pathway_toolkit import melconv
 from pathway_toolkit.errors import ConvergenceError, DomainError
@@ -1190,6 +1191,40 @@ class TestNormalityTrend:
         (_, skew), = normality_trend([2], (2.0, 2.0), 100_000, seed=1)
         assert abs(skew) < 2.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shapes", [(2.0, 2.0), (1.5, 3.0), (0.5, 0.5)])
+    def test_against_cumulant_skewness(self, shapes, seed):
+        # k ln(beta) has cumulants k2 = k (psi'(a) - psi'(a+b)), k3 = k (psi''(a) - psi''(a+b));
+        # ten standard errors of a sample skewness of n normal draws
+        a, b = shapes
+        n = 50_000
+        for k, skew in normality_trend([2, 4, 8, 16], shapes, n, seed):
+            k2 = k * (polygamma(1, a) - polygamma(1, a + b))
+            k3 = k * (polygamma(2, a) - polygamma(2, a + b))
+            assert abs(skew - k3 / k2**1.5) <= 10 * math.sqrt(6 / n)
+
+    def test_each_count_reads_a_prefix_of_one_draw(self):
+        # row k - 1 of the running sum depends only on the first k rows of the draw
+        trend = dict(normality_trend([2, 4, 8, 16], (2.0, 3.0), 5_000, seed=4))
+        for k in (2, 4, 8, 16):
+            assert normality_trend([k], (2.0, 3.0), 5_000, seed=4) == [(k, trend[k])]
+
+    def test_unsorted_and_repeated_counts_keep_the_callers_order(self):
+        trend = dict(normality_trend([2, 4, 8], (2.0, 2.0), 5_000, seed=4))
+        got = normality_trend([8, 2, 8, 4], (2.0, 2.0), 5_000, seed=4)
+        assert got == [(k, trend[k]) for k in (8, 2, 8, 4)]
+
+    def test_peak_memory_is_one_draw(self):
+        # the log and the running sum are taken in place on the one (max k, n) array
+        n, k_max = 20_000, 16
+        tracemalloc.start()
+        try:
+            normality_trend([2, 4, 8, k_max], (2.0, 2.0), n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * k_max
+
     def test_k_validation(self):
         with pytest.raises(DomainError):
             normality_trend([1], (2.0, 2.0), 100, seed=0)
@@ -1201,12 +1236,17 @@ class TestNormalityTrend:
         with pytest.raises(DomainError):
             normality_trend([2, 4], shapes, 100, seed=0)
 
-    @pytest.mark.parametrize("n", [1, 0])
+    @pytest.mark.parametrize("n", [1, 0, math.nan, math.inf, 2.5])
     def test_needs_two_draws(self, n):
-        with pytest.raises(DomainError, match="n >= 2"):
+        with pytest.raises(DomainError, match=r"^a skewness needs a whole number n >= 2 of draws"):
             normality_trend([2, 4], (2.0, 2.0), n, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    def test_factor_count_not_a_whole_number_rejected(self, k):
+        with pytest.raises(DomainError, match=r"^factor counts must be whole numbers >= 2"):
+            normality_trend([2, k], (2.0, 2.0), 100, seed=0)
+
     def test_zero_draws_raise(self):
-        # at shapes (0.01, 0.01) two of these draws are exactly 0, whose log is -inf
-        with pytest.raises(DomainError, match=r"beta\(0\.01, 0\.01\) gave 2 draws of exactly 0"):
+        # at shapes (0.01, 0.01) seven of these draws are exactly 0, whose log is -inf
+        with pytest.raises(DomainError, match=r"beta\(0\.01, 0\.01\) gave 7 draws of exactly 0"):
             normality_trend([2, 4], (0.01, 0.01), 5000, seed=0)

@@ -346,6 +346,22 @@ class TestCdf:
                 ref = 1 - mpmath.betainc(q, p, 0, 1 / (1 + y), regularized=True)
                 assert abs(pathway_cdf(params, x) - float(ref)) <= 1e-15
 
+    def test_type2_past_the_double_range_keeps_its_values(self):
+        # y = scale x^delta is 0.024 and 1.2e205 at the first two points and inf past them,
+        # where the pdf and CDF take ln y = ln(scale) + delta ln x; an array call and
+        # scalar calls give the same pinned values
+        params = PathwayParams(2.949725445129931, -0.6044689220222419, 2.0608361069671406,
+                               0.05146842667025705, 0.3891387471336174)
+        x = np.array([0.5, 1e100, 1e160, 1e200, 1e300])
+        pdf = [0.014804889310696344, 4.086967444368346e-104, 4.617109647386475e-165,
+               1.0789869573842595e-205, 2.848598306819255e-307]
+        cdf = [0.018789768140747204, 0.9741066502291286, 0.9970747886628023,
+               0.9993163981101866, 0.9999819524492624]
+        assert pathway_pdf(params, x) == pytest.approx(pdf, rel=1e-15, abs=0)
+        assert pathway_cdf(params, x) == pytest.approx(cdf, rel=1e-15, abs=0)
+        assert [pathway_pdf(params, v) for v in x] == pytest.approx(pdf, rel=1e-15, abs=0)
+        assert [pathway_cdf(params, v) for v in x] == pytest.approx(cdf, rel=1e-15, abs=0)
+
     def test_heavy_tail_against_mpmath(self):
         # 1 - y/(1+y) must not round: the tail mass at 1e30 is still 4.7e-4
         params = PathwayParams(alpha=1.9, gamma=0.0, delta=1.0, a=1.0, eta=1.0)
