@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import (betainc, betainccinv, betaincinv, betaln, gammainc,
+from scipy.special import (betainc, betainccinv, betaincinv, betaln, digamma, gammainc,
                            gammaincinv, gammaln, loggamma)
 
 from .errors import ConvergenceError, DomainError, as_number, exp_or_inf
@@ -143,6 +143,7 @@ class _Law(NamedTuple):
     y_max: float
     q: Callable  # (p, e) -> q
     log_integral: Callable  # (p, q) -> ln of the integral of y^(p-1) k(y)
+    log_means: Callable  # (p, q, e) -> the digamma terms that sum to E ln y and to E ln k(y)
     log_kernel: Callable  # (e, y) -> ln k(y)
     cdf: Callable  # (p, q, y)
     quantile: Callable  # (p, q, u) -> y of CDF u, inf past the double range
@@ -172,13 +173,54 @@ def _beta2_cdf(p, q, y):
     return out
 
 
-_BETA1 = _Law(1.0, lambda p, e: e + 1, betaln, lambda e, y: e * np.log1p(-y),
+def _stirling_tail(z):
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2): seven terms of Stirling's series,
+    within 3e-17 from z = 10 on."""
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * (
+        1 / 1188 - w * (691 / 360360 - w / 156)))))) / z
+
+
+def _log_beta(p, q):
+    """ln B(p, q) for p, q > 0.  scipy's betaln keeps only a few 1e-15 absolute at small
+    shapes, about 1e-14 past 10 and eps (p + q) ln(p + q) past p + q = 171.6 (2e-9 at
+    (2.5, 1e6)).  Here, with p the smaller shape, ln B = ln Gamma(p) + ln Gamma(q) -
+    ln Gamma(p + q): the last two are shifted up by n to q + n >= 10 (a sum of log1p terms),
+    and there are Stirling's series differenced term by term in log1p form, as is ln Gamma(p)
+    from p = 10 on.  Within 5e-16 of 40-digit mpmath, relative to max(1, |ln B|), on 6000
+    log-uniform draws with p and q in [1e-3, 1e8]."""
+    p, q = min(p, q), max(p, q)
+    if not (p > 0 and q < math.inf):
+        return betaln(p, q)
+    if p >= 10:
+        return (0.5 * math.log(2 * math.pi / p) - p * math.log1p(q / p)
+                - (q - 0.5) * math.log1p(p / q) + _stirling_tail(p) + _stirling_tail(q)
+                - _stirling_tail(p + q))
+    n = max(0, math.ceil(10 - q))
+    terms = [math.log1p(p / (q + k)) for k in range(n)]
+    q = q + n  # ln Gamma(q) - ln Gamma(p + q) = -(q + p - 1/2) log1p(p / q) - p ln q + p + ...
+    return math.fsum([*terms, gammaln(p), -(q + p - 0.5) * math.log1p(p / q), -p * math.log(q), p,
+                      _stirling_tail(q), -_stirling_tail(p + q)])
+
+
+def _beta1_log_means(p, q, e):
+    psi_pq = digamma(p + q)
+    return (digamma(p), -psi_pq), (e * digamma(q), -e * psi_pq)
+
+
+def _beta2_log_means(p, q, e):  # 1/(1+y) is a type-1 beta(q, p)
+    psi_q = digamma(q)
+    return (digamma(p), -psi_q), (-e * digamma(p + q), e * psi_q)
+
+
+_BETA1 = _Law(1.0, lambda p, e: e + 1, _log_beta, _beta1_log_means, lambda e, y: e * np.log1p(-y),
               betainc, betaincinv, _beta1_moment)
 _GAMMA = _Law(math.inf, lambda p, e: math.inf, lambda p, q: gammaln(p),
+              lambda p, q, e: ((digamma(p),), (-p,)),
               lambda e, y: -y, lambda p, q, y: gammainc(p, y),
               lambda p, q, u: gammaincinv(p, u),
               lambda p, q, z, log_w: np.exp(loggamma(z) + (log_w - gammaln(p))))
-_BETA2 = _Law(math.inf, lambda p, e: e - p, betaln, lambda e, y: -e * np.log1p(y),
+_BETA2 = _Law(math.inf, lambda p, e: e - p, _log_beta, _beta2_log_means, lambda e, y: -e * np.log1p(y),
               _beta2_cdf, _beta2_quantile,
               lambda p, q, z, log_w: np.exp(
                   loggamma(z) + loggamma((p + q) - z) + (log_w - gammaln(p) - gammaln(q))))
@@ -201,6 +243,39 @@ class _PowerLaw(NamedTuple):
     @property
     def norm_const(self) -> float:
         return exp_or_inf(self.log_c)
+
+    def log_power_integral(self, s: float) -> tuple[float, float]:
+        """ln of the integral of f^b at b = 1 + s, f this law's density, and the sum of the
+        magnitudes of the terms whose correctly rounded sum it is.  f^b is C^b / C' times the
+        density of this row with kernel k^b (exponent b e, or scale b scale on the gamma row),
+        so the log is b ln C - ln C', taken here as s ln delta + (s / delta) ln scale
+        - p' ln(scale' / scale) - b ln I + ln I', with I the row's integral, which does not
+        cancel in the constants' own terms as s -> 0.  A DomainError names the integral of
+        f^b where that law does not exist on doubles, b <= 0 on an unbounded row among them."""
+        b = 1.0 + s
+        if not b > 0 and self.row.y_max == math.inf:
+            raise DomainError(f"the integral of f^{b!r} diverges on the unbounded support")
+        e, scale = (self.e, b * self.scale) if self.row is _GAMMA else (b * self.e, self.scale)
+        try:
+            power = _power_law(self.row, e, scale, self.delta, b * self.gamma)
+        except DomainError as err:
+            raise DomainError(f"the integral of f^{b!r} does not exist on doubles: {err}") from None
+        value, size = _sum_and_size(
+            s * math.log(self.delta), s / self.delta * math.log(self.scale),
+            -power.p * math.log(power.scale / self.scale),
+            -b * self.row.log_integral(self.p, self.q), self.row.log_integral(power.p, power.q))
+        return value, size + b + 1  # I and I' are each good to a few eps relative
+
+    def shannon(self) -> tuple[float, float]:
+        """-integral f ln f, f this law's density, and the sum of the magnitudes of the terms
+        whose correctly rounded sum it is: -ln delta - ln(scale) / delta + ln I
+        - (gamma / delta) E ln y - E ln k(y), with the row's digamma terms for the means."""
+        w = self.gamma / self.delta
+        ln_y, ln_k = self.row.log_means(self.p, self.q, self.e)
+        value, size = _sum_and_size(-math.log(self.delta), -math.log(self.scale) / self.delta,
+                                    self.row.log_integral(self.p, self.q),
+                                    *(-w * t for t in ln_y), *(-t for t in ln_k))
+        return value, size + 1  # I is good to a few eps relative
 
     @property
     def strip(self) -> tuple[float, float]:
@@ -276,6 +351,13 @@ class _PowerLaw(NamedTuple):
                 log_y[tail] = (self._log_tail() - np.log1p(-u[far][tail])) / self.q
                 x[far] = np.exp((log_y - math.log(self.scale)) / self.delta)
         return x
+
+
+def _sum_and_size(*terms) -> tuple[float, float]:
+    """The correctly rounded sum of the terms and the sum of their magnitudes, by which eps
+    bounds the sum's rounding; nan and inf where that is not finite."""
+    size = sum(map(abs, terms))
+    return (math.fsum(terms), size) if size < math.inf else (math.nan, math.inf)
 
 
 def _power_law(row: _Law, e: float, scale: float, delta: float, gamma: float) -> _PowerLaw:

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, exp_or_inf
-from .melconv import _pathway_row, _power_law, _shape_values, integrate_halfline
+from .melconv import (_EPS, _PowerLaw, _pathway_row, _power_law, _shape_values,
+                      integrate_halfline)
+
+_CLOSED_FORM_TOL = 1e-13  # a closed-form entropy's rounding bound, relative to its value
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,9 @@ def pathway_pdf(params: PathwayParams, x):
     """Density at x (scalar or array); zero outside the support.
 
     The bracket is evaluated through log1p, so the kernel does not cancel as
-    alpha -> 1.  Near there the constant is only as good as scipy's betaln(p, q)
-    at q ~ eta/|1-alpha|: about 2e-11 relative at |1-alpha| = 1e-4.  At x = 0
-    it is 0 for gamma > 0, the normalizing constant for gamma = 0, inf for gamma < 0.
+    alpha -> 1; nor does the constant, whose ln B(p, q) at q ~ eta/|1-alpha| is
+    Stirling's series differenced term by term.  At x = 0 it is 0 for gamma > 0,
+    the normalizing constant for gamma = 0, inf for gamma < 0.
     """
     return params._law.pdf(x)
 
@@ -150,19 +153,28 @@ class DensityFn:
     ``fn`` maps arrays to densities, 0 off the support (a scalar-only callable still
     works); the entropies need it smooth inside the support.  Mass one lets their
     integrands be f^(..) - f: less cancellation, and uniform densities give 0.
+
+    ``law`` is the pathway law behind ``fn``, set by ``pathway_density`` only.  The
+    entropies take their closed forms from it, and integrate ``fn`` where it is None
+    or where a closed form's rounding would miss 1e-13 relative.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
+    law: _PowerLaw | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
 
 
 def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
+    """1 / (hi - lo) on [lo, hi], for finite ends whose width and its reciprocal are doubles."""
     if not hi > lo:
         raise DomainError(f"empty support [{lo}, {hi}]")
     h = 1.0 / (hi - lo)
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < h < math.inf):
+        raise DomainError(f"uniform_density needs finite ends with a width and density that "
+                          f"fit a double, got [{lo}, {hi}]")
     return DensityFn(lambda x: h * ((lo <= x) & (x <= hi)), (lo, hi))
 
 
@@ -171,7 +183,7 @@ def unit_exponential_density() -> DensityFn:
 
 
 def pathway_density(params: PathwayParams) -> DensityFn:
-    return DensityFn(lambda x: pathway_pdf(params, x), pathway_support(params))
+    return DensityFn(lambda x: pathway_pdf(params, x), pathway_support(params), params._law)
 
 
 def _vectorized(fn, probe: np.ndarray):
@@ -214,15 +226,36 @@ def _entropy_integral(f: DensityFn, h: Callable) -> float:
     return integrate_halfline(integrand)[0]
 
 
+def _rounds_within_tol(size: float, value: float) -> bool:
+    """Whether a closed form's rounding bound, eps * size, is within 1e-13 of value, relative
+    (false for nan)."""
+    return _EPS * size <= _CLOSED_FORM_TOL * abs(value)
+
+
 def _power_integral(f: DensityFn, s: float) -> float:
-    """integral of f^(1+s) - f over the support, as f expm1(s ln f), which keeps its digits
-    as s -> 0 (the entropies' orders -> 1), where f^(1+s) - f cancels."""
+    """integral of f^(1+s) - f over the support.  For a law it is e^L - 1, L the closed-form
+    log of the integral of f^(1+s), where the rounding bound of L, with eps |L / s| for the
+    rounding of 1 + s, moves e^L - 1 by less than 1e-13 relative.  Else it is integrated as
+    f expm1(s ln f), which keeps its digits as s -> 0 (the entropies' orders -> 1), where
+    f^(1+s) - f cancels."""
+    if f.law is not None:
+        log_int, size = f.law.log_power_integral(s)
+        if log_int < 709:  # e^L passes the double range at L = 709.8
+            value = math.expm1(log_int)  # an error d in L moves it by d e^L
+            if _rounds_within_tol((size + abs(log_int / s)) * math.exp(log_int), value):
+                return value
     return _entropy_integral(f, lambda v: v * np.expm1(s * np.log(v)))
 
 
 def havrda_charvat_entropy(f: DensityFn, alpha: float) -> float:
     """Alpha-generalized entropy with the binary-exponent denominator
-    (integral f^alpha - 1) / (2^(1-alpha) - 1), for finite alpha; alpha = 1 is excluded."""
+    (integral f^alpha - 1) / (2^(1-alpha) - 1), for finite alpha; alpha = 1 is excluded.
+
+    For a pathway law the integral is the closed form e^L - 1, L = alpha ln C - ln C',
+    with C' the constant of f^alpha's own law; a DomainError names the integral where it
+    diverges (alpha <= 0 on an unbounded support among others).  Orders near 1, where the
+    rounding of L is not within 1e-13 of it (|alpha - 1| below about 7e-3 for e^-x), and
+    densities without a law take the quadrature."""
     if alpha == 1:
         raise DomainError(
             "alpha = 1 is the Shannon limit; call shannon_entropy instead"
@@ -233,12 +266,24 @@ def havrda_charvat_entropy(f: DensityFn, alpha: float) -> float:
 
 
 def shannon_entropy(f: DensityFn) -> float:
-    """-integral f ln f over the support (natural log)."""
+    """-integral f ln f over the support (natural log).
+
+    For a pathway law it is -ln C - gamma E ln x - E ln k(y), whose log-means are digamma
+    terms of the law row's p and q; a density without a law, or a law whose terms cancel
+    past 1e-13 of the sum, takes the quadrature."""
+    if f.law is not None:
+        value, size = f.law.shannon()
+        if _rounds_within_tol(size, value):
+            return value
     return _entropy_integral(f, lambda v: -v * np.log(v))
 
 
 def mathai_entropy(f: DensityFn, alpha: float) -> float:
-    """(integral f^(2-alpha) - 1) / (alpha - 1) for finite alpha != 1, alpha < 2."""
+    """(integral f^(2-alpha) - 1) / (alpha - 1) for finite alpha != 1, alpha < 2.
+
+    The integral is taken as for ``havrda_charvat_entropy``, at order 2 - alpha: in closed
+    form for a pathway law, with a DomainError where it diverges, and by quadrature for
+    orders near 1 and for densities without a law."""
     if alpha == 1 or not -math.inf < alpha < 2:
         raise DomainError(
             f"mathai_entropy requires a finite alpha != 1 and alpha < 2, got {alpha}"

@@ -8,13 +8,16 @@ seed changed, to miss a fault: a fault it finds is mended in the code.
 """
 
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from pathway_toolkit.errors import ConvergenceError
+from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.melconv import ProductSpec, builtin_density, product_moment_density
+from pathway_toolkit.pathway import (PathwayParams, havrda_charvat_entropy, mathai_entropy,
+                                     pathway_density, shannon_entropy)
 
 # ---------------------------------------------------------------------------
 # mellin_invert on two-factor products and ratios of the stock kinds
@@ -126,3 +129,96 @@ def test_mellin_invert_is_within_target_or_raises_with_a_covering_bound(draw):
             assert missed <= err.bound, f"{where}: bound {err.bound} misses {missed}"
         else:
             assert abs(g - truth) <= 1e-8 * (1 + abs(truth)), f"{where}: {g} against {truth}"
+
+
+# ---------------------------------------------------------------------------
+# the three entropies of pathway laws, against the laws' closed forms in mpmath
+
+_ENTROPY_ORDERS = (0.05, 0.5, 1.2, 1.5, 1.95)
+
+
+def _draw_pathway_law(rng):
+    """Five pathway parameters, a third of them at alpha = 1, that make a density."""
+    while True:
+        alpha = (rng.uniform(0.05, 1.0), 1.0, rng.uniform(1.0, 3.0))[rng.integers(3)]
+        five = (alpha, rng.uniform(-0.95, 3.0), 10 ** rng.uniform(-0.5, 0.5),
+                10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 0.5))
+        try:
+            return PathwayParams(*five)
+        except DomainError:
+            continue
+
+
+def _mp_pathway_row(params, b):
+    """(row, p, q, e, scale, delta) of the law of f^b for f of these five, b = 1 for f's own:
+    row 1, 0 or 2 for the type-1 beta, gamma and type-2 beta; None where f^b has no finite
+    integral."""
+    alpha, g, d, a, eta = (mpmath.mpf(v) for v in astuple(params))
+    p = (b * g + 1) / d
+    if alpha == 1:
+        row, e, q, scale = 0, None, None, b * a * eta
+    else:
+        scale, e = a * abs(1 - alpha), b * eta / abs(1 - alpha)
+        row, q = (1, e + 1) if alpha < 1 else (2, e - p)
+    if p <= 0 or (q is not None and q <= 0) or (b <= 0 and row != 1):
+        return None
+    return row, p, q, e, scale, d
+
+
+def _mp_log_c(row, p, q, e, scale, d):
+    log_i = mpmath.loggamma(p) if row == 0 else mpmath.log(mpmath.beta(p, q))
+    return mpmath.log(d) + p * mpmath.log(scale) - log_i
+
+
+def _mp_closed_entropy(params, functional, order):
+    """The functional in closed form at 30 digits; None where its integral diverges."""
+    with mpmath.workdps(30):
+        law = _mp_pathway_row(params, mpmath.mpf(1))
+        if functional == "shannon":
+            row, p, q, e, scale, d = law
+            psi = mpmath.digamma
+            ln_y, ln_k = ((psi(p), -p) if row == 0 else
+                          (psi(p) - psi(p + q), e * (psi(q) - psi(p + q))) if row == 1 else
+                          (psi(p) - psi(q), -e * (psi(p + q) - psi(q))))
+            g = mpmath.mpf(params.gamma)
+            return -_mp_log_c(*law) - g * (ln_y - mpmath.log(scale)) / d - ln_k
+        order = mpmath.mpf(order)
+        b = order if functional == "havrda_charvat" else 2 - order
+        power = _mp_pathway_row(params, b)
+        if power is None:
+            return None
+        integral = mpmath.expm1(b * _mp_log_c(*law) - _mp_log_c(*power))
+        if functional == "havrda_charvat":
+            return integral / mpmath.expm1((1 - order) * mpmath.log(2))
+        return integral / (order - 1)
+
+
+_ENTROPY_DRAWS = 100
+
+
+@pytest.mark.parametrize("draw", range(_ENTROPY_DRAWS))
+def test_entropies_are_within_target_or_raise(draw):
+    rng = np.random.default_rng([20261020, 1, draw])
+    params = _draw_pathway_law(rng)
+    f = pathway_density(params)
+    cases = [("shannon", None)] + [(functional, order) for functional in
+                                   ("havrda_charvat", "mathai") for order in _ENTROPY_ORDERS]
+    for functional, order in cases:
+        truth = _mp_closed_entropy(params, functional, order)
+        where = f"{functional} at order {order} of {params}"
+        entropy = {"shannon": lambda f, _: shannon_entropy(f),
+                   "havrda_charvat": havrda_charvat_entropy, "mathai": mathai_entropy}[functional]
+        if truth is None:
+            with pytest.raises(DomainError, match="integral of f"):
+                entropy(f, order)
+            continue
+        truth = float(truth)
+        try:
+            value = entropy(f, order)
+        except ConvergenceError as err:  # the quadrature's partial and bound are the integral's
+            scale = 1.0 if functional == "shannon" else (
+                order - 1 if functional == "mathai" else math.expm1((1 - order) * math.log(2)))
+            missed = math.inf if err.partial is None else abs(err.partial / scale - truth)
+            assert missed <= err.bound / abs(scale), f"{where}: bound {err.bound} misses {missed}"
+        else:
+            assert abs(value - truth) <= 1e-13 * abs(truth), f"{where}: {value} against {truth}"

@@ -31,6 +31,22 @@ from pathway_toolkit.melconv import (
 from pathway_toolkit.pathway import PathwayParams, pathway_pdf
 
 
+class TestLogBeta:
+    def test_against_40_digit_references(self):
+        # log-uniform shapes from 1e-3 to 1e8: the shifted and Stirling branches and their seams
+        rng = np.random.default_rng(2026)
+        for p, q in zip(10 ** rng.uniform(-3, 8, 300), 10 ** rng.uniform(-3, 8, 300)):
+            with mpmath.workdps(40):
+                ref = mpmath.log(mpmath.beta(p, q))
+            assert abs(melconv._log_beta(p, q) - float(ref)) <= 1e-15 * max(1.0, abs(float(ref)))
+
+    @pytest.mark.parametrize("p, q", [(2.5, 1e6), (0.5, 1e3), (12.0, 10.0), (10.0, 9.99)])
+    def test_where_betaln_loses_digits(self, p, q):
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.beta(p, q)))
+        assert abs(melconv._log_beta(p, q) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
 class TestBuiltins:
     def test_uniform_moment(self):
         u = builtin_density("uniform01")
