@@ -36,6 +36,7 @@ _INVERT_TOL = 1e-8  # inversion target: absolute error 1e-8 (1 + |g|)
 _HL_S_MIN = -700.0
 _HL_PROBE = np.concatenate([-(2.0 ** np.arange(39, -1, -1)), [0.0], 2.0 ** np.arange(40)])
 _HL_BLOCK = 1 << 16  # most nodes in one integrand call, rows x nodes
+_PEAK_NEWTON = 4  # Newton steps towards the Kratzel peak from t = 0
 _DBL_MAX = np.finfo(float).max
 _EPS = np.finfo(float).eps
 
@@ -746,7 +747,7 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
 # ---------------------------------------------------------------------------
 # improper integrals on the positive half line
 
-def integrate_halfline(integrand, *columns, log_bound=None):
+def integrate_halfline(integrand, *columns, log_bound=None, start=None):
     """integral over all t of exp(log_m) w, one per row of the parameter ``columns``
     (numbers, or arrays of one broadcast shape; none for a single integral), where
     ``integrand(t, *cols)`` gives (log_m, w) on a (rows, nodes) array t, each column cut to
@@ -767,21 +768,27 @@ def integrate_halfline(integrand, *columns, log_bound=None):
     the probe finds no peak, ``log_bound(*cols)`` (those rows' columns) may give the logs of
     bounds L <= integral <= B: a row whose B underflows is 0 with error 0, one whose L
     overflows is inf with error inf, and the others carry B as their bound.
+
+    Each row's probe starts at centre 0 with step 1/2, or where ``start(*cols)`` (a group of
+    rows' columns, as for ``log_bound``) gives a finite centre and step for the row, there:
+    a start near the peak saves the sweeps that move onto it.  The probe's rules and the
+    trapezoid levels are the same from any start, so the value still rests on the probe's
+    stop test and the trapezoid agreement test, and a poor start costs sweeps.
     """
     cols, shaped = _columns(*columns)
     n = cols[0].size if cols else 1
     value, err = np.empty(n), np.empty(n)
     group = _HL_BLOCK // _HL_PROBE.size  # rows per probe call
     with np.errstate(all="ignore"):
-        for start in range(0, n, group):
-            fault = _halfline_rows(integrand, cols, np.arange(start, min(n, start + group)),
-                                   log_bound, value, err)
+        for first in range(0, n, group):
+            fault = _halfline_rows(integrand, cols, np.arange(first, min(n, first + group)),
+                                   log_bound, start, value, err)
             if fault is not None:
                 raise fault
     return shaped(value), shaped(err)
 
 
-def _halfline_rows(integrand, cols, rows, log_bound, value, err):
+def _halfline_rows(integrand, cols, rows, log_bound, start, value, err):
     """integrate_halfline on ``rows``: fills their value and err, and gives the first
     failing row's ConvergenceError (None where none fails)."""
 
@@ -797,6 +804,10 @@ def _halfline_rows(integrand, cols, rows, log_bound, value, err):
     # the probe: move onto the peak, then zoom in; a row keeps the sweep it stops at
     k = rows.size
     c, d, live, i = np.zeros(k), np.full(k, 0.5), np.arange(k), np.arange(k)
+    if start is not None:  # a row whose start is not finite keeps (0, 1/2)
+        c0, d0 = start(*(col[rows] for col in cols))
+        ok = np.isfinite(c0) & np.isfinite(d0)
+        c, d = np.where(ok, c0, c), np.where(ok, d0, d)
     s_at, v_at, top, d_at = np.empty((k, 81)), np.empty((k, 81)), np.empty(k, int), np.empty(k)
     for _ in range(100):
         s = np.maximum(c[:, None] + d[:, None] * _HL_PROBE, _HL_S_MIN)
@@ -989,56 +1000,122 @@ def _kratzel_integrand(t, gamma, a, y, alpha, beta):
     return (gamma + 1.0) * t - a * np.exp(alpha * t) - tail, 1.0
 
 
+def _kratzel_phi(t, gamma, log_a, log_y, alpha, beta):
+    """phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t), the log of ``_kratzel_integrand``,
+    with phi' and phi'', from ln a and ln y (-inf for a term that is 0); each exponential
+    is formed in logs, so it is finite wherever its term is."""
+    ea, ey = np.exp(log_a + alpha * t), np.exp(log_y - beta * t)
+    return ((gamma + 1.0) * t - ea - ey, (gamma + 1.0) - alpha * ea + beta * ey,
+            -alpha * alpha * ea - beta * beta * ey)
+
+
+def _kratzel_peak(gamma, a, y, alpha, beta, close=False):
+    """The maximiser t* of phi (``_kratzel_phi``) on each row of the columns of
+    ``_kratzel_integrand``, after _PEAK_NEWTON Newton steps from t = 0; with ``close``, a
+    bracket (lo, hi) of adjacent doubles around it, with an infinite end where t* is past
+    the double range.
+
+    With P = a alpha e^(alpha t), plus y |beta| e^(|beta| t) where beta < 0, the growing part
+    of -phi', and N = y beta e^(-beta t) where beta > 0, its decaying part, phi' =
+    (gamma+1) + N - P has the sign of G(t) = ln(N + max(0, gamma+1)) - ln(P + max(0, -gamma-1)),
+    taken in logs, so no term overflows.  G falls with a slope in [m, alpha + |beta|], m the
+    smallest rate in P where gamma + 1 >= 0 and beta otherwise, so t* lies within |G(t)|/m of
+    any t, on the side where G has the other sign, and a Newton step stays within that bound
+    (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM 2007, on locating the
+    peak before quadrature).  To close, each step tries two points on each row: the Newton step
+    from the point with the smaller |G|, and that point's bound widened by G's rounding; lo
+    keeps G >= 0 and hi G <= 0, and a point not strictly between them is their midpoint."""
+    g1, rate, neg = gamma + 1.0, np.abs(beta), beta < 0
+    log_a, log_y = np.log(a * alpha), np.log(y * rate)
+    # P's second part is the y term where beta < 0 (there gamma > -1), else max(0, -(gamma+1))
+    log_q, q_rate = np.where(neg, log_y, np.log(np.maximum(-g1, 0.0))), np.where(neg, rate, 0.0)
+    log_n, log_n0 = np.where(neg, -np.inf, log_y), np.log(np.maximum(g1, 0.0))
+
+    def log_g(t):  # G, its slope, and ln(P + ...) and ln(N + ...)
+        ea, en = log_a + alpha * t, log_n - beta * t
+        lp, ln = np.logaddexp(ea, log_q + q_rate * t), np.logaddexp(en, log_n0)
+        slope = q_rate + (alpha - q_rate) * np.exp(ea - lp) + beta * np.exp(en - ln)
+        return ln - lp, -slope, lp, ln
+
+    t = np.zeros(gamma.shape)
+    for _ in range(_PEAK_NEWTON):
+        g, slope, _, _ = log_g(t)
+        t = t - g / slope
+    if not close:
+        return t
+    m = np.where(g1 < 0, beta,
+                 np.where(a == 0, rate, np.where(neg, np.minimum(alpha, rate), alpha)))
+    lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
+    t = np.stack([t, np.zeros_like(t)])  # 0 too, in case the Newton steps went astray
+    for _ in range(200):
+        g, slope, lp, ln = log_g(t)
+        inside = (lo < t) & (t < hi)
+        lo = np.maximum(lo, np.where(inside & (g >= 0), t, -np.inf).max(0))
+        hi = np.minimum(hi, np.where(inside & (g <= 0), t, np.inf).min(0))
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # points within G's rounding may cross
+        if not (np.nextafter(lo, np.inf) < hi).any():
+            break
+        noise = 4.0 * _EPS * (np.abs(lp) + np.abs(ln) + 2.0 * np.abs(t) * (alpha + rate))
+        best = np.abs(g).argmin(0)[None]
+        tb, gb, sb, nb = (np.take_along_axis(col, best, 0)[0] for col in (t, g, slope, noise))
+        t = np.array([tb - gb / sb, tb + (gb + np.copysign(nb, gb)) * 1.125 / m])
+        t = np.where((lo < t) & (t < hi), t, 0.5 * lo + 0.5 * hi)
+    return lo, hi
+
+
+def _kratzel_start(gamma, a, y, alpha, beta):
+    """The probe's start (c, d) on each row: c near the maximiser of the probe's function
+    v(s) = phi(s - e^-s) + ln(1 + e^-s), and d = 1 / (2 sqrt|v''|) clipped to [1/64, 1/2],
+    so that the probe's neighbours of c lie about 1/8 below it.  s solves s - e^-s = t*
+    (``_kratzel_peak``) by Newton steps from below, which do not overshoot on this concave
+    map, and one Newton step on v' moves it towards v's peak."""
+    t = _kratzel_peak(gamma, a, y, alpha, beta)
+    s = np.where(t > 0, t, -np.log1p(-np.minimum(t, 0.0)))
+    for _ in range(3):
+        e = np.exp(-s)
+        s = s - (s - e - t) / (1.0 + e)
+    e = np.exp(-s)
+    q = 1.0 + e
+    _, d1, d2 = _kratzel_phi(s - e, gamma, np.log(a), np.log(y), alpha, beta)
+    v1, v2 = d1 * q - e / q, (d2 * q - d1 * e) * q + e / (q * q)
+    return s - np.where(v2 < 0, v1 / v2, 0.0), np.clip(0.5 / np.sqrt(np.abs(v2)), 1.0 / 64, 0.5)
+
+
 def _kratzel_log_bound(gamma, a, y, alpha, beta):
     """(ln L, ln B), bounds L <= integral of e^phi <= B, for the rows whose probe finds no peak.
 
-    phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t) is concave, so it lies below
-    its tangents.  With its maximiser t* in [lo, hi], where phi'(lo) > 0 > phi'(hi),
-    the tangents at lo - 1 and hi + 1 bound the two tails, the tangent at lo bounds
-    phi(t*), and
-    B = e^(phi(lo) + phi'(lo) (hi - lo)) (hi - lo + 2 + 1/phi'(lo - 1) + 1/|phi'(hi + 1)|).
-    Doubling steps find the bracket and bisection closes it to adjacent doubles (Newton
-    steps on an exponential flank move about 1/alpha each); ln B is inf where that fails.
-    On [lo - 1, hi + 1] phi is at least its smaller end value, so
-    L = (hi - lo + 2) e^min(phi(lo - 1), phi(hi + 1)), each end value less a few eps times
-    the size of its terms, an exponential's scaled by the size of its exponent."""
+    phi (``_kratzel_phi``) is concave, so it lies below its tangents.  With its maximiser
+    t* in [lo, hi] (``_kratzel_peak``, closed to adjacent doubles), the tangents at lo - 1
+    and hi + 1 bound the two tails, the tangent at lo bounds phi(t*), and
+    B = e^(phi(lo) + phi'(lo) (hi - lo)) (hi - lo + 2 + 1/phi'(lo - 1) + 1/|phi'(hi + 1)|);
+    ln B is inf where the bracket has an infinite end.  On [lo - 1, hi + 1] phi is at least
+    its smaller end value, so L = (hi - lo + 2) e^min(phi(lo - 1), phi(hi + 1)), each end
+    value less a few eps times the size of its terms, an exponential's scaled by the size
+    of its exponent."""
+    log_a, log_y = np.log(a), np.log(y)  # ln 0 = -inf: no such term
 
-    log_a, log_y = np.log(a), np.log(y)  # ln 0 = -inf: no y term
-
-    def phi(t, order=0):  # phi or phi'; a term's factors meet in its exponent
-        ea = np.exp(log_a + alpha * t + order * np.log(alpha))
-        ey = np.exp(log_y - beta * t + order * np.log(np.abs(beta))) * np.sign(-beta) ** order
-        return (gamma + 1.0) * (t if order == 0 else 1.0) - ea - ey
+    def phi(t):
+        return _kratzel_phi(t, gamma, log_a, log_y, alpha, beta)
 
     def phi_low(t):  # phi(t) less a bound on its rounding; a term that is 0 has none
         size = np.abs((gamma + 1.0) * t)
         for log_c, rate in ((log_a, alpha * t), (log_y, -beta * t)):
             term = np.exp(log_c + rate)
             size = size + np.where(term == 0, 0.0, term * (2.0 + np.abs(log_c) + np.abs(rate)))
-        return phi(t) - 4.0 * _EPS * size
+        return phi(t)[0] - 4.0 * _EPS * size
 
-    lo, hi = np.full(gamma.shape, -1.0), np.full(gamma.shape, 1.0)
-    for _ in range(1100):  # past the double range: phi' is +inf at -inf and -inf at inf
-        left, right = phi(lo, 1) <= 0, phi(hi, 1) >= 0
-        if not (left | right).any():
-            break
-        lo, hi = np.where(left, 2.0 * lo, lo), np.where(right, 2.0 * hi, hi)
-    for _ in range(2200):
-        mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
-            break
-        up = phi(mid, 1) > 0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    lo, hi = _kratzel_peak(gamma, a, y, alpha, beta, close=True)
     width = hi - lo
-    log_b = (phi(lo) + phi(lo, 1) * width
-             + np.log(width + 2.0 + 1.0 / phi(lo - 1.0, 1) - 1.0 / phi(hi + 1.0, 1)))
+    at_lo = phi(lo)
+    log_b = (at_lo[0] + at_lo[1] * width
+             + np.log(width + 2.0 + 1.0 / phi(lo - 1.0)[1] - 1.0 / phi(hi + 1.0)[1]))
     log_l = np.minimum(phi_low(lo - 1.0), phi_low(hi + 1.0)) + np.log(width + 2.0)
     return log_l, np.where(np.isnan(log_b), math.inf, log_b)
 
 
 def _kratzel_quadrature(gamma, a, y, alpha, beta):
     return integrate_halfline(_kratzel_integrand, *_kratzel_columns(gamma, a, y, alpha, beta),
-                              log_bound=_kratzel_log_bound)
+                              log_bound=_kratzel_log_bound, start=_kratzel_start)
 
 
 def _validate_kratzel(gamma, a, y, alpha, beta, route):

@@ -1079,7 +1079,7 @@ class TestHalflineBatch:
 
     @pytest.mark.parametrize("bad", ["convergence_first", "domain_first"])
     def test_failing_row_raises_the_loops_first_error(self, bad):
-        # the second row's trapezoid sums still differ by 9e-9 at 65 536 nodes
+        # the second row's trapezoid sums still differ by 1.6e-9 at 65 536 nodes
         rows = [(0.0, 1.0, 1.0, 1.0, 1.0), (-1.33, 4.08e-274, 6.92e-66, 4.11, 18.0),
                 (0.0, -1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 0.5, 1.0, 1.0)]
         if bad == "domain_first":
@@ -1156,6 +1156,76 @@ class TestHalflineBatch:
         val, err = kratzel_g2_with_error(*rows)
         assert val == pytest.approx([2.0 * kv(1, 2.0), math.inf, 0.25], rel=1e-13)
         assert err[1] == math.inf and (err[::2] < 1e-14).all()
+
+
+def _sweep_grid():
+    """``param_sweeps``' reaction-rate and Kratzel grid shape: a = linspace(0.3, 3, 10) by
+    b (or y) in {0.5, 1, 2, 3}, at gamma = 0.5."""
+    a, b = np.meshgrid(np.linspace(0.3, 3.0, 10), [0.5, 1.0, 2.0, 3.0], indexing="ij")
+    return 0.5, a.ravel(), b.ravel()
+
+
+class TestKratzelPeak:
+    """Kratzel rows start the half-line probe at their analytic peak."""
+
+    @pytest.mark.parametrize("f", [reaction_rate_with_error, kratzel_g2_with_error])
+    def test_a_sweep_grid_takes_one_probe_sweep(self, f, monkeypatch):
+        # from the probe's default start, (0, 1/2), these grids took 6 and 5 sweeps
+        sweeps, kratzel = [], melconv._kratzel_integrand
+
+        def integrand(t, *c):
+            if t.shape[1] == melconv._HL_PROBE.size:
+                sweeps.append(t.shape[0])
+            return kratzel(t, *c)
+
+        monkeypatch.setattr(melconv, "_kratzel_integrand", integrand)
+        f(*_sweep_grid())
+        assert sweeps == [40]
+
+    @pytest.mark.parametrize("wrong", ["far_and_fine", "nan"])
+    def test_a_wrong_start_keeps_the_values(self, wrong, monkeypatch):
+        gamma, a, b = _sweep_grid()
+        cols = [np.concatenate(c) for c in zip(
+            _mixed_grid(7), (np.full(a.size, gamma), a, b, np.ones(a.size), np.full(a.size, 0.5)))]
+        value, err = kratzel_g2_with_error(*cols)
+        start = melconv._kratzel_start
+
+        def wrong_start(*c):
+            centre, step = start(*c)
+            if wrong == "nan":
+                return np.full_like(centre, np.nan), step
+            return centre + 5.0, np.full_like(step, 1e-3)
+
+        monkeypatch.setattr(melconv, "_kratzel_start", wrong_start)
+        moved, moved_err = kratzel_g2_with_error(*cols)
+        assert (np.abs(moved - value) <= err + moved_err).all()
+
+    def test_bracket_is_adjacent_doubles_around_the_40_digit_peak(self):
+        # the fuzz domain of the half-line faults, with a quarter of the rows at beta < 0
+        rng = np.random.default_rng(11)
+        n = 100
+        g, a, y = rng.uniform(-3, 3, n), 10 ** rng.uniform(-300, 300, n), 10 ** rng.uniform(-300, 300, n)
+        alpha, beta = rng.uniform(0.1, 10, n), rng.uniform(0.1, 25, n) * np.where(np.arange(n) % 4, 1, -1)
+        cols = melconv._kratzel_columns(np.where(beta < 0, np.abs(g), g), a, y, alpha, beta)
+        with np.errstate(all="ignore"):
+            lo, hi = melconv._kratzel_peak(*cols, close=True)
+        assert (np.nextafter(lo, np.inf) >= hi).all()
+        with mpmath.workdps(40):
+            for row, left, right in zip(zip(*cols), lo, hi):
+                g1, a, y, alpha, beta = (mpmath.mpf(v) for v in (row[0] + 1, *row[1:]))
+                # phi' = (gamma+1) - a alpha e^(alpha t) + y beta e^(-beta t): its growing
+                # and falling parts, each with the constant of its sign, compared in logs
+                terms = [(a * alpha, alpha), (y * abs(beta), -beta)]
+
+                def log_ratio(t):
+                    grow = sum(c * mpmath.exp(r * t) for c, r in terms if r > 0) + max(0, -g1)
+                    fall = sum(c * mpmath.exp(r * t) for c, r in terms if r < 0) + max(0, g1)
+                    return mpmath.log(fall) - mpmath.log(grow)
+
+                peak = mpmath.findroot(log_ratio, (mpmath.mpf(left) - 1, mpmath.mpf(right) + 1),
+                                       solver="anderson")
+                slack = 2e-14 * (1 + abs(peak))
+                assert left - slack <= peak <= right + slack
 
 
 class TestRandomVolume:
