@@ -4,6 +4,8 @@ One subcommand per computational area; scalar queries print a single decimal,
 tabulations print CSV with a header row, and the spiral subcommand emits SVG.
 Exit codes: 0 success, 1 domain, convergence, file or memory failure, 2 usage error.
 Output files are only created after the computation has fully succeeded.
+Each handler imports the numerical module it calls, so a call loads only
+what its subcommand needs: phyllo, corr, anova and volume load no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import designstats, melconv, pathway, phyllotaxis, specfun
 from .errors import ConvergenceError, DomainError, as_number
 
 _ENV_SEED = "PATHWAY_TOOLKIT_SEED"
@@ -87,14 +88,19 @@ def write_table(header: list[str], rows, path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each takes the parsed namespace and returns the output text)
+# subcommand handlers (each takes the parsed namespace, imports the module it
+# calls, and returns the output text)
 
 def _run_ml(ns) -> str:
+    from . import specfun
+
     params = specfun.MLParams(ns.alpha, ns.beta, ns.gamma, ns.uppers, ns.lowers)
     return _fmt(specfun.mittag_leffler(ns.x, params)) + "\n"
 
 
 def _run_pathway(ns) -> str:
+    from . import pathway
+
     if ns.params is not None:
         params = _read(ns.params, pathway.PathwayParams.from_json)
     else:
@@ -129,6 +135,8 @@ def _tabulate(axes, header: list[str], evaluate, fixed=()) -> str:
 
 
 def _run_ratecalc(ns) -> str:
+    from . import melconv
+
     return _tabulate(
         [ns.gamma, ns.a, ns.b],
         ["gamma", "a", "b", "value", "abs_err_estimate"],
@@ -138,6 +146,8 @@ def _run_ratecalc(ns) -> str:
 
 
 def _run_kratzel(ns) -> str:
+    from . import melconv
+
     al, be = ns.alpha, ns.beta
     return _tabulate(
         [ns.gamma, ns.a, ns.y],
@@ -147,7 +157,9 @@ def _run_kratzel(ns) -> str:
     )
 
 
-def _parse_product_spec(path: str) -> melconv.ProductSpec:
+def _parse_product_spec(path: str):
+    from . import melconv
+
     doc = _read(path, json.loads)
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: the spec must be a JSON object")
@@ -177,12 +189,16 @@ def _parse_product_spec(path: str) -> melconv.ProductSpec:
 
 
 def _run_melconv(ns) -> str:
+    from . import melconv
+
     dens = melconv.product_moment_density(_parse_product_spec(ns.spec))
     # the whole grid is one batched inversion
     return _tabulate([ns.u], ["u", "density"], lambda points: zip(dens.density(np.ravel(points))))
 
 
 def _run_anova(ns) -> str:
+    from . import designstats
+
     _, g_tab = load_table(ns.g)
     G = g_tab.ravel()
     if ns.a_matrix is not None:
@@ -196,6 +212,8 @@ def _run_anova(ns) -> str:
 
 
 def _run_corr(ns) -> str:
+    from . import designstats
+
     if ns.data is not None:
         _, tab = load_table(ns.data)
         if tab.shape[1] < 2:
@@ -207,6 +225,8 @@ def _run_corr(ns) -> str:
 
 
 def _run_qform(ns) -> str:
+    from . import designstats
+
     _, A = load_table(ns.matrix)
     report = designstats.chisquared_form_check(A, n=ns.n, seed=ns.seed)
     header = ["idempotent", "rank", "ks_stat", "consistent"]
@@ -214,11 +234,15 @@ def _run_qform(ns) -> str:
 
 
 def _run_volume(ns) -> str:
-    trend = melconv.normality_trend(ns.k_list, (ns.alpha, ns.beta), ns.n, ns.seed)
+    from . import designstats
+
+    trend = designstats.normality_trend(ns.k_list, (ns.alpha, ns.beta), ns.n, ns.seed)
     return format_table(["k", "skewness"], trend)
 
 
 def _run_phyllo(ns) -> str:
+    from . import phyllotaxis
+
     divergence = None if ns.divergence_deg is None else math.radians(ns.divergence_deg)
     config = phyllotaxis.SpiralConfig(
         k=ns.k,

@@ -1,5 +1,6 @@
-"""Missing-value design solver, sample correlation, and a Monte Carlo check
-of when a quadratic form in standard normals is chi-square distributed.
+"""Missing-value design solver, sample correlation, and two Monte Carlo
+checks: when a quadratic form in standard normals is chi-square distributed,
+and how fast the log of a product of betas approaches normality.
 
 The solver centers each row of a row-stochastic incidence matrix at its
 median, which makes the centered matrix a strict infinity-norm contraction,
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ConvergenceError, DomainError
 
@@ -179,6 +180,8 @@ def sample_correlation(x, y) -> float:
 
 def chi2_cdf(q, dof: int):
     """Chi-square CDF via the regularized lower incomplete gamma; 0 below 0."""
+    from scipy.special import gammainc  # here alone, so the module loads without scipy
+
     return gammainc(dof / 2.0, np.maximum(np.asarray(q, dtype=float), 0.0) / 2.0)
 
 
@@ -262,3 +265,44 @@ def chisquared_form_check(A, n: int = 100_000, seed: int = 0) -> dict:
         "ks_stat": ks,
         "consistent": bool(consistent),
     }
+
+
+def _sample_skewness(values: np.ndarray) -> float:
+    z = (values - values.mean()) / values.std()
+    return float(np.mean(z * z * z))  # z**3 takes libm's slow pow for z < 0
+
+
+def normality_trend(
+    k_list: Sequence[int],
+    shapes: tuple[float, float],
+    n: int,
+    seed: int,
+) -> list[tuple[int, float]]:
+    """Sample skewness of the standardized log-product for each factor count.
+
+    The log of a product of independent betas is a sum of i.i.d. terms, so the
+    skewness magnitude must fall as k grows; returning the whole sequence lets
+    callers check that central-limit trend directly.
+
+    One (max k, n) array of betas is drawn, and a running sum down its rows
+    turns it into log-products in place: each k reads row k - 1, the n sums of
+    its first k rows.  The counts share their draws (common random numbers), so
+    their estimates are correlated, and a k's result does not depend on the
+    other entries of ``k_list``, which may be unsorted or repeated.
+    """
+    if not len(k_list):
+        raise DomainError("normality_trend needs at least one factor count")
+    for k in k_list:
+        if not (2 <= k < math.inf and k % 1 == 0):
+            raise DomainError(f"factor counts must be whole numbers >= 2, got {k}")
+    al, be = shapes
+    if not (0 < al < math.inf and 0 < be < math.inf):
+        raise DomainError(f"beta shapes must be positive and finite, got {shapes}")
+    if not (2 <= n < math.inf and n % 1 == 0):
+        raise DomainError(f"a skewness needs a whole number n >= 2 of draws, got {n}")
+    v = np.random.default_rng(seed).beta(al, be, size=(int(max(k_list)), int(n)))
+    if v.min() == 0:  # its log is -inf, and the skewness not a number
+        raise DomainError(f"beta({al}, {be}) gave {np.count_nonzero(v == 0)} draws "
+                          f"of exactly 0; their log-product is -inf")
+    log_v = np.cumsum(np.log(v, out=v), axis=0, out=v)
+    return [(int(k), _sample_skewness(log_v[int(k) - 1])) for k in k_list]

@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import (betainc, betainccinv, betaincinv, betaln, digamma, gammainc,
                            gammaincinv, gammaln, loggamma)
 
+from .designstats import normality_trend  # noqa: F401 -- melconv.normality_trend stays public
 from .errors import ConvergenceError, DomainError, as_number, exp_or_inf
 
 _MOMENT_NORM_TOL = 1e-12
@@ -1216,44 +1217,3 @@ def random_volume_dist(k: int, shapes: Sequence[tuple[float, float]]) -> MomentD
     if k == 1:
         out.pdf_oracle = factors[0].pdf_oracle
     return out
-
-
-def _sample_skewness(values: np.ndarray) -> float:
-    z = (values - values.mean()) / values.std()
-    return float(np.mean(z * z * z))  # z**3 takes libm's slow pow for z < 0
-
-
-def normality_trend(
-    k_list: Sequence[int],
-    shapes: tuple[float, float],
-    n: int,
-    seed: int,
-) -> list[tuple[int, float]]:
-    """Sample skewness of the standardized log-product for each factor count.
-
-    The log of a product of independent betas is a sum of i.i.d. terms, so the
-    skewness magnitude must fall as k grows; returning the whole sequence lets
-    callers check that central-limit trend directly.
-
-    One (max k, n) array of betas is drawn, and a running sum down its rows
-    turns it into log-products in place: each k reads row k - 1, the n sums of
-    its first k rows.  The counts share their draws (common random numbers), so
-    their estimates are correlated, and a k's result does not depend on the
-    other entries of ``k_list``, which may be unsorted or repeated.
-    """
-    if not len(k_list):
-        raise DomainError("normality_trend needs at least one factor count")
-    for k in k_list:
-        if not (2 <= k < math.inf and k % 1 == 0):
-            raise DomainError(f"factor counts must be whole numbers >= 2, got {k}")
-    al, be = shapes
-    if not (0 < al < math.inf and 0 < be < math.inf):
-        raise DomainError(f"beta shapes must be positive and finite, got {shapes}")
-    if not (2 <= n < math.inf and n % 1 == 0):
-        raise DomainError(f"a skewness needs a whole number n >= 2 of draws, got {n}")
-    v = np.random.default_rng(seed).beta(al, be, size=(int(max(k_list)), int(n)))
-    if v.min() == 0:  # its log is -inf, and the skewness not a number
-        raise DomainError(f"beta({al}, {be}) gave {np.count_nonzero(v == 0)} draws "
-                          f"of exactly 0; their log-product is -inf")
-    log_v = np.cumsum(np.log(v, out=v), axis=0, out=v)
-    return [(int(k), _sample_skewness(log_v[int(k) - 1])) for k in k_list]

@@ -687,14 +687,40 @@ def test_infinite_parameter_is_one_stderr_line(argv):
     assert proc.stderr.startswith("pathway-toolkit: error: ") and "finite" in proc.stderr
 
 
-def test_import_loads_scipy_special_alone():
-    # start-up is most of a CLI call: scipy.spatial alone cost about 0.1 s of it, and pulled
-    # in linalg, sparse and constants
+_INPUTS = {"counts": "r1,r2\n3,1\n2,4\n", "g": "g\n1\n2\n", "matrix": "m1,m2\n1,0\n0,0\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, scipy_loaded",
+    [
+        ([], False),
+        (["phyllo", "--n", "30"], False),
+        (["corr", "--x", "1,2,3", "--y", "1,3,2"], False),
+        (["anova", "--counts", "{counts}", "--g", "{g}"], False),
+        (["volume", "--n", "1000"], False),
+        (["ml", "--alpha", "0.5", "--x", "1"], True),
+        (["pathway", "--alpha", "0.5", "--x", "1"], True),
+        (["ratecalc", "--gamma", "0", "--a", "1", "--b", "1"], True),
+        (["qform", "--matrix", "{matrix}", "--n", "1000"], True),
+    ],
+    ids=["import", "phyllo", "corr", "anova", "volume", "ml", "pathway", "ratecalc", "qform"],
+)
+def test_scipy_loads_only_where_a_subcommand_needs_it(argv, scipy_loaded, tmp_path):
+    # start-up is most of a CLI call: scipy.special is most of it, and scipy.spatial
+    # alone cost about 0.1 s, pulling in linalg, sparse and constants
+    for name, text in _INPUTS.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    argv = [a.format(**{name: tmp_path / f"{name}.csv" for name in _INPUTS}) for a in argv]
+    code = ("import contextlib, io, sys\n"
+            "from pathway_toolkit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "scipy = sys.modules.get('scipy')\n"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'] != [],\n"
+            "      sorted(m for m in scipy.submodules if 'scipy.' + m in sys.modules) if scipy else [])")
     src = os.path.dirname(os.path.dirname(pathway_toolkit.__file__))
-    code = ("import sys, scipy, pathway_toolkit.cli; print(sorted(m for m in scipy.submodules "
-            "if 'scipy.' + m in sys.modules))")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out == "['special']\n"
+    assert out == ("0 True ['special']\n" if scipy_loaded else "0 False []\n")

@@ -18,6 +18,7 @@ from pathway_toolkit.errors import ConvergenceError, DomainError
 from pathway_toolkit.melconv import ProductSpec, builtin_density, product_moment_density
 from pathway_toolkit.pathway import (PathwayParams, havrda_charvat_entropy, mathai_entropy,
                                      pathway_density, shannon_entropy)
+from pathway_toolkit.specfun import pochhammer
 
 # ---------------------------------------------------------------------------
 # mellin_invert on two-factor products and ratios of the stock kinds
@@ -222,3 +223,44 @@ def test_entropies_are_within_target_or_raise(draw):
             assert missed <= err.bound / abs(scale), f"{where}: bound {err.bound} misses {missed}"
         else:
             assert abs(value - truth) <= 1e-13 * abs(truth), f"{where}: {value} against {truth}"
+
+
+# ---------------------------------------------------------------------------
+# pochhammer across b in [-250, 250], and near the negative integers
+
+def _pochhammer_draws():
+    """(b, k): b uniform; b a few ulps or 10^-u from -n; and b near -n for n in [160, 200)
+    with k just past n, where the product passes the double range before one tiny factor
+    brings it back."""
+    rng = np.random.default_rng(27)
+
+    def near(n):
+        off = math.ulp(n) * int(rng.integers(1, 1000)) if rng.random() < 0.5 else (
+            10.0 ** -rng.uniform(1, 15))
+        return -n + float(rng.choice([-1.0, 1.0])) * off
+
+    for _ in range(400):
+        yield float(rng.uniform(-250, 250)), int(rng.integers(0, 501))
+    for _ in range(400):
+        n = int(rng.integers(1, 251))
+        yield near(n), int(rng.integers(0, 2 * n + 60))
+    for _ in range(400):
+        n = int(rng.integers(160, 200))
+        yield near(n), int(rng.integers(n, n + 20))
+
+
+def test_pochhammer_is_within_its_tolerance():
+    # 1e-12 relative, or the signed inf where (b)_k is past the double range
+    dbl_max = mpmath.mpf(np.finfo(float).max)
+    bad = []
+    for b, k in _pochhammer_draws():
+        got = pochhammer(b, k)
+        with mpmath.workdps(30):
+            truth = mpmath.rf(mpmath.mpf(b), k)
+            if abs(truth) > dbl_max:
+                ok = got == (math.inf if truth > 0 else -math.inf)
+            else:
+                ok = abs(mpmath.mpf(got) - truth) <= 1e-12 * abs(truth)
+        if not ok:
+            bad.append((b, k, got, mpmath.nstr(truth, 17)))
+    assert not bad, bad[:5]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -66,6 +67,29 @@ class TestPochhammer:
         with pytest.raises(DomainError, match="order"):
             pochhammer(1.0, k)
 
+    def test_product_back_in_range_after_overflow(self):
+        # (-172 + ulp)(-171 + ulp)...(1 + ulp): past the double range before its one tiny
+        # factor, about 2.8e-14, brings it back
+        got = pochhammer(-172 + math.ulp(172.0), 173)
+        assert got == pytest.approx(6.06675905821146322901785786205e297, rel=1e-12)
+
+    @pytest.mark.parametrize("b, k", [(-200.0, 1000), (-171.0, 300), (-3.0, 10**15),
+                                      (0.0, 10**15), (-0.0, 1)])
+    def test_zero_set_past_overflow(self, b, k):
+        assert pochhammer(b, k) == 0.0
+
+    @pytest.mark.parametrize("b", [0.5, -0.5, 1e300, -1e300, -1e6 + 0.5, -170.25, math.inf])
+    def test_order_does_not_set_the_cost(self, b):
+        cost = min(_timed(pochhammer, b, 10**15) for _ in range(3))
+        assert cost < 1e-3
+        assert math.isinf(pochhammer(b, 10**15))
+
+
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
 
 class TestGenPochhammer:
     def test_zero_partition(self):
@@ -87,6 +111,11 @@ class TestGenPochhammer:
     def test_nan_a_rejected(self, parts):
         with pytest.raises(DomainError, match="nan"):
             gen_pochhammer(math.nan, Partition(parts))
+
+    @pytest.mark.parametrize("parts", [(1000,), (1000, 1000), (10**15, 3)])
+    def test_zero_part_past_overflow(self, parts):
+        # (-200)_1000 is 0; (-200.5)_1000 is past the double range, and 0 * inf is nan
+        assert gen_pochhammer(-200.0, Partition(parts)) == 0.0
 
     def test_negative_parts_rejected(self):
         with pytest.raises(DomainError):
