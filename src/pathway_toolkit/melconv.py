@@ -37,7 +37,9 @@ _INVERT_TOL = 1e-8  # inversion target: absolute error 1e-8 (1 + |g|)
 _HL_S_MIN = -700.0
 _HL_PROBE = np.concatenate([-(2.0 ** np.arange(39, -1, -1)), [0.0], 2.0 ** np.arange(40)])
 _HL_BLOCK = 1 << 16  # most nodes in one integrand call, rows x nodes
+_HL_DROP = 40.0  # a half-line window ends this far below its peak
 _PEAK_NEWTON = 4  # Newton steps towards the Kratzel peak from t = 0
+_WINDOW_NEWTON = 2  # Newton steps towards each end of a Kratzel row's window
 _DBL_MAX = np.finfo(float).max
 _EPS = np.finfo(float).eps
 
@@ -748,7 +750,7 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
 # ---------------------------------------------------------------------------
 # improper integrals on the positive half line
 
-def integrate_halfline(integrand, *columns, log_bound=None, start=None):
+def integrate_halfline(integrand, *columns):
     """integral over all t of exp(log_m) w, one per row of the parameter ``columns``
     (numbers, or arrays of one broadcast shape; none for a single integral), where
     ``integrand(t, *cols)`` gives (log_m, w) on a (rows, nodes) array t, each column cut to
@@ -757,24 +759,17 @@ def integrate_halfline(integrand, *columns, log_bound=None, start=None):
     The trapezoid rule runs in s, where t = s - e^(-s), so the x -> 0 side decays
     double-exponentially even where log_m falls off only linearly (Takahasi & Mori,
     Publ. RIMS 9, 1974).  Each row has its own probe of doubling steps, moved onto its
-    peak in s and zoomed in; its points 40 below the peak bracket the sum.  The row's step
-    is halved until the sums of majorant and integrand agree to 1e-14 of the former or to
-    their rounding (ulps times the size and curvature of log_m at the peak); the larger is
-    its error.  A row leaves the nodes once it settles, w = 0 gives exactly 0, and no
-    integrand call holds more than _HL_BLOCK nodes unless one row's level alone does.
+    peak in s and zoomed in; its points 40 below the peak bracket the sum, and its
+    neighbours of the peak give the curvature there (``_halfline_probe``).  The trapezoid
+    levels (``_halfline_levels``) then halve the row's step until the sums of majorant and
+    integrand agree to 1e-14 of the former or to their rounding (ulps times the size and
+    curvature of log_m at the peak); the larger is its error.  A row leaves the nodes once it
+    settles, w = 0 gives exactly 0, and no integrand call holds more than _HL_BLOCK nodes
+    unless one row's level alone does.
 
     Returns (value, abs_error): floats where the columns are numbers, else arrays of their
     shape.  A row with no such peak or agreement is a ConvergenceError with its partial
-    value and bound, and the first such row raises, as a loop over the rows would.  Where
-    the probe finds no peak, ``log_bound(*cols)`` (those rows' columns) may give the logs of
-    bounds L <= integral <= B: a row whose B underflows is 0 with error 0, one whose L
-    overflows is inf with error inf, and the others carry B as their bound.
-
-    Each row's probe starts at centre 0 with step 1/2, or where ``start(*cols)`` (a group of
-    rows' columns, as for ``log_bound``) gives a finite centre and step for the row, there:
-    a start near the peak saves the sweeps that move onto it.  The probe's rules and the
-    trapezoid levels are the same from any start, so the value still rests on the probe's
-    stop test and the trapezoid agreement test, and a poor start costs sweeps.
+    value and bound, and the first such row raises, as a loop over the rows would.
     """
     cols, shaped = _columns(*columns)
     n = cols[0].size if cols else 1
@@ -782,37 +777,41 @@ def integrate_halfline(integrand, *columns, log_bound=None, start=None):
     group = _HL_BLOCK // _HL_PROBE.size  # rows per probe call
     with np.errstate(all="ignore"):
         for first in range(0, n, group):
-            fault = _halfline_rows(integrand, cols, np.arange(first, min(n, first + group)),
-                                   log_bound, start, value, err)
+            rows = np.arange(first, min(n, first + group))
+            found, window = _halfline_probe(integrand, cols, rows)
+            faults = [_halfline_levels(integrand, cols, rows[found], *window, value, err)]
+            lost = rows[~found]
+            if lost.size:
+                value[lost], err[lost] = 0.0, math.inf
+                faults.append((lost[0], ConvergenceError(
+                    "half-line integrand has no finite peak that decays on both sides",
+                    bound=math.inf)))
+            fault = min(faults, key=lambda row: row[0])[1]
             if fault is not None:
                 raise fault
     return shaped(value), shaped(err)
 
 
-def _halfline_rows(integrand, cols, rows, log_bound, start, value, err):
-    """integrate_halfline on ``rows``: fills their value and err, and gives the first
-    failing row's ConvergenceError (None where none fails)."""
+def _halfline_log_ds(integrand, cols, s, at):
+    """(log of the majorant in s, weight) at the nodes s of the rows ``at``; +-inf counts as
+    the largest double and nan (inf - inf far out in a tail) as -inf."""
+    e = np.exp(-s)
+    log_m, w = integrand(s - e, *(col[at, None] for col in cols))
+    v = np.minimum(np.maximum(log_m + np.log1p(e), -_DBL_MAX), _DBL_MAX)
+    v[np.isnan(v)] = -np.inf
+    return v, w
 
-    def log_ds(s, at):
-        """(log of the majorant in s, weight) on the rows ``at``; +-inf counts as the
-        largest double and nan (inf - inf far out in a tail) as -inf."""
-        e = np.exp(-s)
-        log_m, w = integrand(s - e, *(col[at, None] for col in cols))
-        v = np.minimum(np.maximum(log_m + np.log1p(e), -_DBL_MAX), _DBL_MAX)
-        v[np.isnan(v)] = -np.inf
-        return v, w
 
-    # the probe: move onto the peak, then zoom in; a row keeps the sweep it stops at
+def _halfline_probe(integrand, cols, rows):
+    """The probe of ``integrate_halfline`` on ``rows``: a mask of the rows on which it finds a
+    peak, and on those the window (peak, curvature, lo, hi) of ``_halfline_levels``."""
+    # move onto the peak, then zoom in; a row keeps the sweep it stops at
     k = rows.size
     c, d, live, i = np.zeros(k), np.full(k, 0.5), np.arange(k), np.arange(k)
-    if start is not None:  # a row whose start is not finite keeps (0, 1/2)
-        c0, d0 = start(*(col[rows] for col in cols))
-        ok = np.isfinite(c0) & np.isfinite(d0)
-        c, d = np.where(ok, c0, c), np.where(ok, d0, d)
     s_at, v_at, top, d_at = np.empty((k, 81)), np.empty((k, 81)), np.empty(k, int), np.empty(k)
     for _ in range(100):
         s = np.maximum(c[:, None] + d[:, None] * _HL_PROBE, _HL_S_MIN)
-        v = log_ds(s, rows[live])[0]
+        v = _halfline_log_ds(integrand, cols, s, rows[live])[0]
         j = v.argmax(1)
         sj = s[i, j]
         inner = (j % 80 != 0) & (sj != _HL_S_MIN)  # neither end of the probe nor its floor
@@ -839,38 +838,27 @@ def _halfline_rows(integrand, cols, rows, log_bound, start, value, err):
         s_at[live], v_at[live], top[live], d_at[live] = s[going], v[going], j[going], d
     i = np.arange(k)
     peak = v_at[i, top]
-    low = v_at < (peak - 40.0)[:, None]
+    low = v_at < (peak - _HL_DROP)[:, None]
     left, right = 39 - low[:, 39::-1].argmax(1), 41 + low[:, 41:].argmax(1)  # the first low points
     found = (top == 40) & np.isfinite(peak) & low[i, left] & low[i, right]
-
-    # no peak: 0 where a bound B from log_bound underflows, inf where its L overflows, else a
-    # fault with bound B
-    first_fault = k
     if np.count_nonzero(found) < k:
-        lost = rows[~found]
-        value[lost], err[lost] = 0.0, math.inf
-        if log_bound is not None:
-            low, bound = np.exp(log_bound(*(col[lost] for col in cols)))
-            big = low == math.inf
-            value[lost], err[lost] = np.where(big, math.inf, 0.0), np.where(big, math.inf, bound)
-        faults = np.flatnonzero(~found)[(value[lost] == 0.0) & (err[lost] != 0.0)]
-        first_fault = faults[0] if faults.size else k
+        peak, left, right, s_at, v_at, d_at = (a[found] for a in (peak, left, right, s_at, v_at, d_at))
+        i = i[:peak.size]
+    curv = np.abs(v_at[:, 39] - 2.0 * peak + v_at[:, 41]) / d_at**2
+    return found, (peak, curv, s_at[i, left], s_at[i, right])
 
-    # the trapezoid sums, one level per sweep over the rows still to settle
-    live = np.flatnonzero(found)
-    if live.size < k:
-        peak, left, right, s_at, v_at, d_at = (a[live] for a in (peak, left, right, s_at, v_at, d_at))
-        i = i[:live.size]
-    lo = s_at[i, left]
-    h = (s_at[i, right] - lo) / 16
-    rounding = 1e-15 * (1.0 + np.abs(peak) + np.abs(v_at[:, 39] - 2.0 * peak + v_at[:, 41]) / d_at**2)
-    tol = np.maximum(1e-14, rounding)
+
+def _halfline_levels(integrand, cols, rows, peak, curv, lo, hi, value, err):
+    """The trapezoid levels of ``integrate_halfline`` on ``rows``, each in s over its window
+    [lo, hi], where log_m in s peaks at ``peak`` with curvature |v''| = ``curv``: fills their
+    value and err, and gives the first row whose sums still differ at the last level with
+    its ConvergenceError, or (inf, None)."""
 
     def sums(offsets):  # (2, rows): the sums of majorant and integrand at lo + h offsets, over e^peak
         per, parts = max(1, _HL_BLOCK // offsets.size), []
         for b in range(0, live.size, per):
             r = slice(b, b + per)
-            log_m, w = log_ds(lo[r, None] + h[r, None] * offsets, rows[live[r]])
+            log_m, w = _halfline_log_ds(integrand, cols, lo[r, None] + h[r, None] * offsets, live[r])
             m = np.empty((2,) + log_m.shape)
             np.multiply(np.exp(log_m - peak[r, None], out=m[0]), w, out=m[1])
             parts.append(np.add.reduce(m, -1))
@@ -878,9 +866,12 @@ def _halfline_rows(integrand, cols, rows, log_bound, start, value, err):
 
     def settle(at):  # the rows at ``at`` leave with their value and error
         scale = np.exp(peak[at])
-        value[rows[live[at]]] = scale * total[1, at]
-        err[rows[live[at]]] = scale * np.maximum(diff[at], rounding[at] * total[0, at])
+        value[live[at]] = scale * total[1, at]
+        err[live[at]] = scale * np.maximum(diff[at], rounding[at] * total[0, at])
 
+    live, h = rows, (hi - lo) / 16
+    rounding = 1e-15 * (1.0 + np.abs(peak) + curv)
+    tol = np.maximum(1e-14, rounding)
     n = 16  # both ends are negligible: plain sums
     if live.size:
         total = h * sums(np.arange(n + 1)) + 0.0  # + 0.0: a sum of zeros is +0, not -0
@@ -900,15 +891,11 @@ def _halfline_rows(integrand, cols, rows, log_bound, start, value, err):
                 total = total[:, ~done]
         else:
             settle(slice(None))
-            if live[0] < first_fault:
-                row = rows[live[0]]
-                return ConvergenceError(f"half-line trapezoid sums still differ by {err[row]:.1e} "
-                                        f"at {n} nodes", partial=float(value[row]),
-                                        bound=float(err[row]))
-    if first_fault < k:
-        return ConvergenceError("half-line integrand has no finite peak that decays on both "
-                                "sides", bound=float(err[rows[first_fault]]))
-    return None
+            row = live[0]
+            return row, ConvergenceError(f"half-line trapezoid sums still differ by {err[row]:.1e} "
+                                         f"at {n} nodes", partial=float(value[row]),
+                                         bound=float(err[row]))
+    return math.inf, None
 
 
 # ---------------------------------------------------------------------------
@@ -1001,20 +988,10 @@ def _kratzel_integrand(t, gamma, a, y, alpha, beta):
     return (gamma + 1.0) * t - a * np.exp(alpha * t) - tail, 1.0
 
 
-def _kratzel_phi(t, gamma, log_a, log_y, alpha, beta):
-    """phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t), the log of ``_kratzel_integrand``,
-    with phi' and phi'', from ln a and ln y (-inf for a term that is 0); each exponential
-    is formed in logs, so it is finite wherever its term is."""
-    ea, ey = np.exp(log_a + alpha * t), np.exp(log_y - beta * t)
-    return ((gamma + 1.0) * t - ea - ey, (gamma + 1.0) - alpha * ea + beta * ey,
-            -alpha * alpha * ea - beta * beta * ey)
-
-
-def _kratzel_peak(gamma, a, y, alpha, beta, close=False):
-    """The maximiser t* of phi (``_kratzel_phi``) on each row of the columns of
-    ``_kratzel_integrand``, after _PEAK_NEWTON Newton steps from t = 0; with ``close``, a
-    bracket (lo, hi) of adjacent doubles around it, with an infinite end where t* is past
-    the double range.
+def _kratzel_peak(gamma, a, y, alpha, beta):
+    """The maximiser t* of phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t), the log of
+    ``_kratzel_integrand``, on each row of its columns, after _PEAK_NEWTON Newton steps from
+    t = 0.
 
     With P = a alpha e^(alpha t), plus y |beta| e^(|beta| t) where beta < 0, the growing part
     of -phi', and N = y beta e^(-beta t) where beta > 0, its decaying part, phi' =
@@ -1023,100 +1000,88 @@ def _kratzel_peak(gamma, a, y, alpha, beta, close=False):
     smallest rate in P where gamma + 1 >= 0 and beta otherwise, so t* lies within |G(t)|/m of
     any t, on the side where G has the other sign, and a Newton step stays within that bound
     (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM 2007, on locating the
-    peak before quadrature).  To close, each step tries two points on each row: the Newton step
-    from the point with the smaller |G|, and that point's bound widened by G's rounding; lo
-    keeps G >= 0 and hi G <= 0, and a point not strictly between them is their midpoint."""
+    peak before quadrature)."""
     g1, rate, neg = gamma + 1.0, np.abs(beta), beta < 0
     log_a, log_y = np.log(a * alpha), np.log(y * rate)
     # P's second part is the y term where beta < 0 (there gamma > -1), else max(0, -(gamma+1))
     log_q, q_rate = np.where(neg, log_y, np.log(np.maximum(-g1, 0.0))), np.where(neg, rate, 0.0)
     log_n, log_n0 = np.where(neg, -np.inf, log_y), np.log(np.maximum(g1, 0.0))
-
-    def log_g(t):  # G, its slope, and ln(P + ...) and ln(N + ...)
+    t = np.zeros(gamma.shape)
+    for _ in range(_PEAK_NEWTON):
         ea, en = log_a + alpha * t, log_n - beta * t
         lp, ln = np.logaddexp(ea, log_q + q_rate * t), np.logaddexp(en, log_n0)
         slope = q_rate + (alpha - q_rate) * np.exp(ea - lp) + beta * np.exp(en - ln)
-        return ln - lp, -slope, lp, ln
-
-    t = np.zeros(gamma.shape)
-    for _ in range(_PEAK_NEWTON):
-        g, slope, _, _ = log_g(t)
-        t = t - g / slope
-    if not close:
-        return t
-    m = np.where(g1 < 0, beta,
-                 np.where(a == 0, rate, np.where(neg, np.minimum(alpha, rate), alpha)))
-    lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
-    t = np.stack([t, np.zeros_like(t)])  # 0 too, in case the Newton steps went astray
-    for _ in range(200):
-        g, slope, lp, ln = log_g(t)
-        inside = (lo < t) & (t < hi)
-        lo = np.maximum(lo, np.where(inside & (g >= 0), t, -np.inf).max(0))
-        hi = np.minimum(hi, np.where(inside & (g <= 0), t, np.inf).min(0))
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # points within G's rounding may cross
-        if not (np.nextafter(lo, np.inf) < hi).any():
-            break
-        noise = 4.0 * _EPS * (np.abs(lp) + np.abs(ln) + 2.0 * np.abs(t) * (alpha + rate))
-        best = np.abs(g).argmin(0)[None]
-        tb, gb, sb, nb = (np.take_along_axis(col, best, 0)[0] for col in (t, g, slope, noise))
-        t = np.array([tb - gb / sb, tb + (gb + np.copysign(nb, gb)) * 1.125 / m])
-        t = np.where((lo < t) & (t < hi), t, 0.5 * lo + 0.5 * hi)
-    return lo, hi
+        t = t + (ln - lp) / slope
+    return t
 
 
-def _kratzel_start(gamma, a, y, alpha, beta):
-    """The probe's start (c, d) on each row: c near the maximiser of the probe's function
-    v(s) = phi(s - e^-s) + ln(1 + e^-s), and d = 1 / (2 sqrt|v''|) clipped to [1/64, 1/2],
-    so that the probe's neighbours of c lie about 1/8 below it.  s solves s - e^-s = t*
-    (``_kratzel_peak``) by Newton steps from below, which do not overshoot on this concave
-    map, and one Newton step on v' moves it towards v's peak."""
+def _kratzel_window(gamma, a, y, alpha, beta):
+    """The half-line window of each row of the columns of ``_kratzel_integrand``, from its
+    peak t* (``_kratzel_peak``) alone: (ln L, ln B, (peak, curvature, lo, hi)), where
+    L <= integral <= B and the last four are the window in s of ``_halfline_levels``.
+
+    With p_a = a e^(alpha t*) and p_y = y e^(-beta t*), each formed in logs, phi falls from
+    phi* = phi(t*) by D(x) = p_a E(alpha x) + p_y E(-beta x) at t* + x, E(z) = e^z - 1 - z
+    (phi'(t*) = 0 takes out the linear term; t* after its Newton steps leaves a residue that
+    moved no end by 0.01 on the fuzz domain), with no cancellation.  D is convex and 0 at 0,
+    so each side has one end where D = 40: Newton steps on ln D in ln |x| go towards it from
+    the quadratic model's |x| = sqrt(80 / |phi''(t*)|), kept below where a growing term alone
+    passes 40 (E(z) >= e^z / 2 for z >= 1.7).  D(x) / |x| grows with |x|, so an end scaled
+    by 40 / D where D < 40 lies at least 40 below phi*.  On the window phi is at least phi*
+    less the larger end drop before that scaling, which gives L; beyond the ends phi lies
+    below its tangents there, whose slopes are at least 40 / |x|, which gives
+    B = e^phi* (width) (1 + e^-40 / 40).  Mapped to s (t = s - e^-s) the window leaves out
+    the same mass as in t.  The peak is v = phi + ln(1 + e^-s) at t*'s s, with
+    |v''| = |phi''(t*) (1 + e^-s)^2 - e^-s / (1 + e^-s)^2| there."""
     t = _kratzel_peak(gamma, a, y, alpha, beta)
+    log_p = np.array([np.log(a) + alpha * t, np.log(y) - beta * t])  # ln 0 = -inf: no such term
+    p = np.exp(log_p)
+    top = (gamma + 1.0) * t - p[0] - p[1]
+    curv = alpha * alpha * p[0] + beta * beta * p[1]  # -phi''(t*)
+    k = np.array([[-alpha, alpha], [beta, -beta]])  # (term, side, row): z = k |x|, left then right
+    log_p, p = log_p[:, None], p[:, None]
+
+    def drop(d):  # D at |x| = d on each side, and dD/dd; E(z) >= z^2 (1/2 + z/6) where it cancels
+        z = k * d
+        e1 = np.where(z > 1.0, np.exp(log_p + z) - p, p * np.expm1(np.minimum(z, 1.0)))  # p (e^z - 1)
+        pz = p * z
+        return np.maximum(e1 - pz, pz * z * (0.5 + z / 6.0)).sum(0), (k * e1).sum(0)
+
+    cap = np.where(k > 0, np.maximum(1.7, math.log(2.0 * _HL_DROP) - log_p) / k, math.inf).min(0)
+    d = np.minimum(np.sqrt(2.0 * _HL_DROP / curv), cap)
+    for _ in range(_WINDOW_NEWTON):
+        fall, slope = drop(d)  # a step grows |x| at most e^2 times; D = 0 takes the e^2
+        d = np.minimum(d * np.exp(np.fmin(2.0, np.log(_HL_DROP / fall) * fall / (d * slope))), cap)
+    fall = drop(d)[0]
+    log_l = top - fall.max(0) + np.log(d.sum(0))
+    d = d * np.maximum(1.0, _HL_DROP / fall)
+    log_b = top + np.log(d.sum(0)) + math.log1p(math.exp(-_HL_DROP) / _HL_DROP)
+    t = np.array([t - d[0], t, t + d[1]])
     s = np.where(t > 0, t, -np.log1p(-np.minimum(t, 0.0)))
-    for _ in range(3):
+    for _ in range(3):  # Newton steps towards s - e^-s = t from below, which do not overshoot
         e = np.exp(-s)
         s = s - (s - e - t) / (1.0 + e)
-    e = np.exp(-s)
+    e = np.exp(-s[1])
     q = 1.0 + e
-    _, d1, d2 = _kratzel_phi(s - e, gamma, np.log(a), np.log(y), alpha, beta)
-    v1, v2 = d1 * q - e / q, (d2 * q - d1 * e) * q + e / (q * q)
-    return s - np.where(v2 < 0, v1 / v2, 0.0), np.clip(0.5 / np.sqrt(np.abs(v2)), 1.0 / 64, 0.5)
-
-
-def _kratzel_log_bound(gamma, a, y, alpha, beta):
-    """(ln L, ln B), bounds L <= integral of e^phi <= B, for the rows whose probe finds no peak.
-
-    phi (``_kratzel_phi``) is concave, so it lies below its tangents.  With its maximiser
-    t* in [lo, hi] (``_kratzel_peak``, closed to adjacent doubles), the tangents at lo - 1
-    and hi + 1 bound the two tails, the tangent at lo bounds phi(t*), and
-    B = e^(phi(lo) + phi'(lo) (hi - lo)) (hi - lo + 2 + 1/phi'(lo - 1) + 1/|phi'(hi + 1)|);
-    ln B is inf where the bracket has an infinite end.  On [lo - 1, hi + 1] phi is at least
-    its smaller end value, so L = (hi - lo + 2) e^min(phi(lo - 1), phi(hi + 1)), each end
-    value less a few eps times the size of its terms, an exponential's scaled by the size
-    of its exponent."""
-    log_a, log_y = np.log(a), np.log(y)  # ln 0 = -inf: no such term
-
-    def phi(t):
-        return _kratzel_phi(t, gamma, log_a, log_y, alpha, beta)
-
-    def phi_low(t):  # phi(t) less a bound on its rounding; a term that is 0 has none
-        size = np.abs((gamma + 1.0) * t)
-        for log_c, rate in ((log_a, alpha * t), (log_y, -beta * t)):
-            term = np.exp(log_c + rate)
-            size = size + np.where(term == 0, 0.0, term * (2.0 + np.abs(log_c) + np.abs(rate)))
-        return phi(t)[0] - 4.0 * _EPS * size
-
-    lo, hi = _kratzel_peak(gamma, a, y, alpha, beta, close=True)
-    width = hi - lo
-    at_lo = phi(lo)
-    log_b = (at_lo[0] + at_lo[1] * width
-             + np.log(width + 2.0 + 1.0 / phi(lo - 1.0)[1] - 1.0 / phi(hi + 1.0)[1]))
-    log_l = np.minimum(phi_low(lo - 1.0), phi_low(hi + 1.0)) + np.log(width + 2.0)
-    return log_l, np.where(np.isnan(log_b), math.inf, log_b)
+    return log_l, log_b, (top + np.log1p(e), np.abs(e / (q * q) - curv * q * q), s[0], s[2])
 
 
 def _kratzel_quadrature(gamma, a, y, alpha, beta):
-    return integrate_halfline(_kratzel_integrand, *_kratzel_columns(gamma, a, y, alpha, beta),
-                              log_bound=_kratzel_log_bound, start=_kratzel_start)
+    """The half-line rule on Kratzel columns, each row over its window (``_kratzel_window``):
+    a row whose bound B underflows is 0 with error 0, one whose L overflows is inf with error
+    inf, and the others take the trapezoid levels (``_halfline_levels``)."""
+    cols = _kratzel_columns(gamma, a, y, alpha, beta)
+    with np.errstate(all="ignore"):
+        log_l, log_b, window = _kratzel_window(*cols)
+        big = np.exp(log_l) == math.inf
+        value = np.where(big, math.inf, 0.0)
+        err = value.copy()
+        rows = np.flatnonzero(~big & (np.exp(log_b) != 0.0))  # nan goes on, and raises there
+        fault = _halfline_levels(_kratzel_integrand, cols, rows, *(w[rows] for w in window),
+                                 value, err)[1]
+    if fault is not None:
+        raise fault
+    return value, err
 
 
 def _validate_kratzel(gamma, a, y, alpha, beta, route):

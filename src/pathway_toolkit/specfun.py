@@ -122,20 +122,40 @@ def pochhammer(b: float, k: int) -> float:
             break
     else:
         return out
-    negative = k if b + k <= 0 else 0 if b >= 0 else math.ceil(-b)
-    sign = -1.0 if negative % 2 else 1.0
+    log_abs, sign = _log_pochhammer(b, k)
     if not (b + j + 1 < 1 and b + k - 1 > -1):  # every factor ahead is 1 or more in size
         return sign * math.inf
-    return sign * exp_or_inf(math.lgamma(b + k) - math.lgamma(b))
+    return sign * exp_or_inf(log_abs)
+
+
+def _log_pochhammer(b: float, k: int) -> tuple[float, float]:
+    """(ln|(b)_k|, sign of (b)_k) for a (b)_k that is not 0, from ln|Gamma|: reflected,
+    ln Gamma(1 - b) - ln Gamma(1 - b - k), where every factor is negative.  ln Gamma
+    overflows past about 1e305, and so does any (b)_k whose log route reaches there."""
+    negative = k if b + k <= 0 else 0 if b >= 0 else math.ceil(-b)
+    sign = -1.0 if negative % 2 else 1.0
+    ends = (1 - b, 1 - b - k) if b + k <= 0 else (b + k, b)
+    try:
+        return math.lgamma(ends[0]) - math.lgamma(ends[1]), sign
+    except OverflowError:
+        return math.inf, sign
 
 
 def gen_pochhammer(a: float, partition: Partition) -> float:
     """Partition-indexed Pochhammer: prod_j (a - (j-1)/2)_{k_j}; a NaN a is a DomainError.
-    A zero part makes it 0, even beside a part past the double range."""
+    A zero part makes it 0, even beside a part past the double range.  Where the product of
+    the parts overflows, a part may have overflowed alone: the parts' ln| | are summed and
+    their signs multiplied, so the product is inf only where it is past the double range."""
     if math.isnan(a):
         raise DomainError("gen_pochhammer needs a number a, got nan")
     parts = [pochhammer(a - 0.5 * j, kj) for j, kj in enumerate(partition.parts)]
-    return 0.0 if 0.0 in parts else math.prod(parts, start=1.0)
+    if 0.0 in parts:
+        return 0.0
+    out = math.prod(parts, start=1.0)
+    if math.isinf(out):
+        logs = [_log_pochhammer(a - 0.5 * j, kj) for j, kj in enumerate(partition.parts)]
+        out = math.prod(sign for _, sign in logs) * exp_or_inf(math.fsum(log for log, _ in logs))
+    return out
 
 
 def matrix_gamma(p: int, a: float) -> float:

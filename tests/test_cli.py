@@ -207,12 +207,12 @@ class TestRun:
         assert capsys.readouterr().out == "0\n"
 
     def test_ratecalc_both_integrates_each_point_once(self, monkeypatch, capsys):
-        # one batched half-line call, with one row per point
+        # one batched Kratzel quadrature, with one row per point
         rows = []
-        integrate = melconv.integrate_halfline
+        quadrature = melconv._kratzel_quadrature
         monkeypatch.setattr(
-            melconv, "integrate_halfline",
-            lambda f, *cols, **kw: rows.append(np.broadcast(*cols).size) or integrate(f, *cols, **kw),
+            melconv, "_kratzel_quadrature",
+            lambda *cols: rows.append(np.broadcast(*cols).size) or quadrature(*cols),
         )
         argv = ["ratecalc", "--route", "both", "--gamma", "0,1", "--a", "1", "--b", "1"]
         assert main(argv) == 0

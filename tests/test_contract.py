@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from pathway_toolkit.errors import ConvergenceError, DomainError
-from pathway_toolkit.melconv import ProductSpec, builtin_density, product_moment_density
+from pathway_toolkit.melconv import (ProductSpec, builtin_density, kratzel_g2_with_error,
+                                     product_moment_density)
 from pathway_toolkit.pathway import (PathwayParams, havrda_charvat_entropy, mathai_entropy,
                                      pathway_density, shannon_entropy)
-from pathway_toolkit.specfun import pochhammer
+from pathway_toolkit.specfun import Partition, gen_pochhammer, pochhammer
 
 # ---------------------------------------------------------------------------
 # mellin_invert on two-factor products and ratios of the stock kinds
@@ -263,4 +264,111 @@ def test_pochhammer_is_within_its_tolerance():
                 ok = abs(mpmath.mpf(got) - truth) <= 1e-12 * abs(truth)
         if not ok:
             bad.append((b, k, got, mpmath.nstr(truth, 17)))
+    assert not bad, bad[:5]
+
+
+def _gen_pochhammer_draws():
+    """(a, parts): a first part near where (a)_k passes the double range, beside small parts
+    whose product may bring it back, or a part at a - j/2 = 0 that makes it 0."""
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        a = float(rng.uniform(0.05, 3.0))
+        parts = [int(rng.integers(160, 180))] + [int(k) for k in rng.integers(0, 4, rng.integers(1, 4))]
+        yield a, parts
+    for n in range(2, 6):  # a - n/2 = 0 at part n: 0 beside an infinite first part
+        yield n / 2, [300] + [1] * n
+
+
+def test_gen_pochhammer_is_within_its_tolerance():
+    dbl_max = mpmath.mpf(np.finfo(float).max)
+    bad = []
+    for a, parts in _gen_pochhammer_draws():
+        got = gen_pochhammer(a, Partition(tuple(parts)))
+        with mpmath.workdps(30):
+            truth = mpmath.fprod(mpmath.rf(mpmath.mpf(a) - mpmath.mpf(j) / 2, k)
+                                 for j, k in enumerate(parts))
+            if abs(truth) > dbl_max:
+                ok = got == (math.inf if truth > 0 else -math.inf)
+            else:
+                ok = abs(mpmath.mpf(got) - truth) <= 1e-12 * abs(truth)
+        if not ok:
+            bad.append((a, parts, got, mpmath.nstr(truth, 17)))
+    assert not bad, bad[:5]
+
+
+# ---------------------------------------------------------------------------
+# kratzel_g2 by the half-line rule, against 40-digit mpmath
+
+def _mp_kratzel(gamma, a, y, alpha, beta):
+    """integral over t of e^phi(t), phi = (gamma+1) t - a e^(alpha t) - y e^(-beta t) (x = e^t), at
+    40 digits: tanh-sinh on panels cut at the peak (phi' bisected), at doublings of the peak's
+    width out to 90 below it, and where each exponential term is 10^-3 to 10^2.  Where
+    e^phi* times that window is below e^-800, that bound, which rounds to 0, stands for it."""
+    with mpmath.workdps(40):
+        g1, a, y, al, be = (mpmath.mpf(v) for v in (gamma + 1, a, y, alpha, beta))
+
+        def phi(t):
+            return g1 * t - a * mpmath.exp(al * t) - y * mpmath.exp(-be * t)
+
+        def slope(t):
+            return g1 - al * a * mpmath.exp(al * t) + be * y * mpmath.exp(-be * t)
+
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        while slope(lo) <= 0:
+            lo *= 2
+        while slope(hi) >= 0:
+            hi *= 2
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        top = phi(mid)
+        width = 1 / mpmath.sqrt(al * al * a * mpmath.exp(al * mid) + be * be * y * mpmath.exp(-be * mid))
+        ends = []
+        for side in (-1, 1):
+            step = width
+            while top - phi(mid + side * step) < 90:
+                step *= 2
+            ends.append(mid + side * step)
+        if top + mpmath.log(ends[1] - ends[0]) < -800:  # a bound that rounds to 0 stands for it
+            return mpmath.exp(top) * (ends[1] - ends[0])
+        cuts = {mid + side * width * 2 ** j for side in (-1, 1) for j in range(-2, 2000)
+                if width * 2 ** j < ends[1] - ends[0]}
+        for c in (mpmath.mpf(10) ** j for j in range(-3, 3)):
+            cuts |= {(mpmath.log(c) - mpmath.log(a)) / al} if a > 0 else set()
+            cuts |= {(mpmath.log(y) - mpmath.log(c)) / be} if y > 0 else set()
+        value, error = mpmath.quad(lambda t: mpmath.exp(phi(t) - top),
+                                   sorted(t for t in cuts | set(ends) if ends[0] <= t <= ends[1]),
+                                   error=True)
+        assert error <= 1e-30 * value
+        return mpmath.exp(top) * value
+
+
+def _kratzel_draws():
+    """The fuzz domain, a fifth of the rows at beta < 0 (there gamma > -1), and the two rows of
+    the fuzz whose trapezoid sums differed at the node cap."""
+    rng = np.random.default_rng(2910)
+    for i in range(24):
+        beta = float(rng.uniform(0.1, 25)) * (-1 if i % 5 == 0 else 1)
+        gamma = float(rng.uniform(-3, 3))
+        yield (abs(gamma) if beta < 0 else gamma, float(10 ** rng.uniform(-300, 300)),
+               float(10 ** rng.uniform(-300, 300)), float(rng.uniform(0.1, 10)), beta)
+    yield -1.33, 4.08e-274, 6.92e-66, 4.11, 18.0
+    yield -1.39, 6.5e-228, 6.37e-60, 3.88, 20.6
+
+
+def test_kratzel_is_within_its_estimate_or_raises_with_a_covering_bound():
+    dbl_max = mpmath.mpf(np.finfo(float).max)
+    bad = []
+    for row in _kratzel_draws():
+        truth = _mp_kratzel(*row)
+        try:
+            value, err = kratzel_g2_with_error(*row)
+        except ConvergenceError as exc:
+            value, err = exc.partial, exc.bound
+        if truth > dbl_max:
+            ok = value == math.inf
+        else:
+            ok = abs(value - float(truth)) <= err
+        if not ok:
+            bad.append((row, value, err, mpmath.nstr(truth, 17)))
     assert not bad, bad[:5]
