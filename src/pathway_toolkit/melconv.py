@@ -38,7 +38,10 @@ _HL_S_MIN = -700.0
 _HL_PROBE = np.concatenate([-(2.0 ** np.arange(39, -1, -1)), [0.0], 2.0 ** np.arange(40)])
 _HL_BLOCK = 1 << 16  # most nodes in one integrand call, rows x nodes
 _HL_DROP = 40.0  # a half-line window ends this far below its peak
-_PEAK_NEWTON = 4  # Newton steps towards the Kratzel peak from t = 0
+_HL_LEVELS = 12  # trapezoid levels after the first 16 steps: the last has 16 << 12 steps
+_PEAK_NEWTON = 4  # Newton steps towards the Kratzel peak from t = 0 on every row
+_PEAK_NEWTON_CAP = 64  # most steps on a row whose bound on |t - t*| is still above _PEAK_TOL
+_PEAK_TOL = 1e-4
 _WINDOW_NEWTON = 2  # Newton steps towards each end of a Kratzel row's window
 _DBL_MAX = np.finfo(float).max
 _EPS = np.finfo(float).eps
@@ -750,46 +753,33 @@ def mellin_invert(mom, u, c: float, first_fault: bool = False):
 # ---------------------------------------------------------------------------
 # improper integrals on the positive half line
 
-def integrate_halfline(integrand, *columns):
-    """integral over all t of exp(log_m) w, one per row of the parameter ``columns``
-    (numbers, or arrays of one broadcast shape; none for a single integral), where
-    ``integrand(t, *cols)`` gives (log_m, w) on a (rows, nodes) array t, each column cut to
-    those rows as a (rows, 1) array: the log of a positive majorant and a weight in [-1, 1].
+def integrate_halfline(integrand):
+    """integral over all t of exp(log_m) w, where ``integrand(t)`` gives (log_m, w) on an
+    array t of nodes: the log of a positive majorant and a weight in [-1, 1].
 
     The trapezoid rule runs in s, where t = s - e^(-s), so the x -> 0 side decays
     double-exponentially even where log_m falls off only linearly (Takahasi & Mori,
-    Publ. RIMS 9, 1974).  Each row has its own probe of doubling steps, moved onto its
-    peak in s and zoomed in; its points 40 below the peak bracket the sum, and its
-    neighbours of the peak give the curvature there (``_halfline_probe``).  The trapezoid
-    levels (``_halfline_levels``) then halve the row's step until the sums of majorant and
-    integrand agree to 1e-14 of the former or to their rounding (ulps times the size and
-    curvature of log_m at the peak); the larger is its error.  A row leaves the nodes once it
-    settles, w = 0 gives exactly 0, and no integrand call holds more than _HL_BLOCK nodes
-    unless one row's level alone does.
+    Publ. RIMS 9, 1974).  A probe of doubling steps, moved onto the peak in s and zoomed in,
+    finds the window: its points 40 below the peak bracket the sum, and its neighbours of
+    the peak give the curvature there (``_halfline_probe``).  The trapezoid levels
+    (``_halfline_levels``) then halve the step until the sums of majorant and integrand
+    agree to 1e-14 of the former or to their rounding (ulps times the size and curvature of
+    log_m at the peak); the larger is its error.  w = 0 gives exactly 0.
 
-    Returns (value, abs_error): floats where the columns are numbers, else arrays of their
-    shape.  A row with no such peak or agreement is a ConvergenceError with its partial
-    value and bound, and the first such row raises, as a loop over the rows would.
+    Returns (value, abs_error) as floats.  An integral with no such peak or agreement is a
+    ConvergenceError with its partial value and bound.
     """
-    cols, shaped = _columns(*columns)
-    n = cols[0].size if cols else 1
-    value, err = np.empty(n), np.empty(n)
-    group = _HL_BLOCK // _HL_PROBE.size  # rows per probe call
+    value, err = np.empty(1), np.empty(1)
     with np.errstate(all="ignore"):
-        for first in range(0, n, group):
-            rows = np.arange(first, min(n, first + group))
-            found, window = _halfline_probe(integrand, cols, rows)
-            faults = [_halfline_levels(integrand, cols, rows[found], *window, value, err)]
-            lost = rows[~found]
-            if lost.size:
-                value[lost], err[lost] = 0.0, math.inf
-                faults.append((lost[0], ConvergenceError(
-                    "half-line integrand has no finite peak that decays on both sides",
-                    bound=math.inf)))
-            fault = min(faults, key=lambda row: row[0])[1]
-            if fault is not None:
-                raise fault
-    return shaped(value), shaped(err)
+        window = _halfline_probe(integrand)
+        if window is None:
+            raise ConvergenceError(
+                "half-line integrand has no finite peak that decays on both sides", bound=math.inf)
+        fault = _halfline_levels(integrand, (), np.zeros(1, int), *np.reshape(window, (4, 1)),
+                                 value, err)[1]
+    if fault is not None:
+        raise fault
+    return float(value[0]), float(err[0])
 
 
 def _halfline_log_ds(integrand, cols, s, at):
@@ -802,57 +792,35 @@ def _halfline_log_ds(integrand, cols, s, at):
     return v, w
 
 
-def _halfline_probe(integrand, cols, rows):
-    """The probe of ``integrate_halfline`` on ``rows``: a mask of the rows on which it finds a
-    peak, and on those the window (peak, curvature, lo, hi) of ``_halfline_levels``."""
-    # move onto the peak, then zoom in; a row keeps the sweep it stops at
-    k = rows.size
-    c, d, live, i = np.zeros(k), np.full(k, 0.5), np.arange(k), np.arange(k)
-    s_at, v_at, top, d_at = np.empty((k, 81)), np.empty((k, 81)), np.empty(k, int), np.empty(k)
+def _halfline_probe(integrand):
+    """The probe of ``integrate_halfline``: the window (peak, curvature, lo, hi) of
+    ``_halfline_levels``, or None where it finds no peak that falls 40 on both sides."""
+    # move onto the peak, then zoom in; the probe keeps the sweep it stops at
+    c, d = 0.0, 0.5
     for _ in range(100):
-        s = np.maximum(c[:, None] + d[:, None] * _HL_PROBE, _HL_S_MIN)
-        v = _halfline_log_ds(integrand, cols, s, rows[live])[0]
-        j = v.argmax(1)
-        sj = s[i, j]
-        inner = (j % 80 != 0) & (sj != _HL_S_MIN)  # neither end of the probe nor its floor
-        move = inner & (j != 40)
-        zoom = inner & (j == 40) & (v[:, 40] - np.minimum(v[:, 39], v[:, 41]) > 1.0)
-        if np.count_nonzero(move):
-            near = np.minimum(sj - s[i, j - 1], s[i, (j + 1) % 81] - sj)
-            c, d = np.where(move, sj, c), np.where(move, near / 2, d)
-        if np.count_nonzero(zoom):
-            d = np.where(zoom, d / 16, d)
-        going = move | zoom
-        if np.count_nonzero(going) < live.size:
-            if live.size == k and not np.count_nonzero(going):  # every row stops at once
-                s_at, v_at, top, d_at = s, v, j, d
-                break
-            stop = ~going
-            at = live[stop]
-            s_at[at], v_at[at], top[at], d_at[at] = s[stop], v[stop], j[stop], d[stop]
-            live, c, d = live[going], c[going], d[going]
-            i = i[:live.size]
-            if not live.size:
-                break
-    else:  # out of sweeps: the rows still moving keep the last one
-        s_at[live], v_at[live], top[live], d_at[live] = s[going], v[going], j[going], d
-    i = np.arange(k)
-    peak = v_at[i, top]
-    low = v_at < (peak - _HL_DROP)[:, None]
-    left, right = 39 - low[:, 39::-1].argmax(1), 41 + low[:, 41:].argmax(1)  # the first low points
-    found = (top == 40) & np.isfinite(peak) & low[i, left] & low[i, right]
-    if np.count_nonzero(found) < k:
-        peak, left, right, s_at, v_at, d_at = (a[found] for a in (peak, left, right, s_at, v_at, d_at))
-        i = i[:peak.size]
-    curv = np.abs(v_at[:, 39] - 2.0 * peak + v_at[:, 41]) / d_at**2
-    return found, (peak, curv, s_at[i, left], s_at[i, right])
+        s = np.maximum(c + d * _HL_PROBE, _HL_S_MIN)
+        v = _halfline_log_ds(integrand, (), s, None)[0]
+        j = int(v.argmax())
+        inner = j % 80 != 0 and s[j] != _HL_S_MIN  # neither end of the probe nor its floor
+        if inner and j != 40:
+            c, d = s[j], min(s[j] - s[j - 1], s[j + 1] - s[j]) / 2
+        elif inner and v[40] - min(v[39], v[41]) > 1.0:
+            d = d / 16
+        else:
+            break
+    peak = v[40]
+    low = v < peak - _HL_DROP
+    left, right = 39 - low[39::-1].argmax(), 41 + low[41:].argmax()  # the first low points
+    if j != 40 or not (math.isfinite(peak) and low[left] and low[right]):
+        return None
+    return peak, abs(v[39] - 2.0 * peak + v[41]) / (d * d), s[left], s[right]
 
 
 def _halfline_levels(integrand, cols, rows, peak, curv, lo, hi, value, err):
     """The trapezoid levels of ``integrate_halfline`` on ``rows``, each in s over its window
     [lo, hi], where log_m in s peaks at ``peak`` with curvature |v''| = ``curv``: fills their
     value and err, and gives the first row whose sums still differ at the last level with
-    its ConvergenceError, or (inf, None)."""
+    its ConvergenceError, or (value.size, None)."""
 
     def sums(offsets):  # (2, rows): the sums of majorant and integrand at lo + h offsets, over e^peak
         per, parts = max(1, _HL_BLOCK // offsets.size), []
@@ -864,10 +832,11 @@ def _halfline_levels(integrand, cols, rows, peak, curv, lo, hi, value, err):
             parts.append(np.add.reduce(m, -1))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
 
-    def settle(at):  # the rows at ``at`` leave with their value and error
+    def settle(at):  # the rows at ``at`` leave with their value and error (inf for a zero sum)
         scale = np.exp(peak[at])
         value[live[at]] = scale * total[1, at]
-        err[live[at]] = scale * np.maximum(diff[at], rounding[at] * total[0, at])
+        bound = scale * np.maximum(diff[at], rounding[at] * total[0, at])
+        err[live[at]] = np.where(total[0, at] > 0, bound, math.inf)
 
     live, h = rows, (hi - lo) / 16
     rounding = 1e-15 * (1.0 + np.abs(peak) + curv)
@@ -875,11 +844,12 @@ def _halfline_levels(integrand, cols, rows, peak, curv, lo, hi, value, err):
     n = 16  # both ends are negligible: plain sums
     if live.size:
         total = h * sums(np.arange(n + 1)) + 0.0  # + 0.0: a sum of zeros is +0, not -0
-        for _ in range(12):
+        for _ in range(_HL_LEVELS):
             prev, total = total, 0.5 * (total + h * sums(np.arange(0.5, n)))
             diff = np.maximum.reduce(np.abs(total - prev))
             h, n = 0.5 * h, 2 * n
             done = diff <= tol * total[0]  # nan (an infinite node) never settles
+            done &= total[0] > 0  # nor does a zero sum, where every node missed the peak
             settled = np.count_nonzero(done)
             if settled == done.size:
                 settle(slice(None))
@@ -895,7 +865,7 @@ def _halfline_levels(integrand, cols, rows, peak, curv, lo, hi, value, err):
             return row, ConvergenceError(f"half-line trapezoid sums still differ by {err[row]:.1e} "
                                          f"at {n} nodes", partial=float(value[row]),
                                          bound=float(err[row]))
-    return math.inf, None
+    return value.size, None
 
 
 # ---------------------------------------------------------------------------
@@ -991,14 +961,16 @@ def _kratzel_integrand(t, gamma, a, y, alpha, beta):
 def _kratzel_peak(gamma, a, y, alpha, beta):
     """The maximiser t* of phi(t) = (gamma+1) t - a e^(alpha t) - y e^(-beta t), the log of
     ``_kratzel_integrand``, on each row of its columns, after _PEAK_NEWTON Newton steps from
-    t = 0.
+    t = 0, and more, up to _PEAK_NEWTON_CAP in all, on a row whose bound |G(t)|/m below is
+    still above _PEAK_TOL (at large beta, where N's fall takes one step per unit of beta t).
 
     With P = a alpha e^(alpha t), plus y |beta| e^(|beta| t) where beta < 0, the growing part
     of -phi', and N = y beta e^(-beta t) where beta > 0, its decaying part, phi' =
     (gamma+1) + N - P has the sign of G(t) = ln(N + max(0, gamma+1)) - ln(P + max(0, -gamma-1)),
     taken in logs, so no term overflows.  G falls with a slope in [m, alpha + |beta|], m the
-    smallest rate in P where gamma + 1 >= 0 and beta otherwise, so t* lies within |G(t)|/m of
-    any t, on the side where G has the other sign, and a Newton step stays within that bound
+    smallest rate in P (alpha, or min(alpha, |beta|) where beta < 0) where gamma + 1 >= 0 and
+    beta otherwise, so t* lies within |G(t)|/m of any t, on the side where G has the other
+    sign, and a Newton step stays within that bound
     (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM 2007, on locating the
     peak before quadrature)."""
     g1, rate, neg = gamma + 1.0, np.abs(beta), beta < 0
@@ -1006,19 +978,26 @@ def _kratzel_peak(gamma, a, y, alpha, beta):
     # P's second part is the y term where beta < 0 (there gamma > -1), else max(0, -(gamma+1))
     log_q, q_rate = np.where(neg, log_y, np.log(np.maximum(-g1, 0.0))), np.where(neg, rate, 0.0)
     log_n, log_n0 = np.where(neg, -np.inf, log_y), np.log(np.maximum(g1, 0.0))
-    t = np.zeros(gamma.shape)
-    for _ in range(_PEAK_NEWTON):
+    m = np.where(g1 >= 0, np.where(neg, np.minimum(alpha, rate), alpha), beta)
+    t, far = np.zeros(gamma.shape), True
+    for step in range(_PEAK_NEWTON_CAP):
         ea, en = log_a + alpha * t, log_n - beta * t
         lp, ln = np.logaddexp(ea, log_q + q_rate * t), np.logaddexp(en, log_n0)
+        if step >= _PEAK_NEWTON:
+            far = np.abs(ln - lp) > _PEAK_TOL * m
+            if not far.any():
+                break
         slope = q_rate + (alpha - q_rate) * np.exp(ea - lp) + beta * np.exp(en - ln)
-        t = t + (ln - lp) / slope
+        t = np.where(far, t + (ln - lp) / slope, t)
     return t
 
 
 def _kratzel_window(gamma, a, y, alpha, beta):
     """The half-line window of each row of the columns of ``_kratzel_integrand``, from its
-    peak t* (``_kratzel_peak``) alone: (ln L, ln B, (peak, curvature, lo, hi)), where
-    L <= integral <= B and the last four are the window in s of ``_halfline_levels``.
+    peak t* (``_kratzel_peak``) alone: (ln L, ln B, (peak, curvature, lo, hi), fine), where
+    L <= integral <= B, the four are the window in s of ``_halfline_levels``, and ``fine``
+    holds where the s grid can resolve the peak: its narrower side spans at least the last
+    level's step and the spacing of doubles at t*'s s (false for nan).
 
     With p_a = a e^(alpha t*) and p_y = y e^(-beta t*), each formed in logs, phi falls from
     phi* = phi(t*) by D(x) = p_a E(alpha x) + p_y E(-beta x) at t* + x, E(z) = e^z - 1 - z
@@ -1063,25 +1042,37 @@ def _kratzel_window(gamma, a, y, alpha, beta):
         s = s - (s - e - t) / (1.0 + e)
     e = np.exp(-s[1])
     q = 1.0 + e
-    return log_l, log_b, (top + np.log1p(e), np.abs(e / (q * q) - curv * q * q), s[0], s[2])
+    fine = np.minimum(s[1] - s[0], s[2] - s[1]) >= np.maximum(
+        (s[2] - s[0]) / (16 << _HL_LEVELS), np.spacing(np.abs(s[1])))
+    return log_l, log_b, (top + np.log1p(e), np.abs(e / (q * q) - curv * q * q), s[0], s[2]), fine
 
 
-def _kratzel_quadrature(gamma, a, y, alpha, beta):
-    """The half-line rule on Kratzel columns, each row over its window (``_kratzel_window``):
-    a row whose bound B underflows is 0 with error 0, one whose L overflows is inf with error
-    inf, and the others take the trapezoid levels (``_halfline_levels``)."""
+def _kratzel_quadrature(gamma, a, y, alpha, beta, fault):
+    """The half-line rule on valid Kratzel columns, each row over its window
+    (``_kratzel_window``): value and error columns, and the first failing row and its error
+    (``fault`` at the row after the columns).  A row whose bound B underflows is 0 with error
+    0, one whose L overflows is inf with error inf, one whose peak the s grid cannot resolve
+    (a wall at large alpha or beta) raises with bound inf, and the others take the trapezoid
+    levels (``_halfline_levels``)."""
     cols = _kratzel_columns(gamma, a, y, alpha, beta)
     with np.errstate(all="ignore"):
-        log_l, log_b, window = _kratzel_window(*cols)
+        log_l, log_b, window, fine = _kratzel_window(*cols)
         big = np.exp(log_l) == math.inf
         value = np.where(big, math.inf, 0.0)
         err = value.copy()
-        rows = np.flatnonzero(~big & (np.exp(log_b) != 0.0))  # nan goes on, and raises there
-        fault = _halfline_levels(_kratzel_integrand, cols, rows, *(w[rows] for w in window),
-                                 value, err)[1]
-    if fault is not None:
-        raise fault
-    return value, err
+        go = ~big & (np.exp(log_b) != 0.0)  # nan goes on, and is not fine
+        coarse = np.flatnonzero(go & ~fine)
+        end = coarse[0] if coarse.size else gamma.size
+        rows = np.flatnonzero(go[:end])
+        row, exc = _halfline_levels(_kratzel_integrand, cols, rows, *(w[rows] for w in window),
+                                    value, err)
+    if exc is None and end < gamma.size:
+        row, exc = end, ConvergenceError(
+            f"the half-line s grid cannot resolve the Kratzel integrand at gamma = {gamma[end]}, "
+            f"a = {a[end]}, y = {y[end]}, alpha = {alpha[end]}, beta = {beta[end]}: a side of its "
+            f"peak is narrower than the last trapezoid step or the spacing of doubles there",
+            bound=math.inf)
+    return value, err, row, exc or fault
 
 
 def _validate_kratzel(gamma, a, y, alpha, beta, route):
@@ -1111,22 +1102,19 @@ def _kratzel(gamma, a, y, alpha, beta, route):
     cols, shaped = _columns(gamma, a, y, alpha, beta)
     rows, fault = _validate_kratzel(*cols, route)
     cols = [col[:rows] for col in cols]
-    if route != "quadrature":
-        mellin, err, rows, fault = _reaction_mellin(*cols[:3], fault)
-        cols, value, err = [col[:rows] for col in cols], mellin[:rows], err[:rows]
+    if route != "quadrature":  # each stage runs on the rows before the first fault so far
+        value, err, rows, fault = _reaction_mellin(*cols[:3], fault)
+        cols, mellin = [col[:rows] for col in cols], value[:rows]
     if route != "mellin":
-        try:
-            value, err = _kratzel_quadrature(*cols)
-        except ConvergenceError:
-            if route == "both" and rows > 1:  # the loop's first error, point by point
-                for point in zip(*cols):
-                    _kratzel(*point, route)
-            raise
-        if route == "both":
-            for q, m in zip(value.tolist(), mellin.tolist()):
-                if abs(q - m) > 1e-6 * max(abs(q), abs(m)):
-                    raise ConvergenceError(f"reaction-rate routes disagree: quadrature {q!r} "
-                                           f"vs mellin {m!r}", partial=q, bound=abs(q - m))
+        value, err, rows, fault = _kratzel_quadrature(*cols, fault)
+    if route == "both":
+        q, m = value[:rows], mellin[:rows]
+        with np.errstate(invalid="ignore"):  # inf - inf: both routes overflow, and agree
+            off = np.flatnonzero(np.abs(q - m) > 1e-6 * np.maximum(np.abs(q), np.abs(m)))
+        if off.size:
+            q, m = float(q[off[0]]), float(m[off[0]])
+            fault = ConvergenceError(f"reaction-rate routes disagree: quadrature {q!r} "
+                                     f"vs mellin {m!r}", partial=q, bound=abs(q - m))
     if fault is not None:
         raise fault
     return shaped(value), shaped(err)

@@ -154,14 +154,20 @@ class DensityFn:
     works); the entropies need it smooth inside the support.  Mass one lets their
     integrands be f^(..) - f: less cancellation, and uniform densities give 0.
 
-    ``law`` is the pathway law behind ``fn``, set by ``pathway_density`` only.  The
-    entropies take their closed forms from it, and integrate ``fn`` where it is None
-    or where a closed form's rounding would miss 1e-13 relative.
+    ``support`` needs lo < hi, else (nan included) construction is a DomainError.  ``law``
+    is the pathway law behind ``fn``, set by ``pathway_density`` only.  The entropies take
+    their closed forms from it, and integrate ``fn`` where it is None or where a closed
+    form's rounding would miss 1e-13 relative.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     law: _PowerLaw | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo, hi = self.support
+        if not lo < hi:
+            raise DomainError(f"empty support [{lo}, {hi}]: a density needs lo < hi")
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -169,13 +175,12 @@ class DensityFn:
 
 def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
     """1 / (hi - lo) on [lo, hi], for finite ends whose width and its reciprocal are doubles."""
-    if not hi > lo:
-        raise DomainError(f"empty support [{lo}, {hi}]")
+    f = DensityFn(lambda x: h * ((lo <= x) & (x <= hi)), (lo, hi))  # the support rule, lo < hi
     h = 1.0 / (hi - lo)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 < h < math.inf):
         raise DomainError(f"uniform_density needs finite ends with a width and density that "
                           f"fit a double, got [{lo}, {hi}]")
-    return DensityFn(lambda x: h * ((lo <= x) & (x <= hi)), (lo, hi))
+    return f
 
 
 def unit_exponential_density() -> DensityFn:

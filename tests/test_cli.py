@@ -225,13 +225,15 @@ class TestRun:
             ("ratecalc", {"gamma": "0.5,1", "a": "0.5,2", "b": "0,1"}, []),
             ("ratecalc", {"gamma": "0,1", "a": "0.5,0", "b": "1"}, []),
             ("ratecalc", {"gamma": "0,-2.5", "a": "1", "b": "1,0.5"}, ["--route", "both"]),
+            ("ratecalc", {"gamma": "-0.9729199363738594,0", "a": "3.1435782642638544e-77,1",
+                          "b": "4.592276099642287e-132,1"}, ["--route", "both"]),
             ("kratzel", {"gamma": "-0.5,1", "a": "0.5,2", "y": "0,1e-9,2"}, ["--beta=-0.5"]),
             ("kratzel", {"gamma": "0,-1.5", "a": "1", "y": "1,0"}, []),
             ("kratzel", {"gamma": "-2.5,-1.2", "a": "0,0.5", "y": "0.7,2"}, ["--beta", "2"]),
             ("kratzel", {"gamma": "0.5,-1.5", "a": "0,1", "y": "1,0"}, ["--beta=-0.5"]),
         ],
-        ids=["a_zero", "b_zero", "domain_fault", "mellin_fault", "kratzel", "kratzel_fault",
-             "kratzel_a_zero", "kratzel_a_zero_beta_negative"],
+        ids=["a_zero", "b_zero", "domain_fault", "mellin_fault", "both_mellin_fault", "kratzel",
+             "kratzel_fault", "kratzel_a_zero", "kratzel_a_zero_beta_negative"],
     )
     def test_grid_is_its_points(self, sub, axes, extra, capsys):
         # one batched call per grid: each row has the value its point prints alone, and

@@ -372,3 +372,46 @@ def test_kratzel_is_within_its_estimate_or_raises_with_a_covering_bound():
         if not ok:
             bad.append((row, value, err, mpmath.nstr(truth, 17)))
     assert not bad, bad[:5]
+
+
+def _mp_kratzel_wall(gamma, a, y, alpha, beta):
+    """The same integral at 25 digits for a row with a wall at large alpha or beta: tanh-sinh on
+    panels cut at the peak (phi' bisected), within 60 / max(alpha, beta) of it on each side, and
+    1, 10 and 100 from it.  A node where an exponential term passes e^(|phi*| + |(gamma+1) t| +
+    1e4) counts as 0, so no term of size e^(1e300) is formed."""
+    with mpmath.workdps(25):
+        g1, a, y, al, be = (mpmath.mpf(v) for v in (gamma + 1, a, y, alpha, beta))
+        log_a, log_y = mpmath.log(a), mpmath.log(y)
+
+        def slope(t):
+            return g1 - al * a * mpmath.exp(al * t) + be * y * mpmath.exp(-be * t)
+
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        top = g1 * mid - a * mpmath.exp(al * mid) - y * mpmath.exp(-be * mid)
+
+        def f(t):
+            if max(log_a + al * t, log_y - be * t) > mpmath.log(abs(top) + abs(g1 * t) + 10000):
+                return mpmath.mpf(0)
+            return mpmath.exp(g1 * t - a * mpmath.exp(al * t) - y * mpmath.exp(-be * t) - top)
+
+        wall = 60 / max(al, be)
+        cuts = [mid + side * w for side in (-1, 1) for w in (wall, 1, 10, 100)]
+        return mpmath.quad(f, [-mpmath.inf, *sorted(cuts + [mid]), mpmath.inf]) * mpmath.exp(top)
+
+
+@pytest.mark.parametrize("row", [(0.0, 1.0, 1.0, 1.0, beta) for beta in (1e8, 1e20, 1e100, 1e300)]
+                         + [(0.0, 1.0, 1.0, alpha, 1.0) for alpha in (1e10, 1e100, 1e300)]
+                         + [(0.0, 2.0, 3.0, 0.5, 1e10)])
+def test_kratzel_wall_is_within_its_estimate_or_raises_with_a_covering_bound(row):
+    # at large alpha or beta one side of the peak is a wall the s grid cannot resolve
+    truth = _mp_kratzel_wall(*row)
+    assert 0.1 < truth < 1  # e^-1 at large beta, e^-1 - E1(1) at large alpha
+    try:
+        value, err = kratzel_g2_with_error(*row)
+    except ConvergenceError as exc:
+        value, err = exc.partial, exc.bound
+    assert not math.isnan(err)
+    assert err == math.inf or abs(value - float(truth)) <= err

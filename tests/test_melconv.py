@@ -1074,8 +1074,6 @@ class TestHalflineBatch:
         assert val.shape == err.shape == (2, 3)
         assert val == pytest.approx(cgamma(g + 1), rel=1e-13)
         assert isinstance(kratzel_g2_with_error(1.0, 1.0, 0.0)[0], float)
-        val, err = integrate_halfline(lambda t, mu: (-((t - mu) ** 2), 1.0), [3.0, -2.0, 10.0])
-        assert val == pytest.approx(np.full(3, math.sqrt(math.pi)), abs=1e-15)
 
     @pytest.mark.parametrize("bad", ["convergence_first", "domain_first"])
     def test_failing_row_raises_the_loops_first_error(self, bad):
@@ -1112,6 +1110,19 @@ class TestHalflineBatch:
         assert str(got.value) == str(first.value)
         assert ("disagree" in str(got.value)) == (fault == "disagree_first")
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_both_route_raises_the_loops_first_mellin_fault(self, at):
+        # u = a b^2 underflows to 0 at this point, so its Mellin route fails; no stub
+        fault = (-0.9729199363738594, 3.1435782642638544e-77, 4.592276099642287e-132)
+        points = [(0.0, 1.0, 1.0), (0.0, 2.0, 0.5)]
+        points.insert(at, fault)
+        with pytest.raises(ConvergenceError) as first:
+            for point in points:
+                reaction_rate(*point, route="both")
+        with pytest.raises(ConvergenceError) as got:
+            reaction_rate(*np.transpose(points), route="both")
+        assert str(got.value) == str(first.value) and "outside the double range" in str(got.value)
+
     def test_block_cap_splits_without_changing_bytes(self, monkeypatch):
         # each point three times, so that rows reach each level together; a cap of
         # 3 x 81 nodes makes groups of three rows, and splits every level past 81 nodes
@@ -1129,6 +1140,14 @@ class TestHalflineBatch:
         assert np.array_equal(kratzel_g2_with_error(*cols), whole)
         assert max(rows * nodes for rows, nodes in sizes if rows > 1) <= 3 * 81
         assert max(rows for rows, nodes in sizes if nodes > 81) == 1  # one row may pass it
+
+    def test_a_zero_sum_raises_with_bound_inf(self):
+        # a window far from the peak: every node underflows against e^peak
+        value, err = np.empty(1), np.empty(1)
+        window = np.array([[0.0], [0.0], [50.0], [60.0]])  # peak, curvature, lo, hi
+        row, exc = melconv._halfline_levels(lambda t: (-t * t, 1.0), (), np.zeros(1, int), *window,
+                                            value, err)
+        assert row == 0 and exc.partial == 0.0 and exc.bound == math.inf
 
     def test_bound_underflow_is_zero(self):
         # the log-integrand peaks near -3e96, so its bound B underflows
@@ -1191,7 +1210,7 @@ class TestKratzelWindow:
             try:
                 kratzel_g2_with_error(*row)
             except ConvergenceError as exc:
-                assert "sums still differ" in str(exc)
+                assert "sums still differ" in str(exc) and not math.isnan(exc.bound)
                 raised += 1
         assert raised <= 72
 
@@ -1212,7 +1231,7 @@ class TestKratzelWindow:
         alpha, beta = rng.uniform(0.1, 10, n), rng.uniform(0.1, 25, n) * np.where(np.arange(n) % 4, 1, -1)
         cols = melconv._kratzel_columns(np.where(beta < 0, np.abs(g), g), a, y, alpha, beta)
         with np.errstate(all="ignore"):
-            log_l, log_b, (_, _, lo, hi) = melconv._kratzel_window(*cols)
+            log_l, log_b, (_, _, lo, hi), _ = melconv._kratzel_window(*cols)
             inside = np.flatnonzero((np.exp(log_l) < math.inf) & (np.exp(log_b) > 0))
         assert inside.size > 20
         with mpmath.workdps(40):

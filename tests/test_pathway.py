@@ -592,6 +592,12 @@ class TestEntropies:
         with pytest.raises(DomainError, match="fit a double"):
             uniform_density(lo, hi)
 
+    @pytest.mark.parametrize("support", [(1.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, 0.0),
+                                         (math.inf, math.inf), (-math.inf, -math.inf)])
+    def test_malformed_support_is_a_domain_error(self, support):
+        with pytest.raises(DomainError, match="needs lo < hi"):
+            shannon_entropy(DensityFn(lambda x: np.exp(-x), support))
+
     def test_density_domain_error_passes_through(self):
         def fn(x):
             raise DomainError("no density here")
